@@ -56,7 +56,6 @@ from .lint import (
     BUILTIN_SUBJECTS,
     lint_builtin,
     lint_cfg,
-    lint_events,
     lint_flow,
     lint_forecast,
     lint_library,
@@ -68,7 +67,6 @@ from .rules import families, render_rule_list
 from .registry import (
     RULES,
     Checker,
-    EventBusArtifact,
     FeasibilityArtifact,
     ForecastArtifact,
     LintContext,
@@ -108,7 +106,6 @@ __all__ = [
     "EXPLORE_SCOPES",
     "ExploreResult",
     "ExploreScope",
-    "EventBusArtifact",
     "FeasibilityArtifact",
     "FeasibilityResult",
     "ForecastArtifact",
@@ -137,7 +134,6 @@ __all__ = [
     "golden_from_runtime",
     "lint_builtin",
     "lint_cfg",
-    "lint_events",
     "lint_flow",
     "lint_forecast",
     "lint_library",

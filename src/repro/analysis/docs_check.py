@@ -10,8 +10,8 @@ references drift from the code:
 * ``rispp_*`` metric names absent from the :mod:`repro.obs` catalogue;
 * catalogue metrics *not documented* in ``docs/observability.md`` — the
   metric table must cover every declared family;
-* the runtime event taxonomy against ``docs/events.md`` — every bus
-  event, handler and priority band documented, no stale names;
+* the runtime event taxonomy against ``docs/events.md`` — every event
+  type documented, no stale event names;
 * the service surface against ``docs/serving.md`` — every endpoint of
   :data:`repro.serve.ENDPOINTS` and every scenario field documented,
   no phantom endpoints;
@@ -34,7 +34,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Families of rule IDs the analysis registries declare.
+#: Families of rule IDs the analysis registries declare, plus the
+#: retired ``EVT`` family, so a stale mention of it is flagged too.
 _RULE_ID = re.compile(r"\b(?:LAT|LIB|CFG|FC|SCH|ROT|TRC|FEA|MC|AUD|EVT)\d{3}\b")
 #: Exported metric names (the ``rispp_`` namespace) as written in prose.
 _METRIC_NAME = re.compile(r"\brispp_[a-z][a-z0-9_]*\b")
@@ -189,10 +190,10 @@ def _check_observability_coverage(root: Path) -> list[Finding]:
 
 
 #: Rule families whose every member must appear in ``docs/analysis.md``
-#: (the verifier TRC/FEA, model-checker MC, source-audit AUD and
-#: event-bus EVT catalogues live there; the remaining lint families are
-#: documented per-module).
-_DOCUMENTED_FAMILIES = ("trace", "feasibility", "explore", "audit", "events")
+#: (the verifier TRC/FEA, model-checker MC and source-audit AUD
+#: catalogues live there; the remaining lint families are documented
+#: per-module).
+_DOCUMENTED_FAMILIES = ("trace", "feasibility", "explore", "audit")
 
 
 def _check_rule_coverage(root: Path) -> list[Finding]:
@@ -224,42 +225,32 @@ def _check_rule_coverage(root: Path) -> list[Finding]:
     return findings
 
 
-#: Backticked identifiers in ``docs/events.md`` that look like bus event
+#: Backticked identifiers in ``docs/events.md`` that look like event
 #: names (CamelCase ending in the taxonomy's participle vocabulary).
 _EVENTISH = re.compile(
     r"`([A-Z][A-Za-z]*(?:Fired|Ended|Executed|Switched|Requested|Completed"
-    r"|Reallocated|Failed|Injected|Detected|Quarantined|Repaired|Retried)"
-    r"|Tick)`"
+    r"|Reallocated|Failed|Injected|Detected|Quarantined|Repaired|Retried))`"
 )
-#: Backticked handler names (``_trace_forecast`` style) in the docs.
-_HANDLERISH = re.compile(r"`(_[a-z][a-z0-9_]*)`")
-#: Backticked priority-band constants.
-_PRIORITYISH = re.compile(r"`(PRIORITY_[A-Z_]+)`")
 
 
 def _check_events_coverage(root: Path) -> list[Finding]:
     """``docs/events.md`` ↔ the live taxonomy, both directions.
 
-    Forward: every event type, every default-wiring handler and every
-    priority band must appear in the doc.  Reverse: every backticked
-    event/handler/priority token in the doc must exist in
-    :mod:`repro.runtime.events`.
+    Forward: every event type must appear in the doc.  Reverse: every
+    backticked event-like token in the doc must be in
+    :data:`repro.runtime.events.EVENT_TYPES`.
     """
     from ..runtime import events as ev
 
     doc = root / "docs" / "events.md"
     rel = doc.relative_to(root).as_posix()
     event_names = {t.__name__ for t in ev.EVENT_TYPES}
-    handler_names = {handler.__name__ for _, _, handler in ev.DEFAULT_WIRING}
-    priority_names = {
-        name for name in dir(ev) if name.startswith("PRIORITY_")
-    }
     if not doc.exists():
         return [
             Finding(
                 rel, 1,
                 "docs/events.md is missing; it must document the "
-                f"{len(event_names)}-event taxonomy and its wiring",
+                f"{len(event_names)}-event taxonomy",
             )
         ]
     findings: list[Finding] = []
@@ -267,20 +258,7 @@ def _check_events_coverage(root: Path) -> list[Finding]:
     for name in sorted(event_names):
         if name not in text:
             findings.append(
-                Finding(rel, 1, f"bus event {name!r} is not documented")
-            )
-    for name in sorted(handler_names):
-        if name not in text:
-            findings.append(
-                Finding(
-                    rel, 1,
-                    f"default-wiring handler {name!r} is not documented",
-                )
-            )
-    for name in sorted(priority_names):
-        if name not in text:
-            findings.append(
-                Finding(rel, 1, f"priority band {name!r} is not documented")
+                Finding(rel, 1, f"runtime event {name!r} is not documented")
             )
     for number, line, fenced in _iter_lines(doc):
         if fenced:
@@ -290,25 +268,8 @@ def _check_events_coverage(root: Path) -> list[Finding]:
                 findings.append(
                     Finding(
                         rel, number,
-                        f"unknown bus event {match.group(1)!r}; the "
+                        f"unknown runtime event {match.group(1)!r}; the "
                         "taxonomy is repro.runtime.events.EVENT_TYPES",
-                    )
-                )
-        for match in _HANDLERISH.finditer(line):
-            if match.group(1) not in handler_names:
-                findings.append(
-                    Finding(
-                        rel, number,
-                        f"unknown handler {match.group(1)!r}; not part "
-                        "of repro.runtime.events.DEFAULT_WIRING",
-                    )
-                )
-        for match in _PRIORITYISH.finditer(line):
-            if match.group(1) not in priority_names:
-                findings.append(
-                    Finding(
-                        rel, number,
-                        f"unknown priority band {match.group(1)!r}",
                     )
                 )
     return findings

@@ -350,8 +350,8 @@ def _copy_world(world: _World) -> _World:
     )
     if new_inj is not None:
         new_inj._runtime = new_rt
-    # The cloned port must publish into the cloned runtime (the bus
-    # itself is stateless and safely shared between clones).
+    # The cloned port must publish into the cloned runtime (the handler
+    # table is static, so dispatch carries no per-runtime state).
     new_port._runtime = new_rt
     return _World(runtime=new_rt, now=world.now)
 

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from .diagnostics import DiagnosticReport
 from .registry import (
-    EventBusArtifact,
     ForecastArtifact,
     LintContext,
     RotationLog,
@@ -34,7 +33,6 @@ if TYPE_CHECKING:
     from ..forecast.fdf import ForecastDecisionFunction
     from ..forecast.placement import ForecastPoint
     from ..hardware.reconfig import ReconfigurationPort, RotationJob
-    from ..runtime.events import EventBus
 
 
 def lint_library(
@@ -106,20 +104,6 @@ def lint_rotations(
     return run_checks(log, context=LintContext(subject=subject))
 
 
-def lint_events(
-    bus: "EventBus | None" = None,
-    *,
-    subject: str = "",
-) -> DiagnosticReport:
-    """Event-bus wiring coherence checks (EVT rules).
-
-    ``bus=None`` checks a fresh default bus — the wiring every runtime
-    gets unless a caller injects its own.
-    """
-    artifact = EventBusArtifact(bus=bus, subject=subject or "events:default-bus")
-    return run_checks(artifact, context=LintContext(subject=subject))
-
-
 def lint_flow(
     cfg: "ControlFlowGraph",
     library: "SILibrary",
@@ -152,7 +136,7 @@ def lint_flow(
 # Built-in subjects: what ``python -m repro lint`` analyses
 # ---------------------------------------------------------------------------
 
-BUILTIN_SUBJECTS = ("h264", "aes", "events")
+BUILTIN_SUBJECTS = ("h264", "aes")
 
 
 def _h264_artifacts(containers: int | None) -> DiagnosticReport:
@@ -222,8 +206,6 @@ def lint_builtin(
             report.merge(_h264_artifacts(containers))
         elif subject == "aes":
             report.merge(_aes_artifacts(containers))
-        elif subject == "events":
-            report.merge(lint_events(subject="events:default-bus"))
         else:
             raise ValueError(
                 f"unknown lint subject {subject!r}; "

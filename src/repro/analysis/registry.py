@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # imported lazily to keep the module import-light
     from ..forecast.placement import ForecastPoint
     from ..hardware.energy import EnergyModel
     from ..hardware.reconfig import ReconfigurationPort, RotationJob
-    from ..runtime.events import EventBus
     from ..sim.trace import Event, Trace
 
 
@@ -163,25 +162,6 @@ class FeasibilityArtifact:
         self.placements = list(self.placements)
 
 
-@dataclass
-class EventBusArtifact:
-    """A runtime event bus whose wiring is held to the documented default.
-
-    ``bus`` defaults to a fresh :func:`~repro.runtime.events.default_bus`
-    — the wiring every :class:`~repro.runtime.manager.RisppRuntime` gets
-    unless a caller injects its own.
-    """
-
-    bus: "EventBus | None" = None
-    subject: str = ""
-
-    def __post_init__(self) -> None:
-        if self.bus is None:
-            from ..runtime.events import default_bus
-
-            self.bus = default_bus()
-
-
 # ---------------------------------------------------------------------------
 # Checker registry and driver
 # ---------------------------------------------------------------------------
@@ -252,7 +232,6 @@ def _ensure_loaded() -> None:
     """Import the checker modules exactly once (registration side effects)."""
     from . import (  # noqa: F401
         cfgcheck,
-        eventcheck,
         feasibility,
         forecastcheck,
         lattice,

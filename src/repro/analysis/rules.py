@@ -222,19 +222,6 @@ _rule("AUD010", "audit", Severity.ERROR,
 _rule("AUD011", "audit", Severity.WARNING,
       "stale baseline suppression matches no finding", "§5")
 
-# -- events family: runtime event-bus wiring coherence ----------------------
-# The runtime core dispatches through the typed event bus
-# (``repro.runtime.events``); trace byte-identity with the pre-bus loop
-# rests on the wiring being exactly the documented one.  These rules
-# hold the live default bus to ``DEFAULT_WIRING`` and the event
-# taxonomy to the trace-kind vocabulary (``docs/events.md``).
-_rule("EVT001", "events", Severity.ERROR,
-      "event-bus wiring diverges from the documented default ordering", "§5")
-_rule("EVT002", "events", Severity.ERROR,
-      "trace recorder is not the first handler of a traced event", "§5")
-_rule("EVT003", "events", Severity.ERROR,
-      "event taxonomy and trace-kind vocabulary do not line up", "§5")
-
 
 def rule(rule_id: str) -> Rule:
     """Look up a rule; raises ``KeyError`` for unknown IDs."""

@@ -80,8 +80,8 @@ class ReconfigurationPort:
         self.jobs: list[RotationJob] = []
         self._pending: list[RotationJob] = []
         self._reserved: set[int] = set()
-        #: Set by :meth:`attach`: the owning runtime whose event bus
-        #: receives a ``RotationCompleted`` per retired job.  Standalone
+        #: Set by :meth:`attach`: the owning runtime, which is published
+        #: a ``RotationCompleted`` per retired job.  Standalone
         #: ports (unit tests, planners) stay unattached and communicate
         #: through :meth:`advance`'s return value alone.
         self._runtime = None
@@ -92,8 +92,8 @@ class ReconfigurationPort:
         """Bind to one runtime (called by ``RisppRuntime.__init__``).
 
         Once attached, every job this port retires is published as a
-        :class:`repro.runtime.events.RotationCompleted` on the runtime's
-        event bus — after the port's own state is fully settled, so
+        :class:`repro.runtime.events.RotationCompleted` through the
+        runtime's :meth:`publish` — after the port's own state is fully settled, so
         handlers that issue new rotations never race the completion scan.
         """
         if self._runtime is not None and self._runtime is not runtime:

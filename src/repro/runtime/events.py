@@ -1,52 +1,44 @@
-"""The typed runtime event bus (the §5 control loop, decoupled).
+"""The runtime events of the §5 control loop and their fixed reactions.
 
 Every cross-component notification of the run-time manager — forecasts
 firing and ending, SI executions, rotation requests/completions, fault
-delivery and recovery, replan triggers and clock ticks — is a frozen
-event dataclass published on an :class:`EventBus`.  Components *publish*
-what happened and *subscribe* to what they react to, instead of calling
-each other directly:
+delivery and recovery, replan triggers — is a frozen event dataclass
+passed to :meth:`RisppRuntime.publish <repro.runtime.manager.RisppRuntime.
+publish>`, which runs the event's reactions from the static
+:data:`HANDLERS` table:
 
 * :class:`~repro.runtime.manager.RisppRuntime` publishes forecast /
-  execution / replan / tick events and subscribes the trace recorder,
-  the statistics accumulators, the telemetry counters and the replanner;
+  execution / replan events;
 * :class:`~repro.hardware.reconfig.ReconfigurationPort` publishes
   :class:`RotationCompleted` for every retired job once attached;
 * :class:`~repro.faults.injector.FaultInjector` publishes the fault
   lifecycle (:class:`FaultInjected` .. :class:`ContainerRepaired`) and
-  subscribes to completions and software-fallback executions;
-* the :class:`~repro.runtime.monitor.ForecastMonitor` subscribes to
+  reacts to completions and software-fallback executions;
+* the :class:`~repro.runtime.monitor.ForecastMonitor` reacts to
   :class:`SIExecuted` / :class:`ForecastEnded` (its ``forecast_fired``
   fine-tuning remains a synchronous *query*: the tuned expectation is
   part of the :class:`ForecastFired` payload itself).
 
-Determinism rules (the contract ``docs/events.md`` specifies and the
-``EVT`` analysis rules enforce):
+Determinism rules (the contract ``docs/events.md`` specifies):
 
 1. Dispatch is synchronous and single-threaded: ``publish`` runs every
-   handler before returning, in ascending ``(priority, subscription
-   order)`` — no queues, no threads, no reordering.
-2. The trace recorder subscribes at :data:`PRIORITY_TRACE`, strictly
-   before any state-mutating reaction, so the recorded event sequence is
+   reaction before returning, in table order — no queues, no threads,
+   no reordering.
+2. A traced event's ``_trace_*`` recorder comes first in its row, before
+   any state-mutating reaction, so the recorded event sequence is
    exactly the publication sequence (rispp-verify replays it).
 3. Handlers are module-level functions of ``(runtime, event)``; all
-   mutable state lives on the runtime.  This keeps the bus itself
-   stateless, so structural clones of a runtime (rispp-explore's
-   successor generator) may share it.
-4. :class:`Tick` and :class:`ReplanRequested` are control events: they
-   never record trace rows, so publishing them cannot perturb the
-   golden traces.
-
-The pre-bus direct-call sequence is preserved, hand-written, in
-:func:`direct_dispatch`: the hypothesis property in
-``tests/test_events_property.py`` drives arbitrary event interleavings
-through both dispatchers and asserts trace equality.
+   mutable state lives on the runtime, so structural clones of a runtime
+   (rispp-explore's successor generator) need no dispatch state of
+   their own.
+4. :class:`ReplanRequested` is a control event: it never records a
+   trace row, so publishing it cannot perturb the golden traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import TYPE_CHECKING, Callable
 
 from ..sim.trace import EventKind
 
@@ -65,11 +57,9 @@ class ForecastFired:
     """A Forecast point fired (§4.2): the SI is expected soon.
 
     ``expected`` is the monitor-tuned expectation (task a) — the
-    fine-tuning query runs *before* publication so subscribers (and the
+    fine-tuning query runs *before* publication so the handlers (and the
     trace) see the value the selection round will use.
     """
-
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.FORECAST
 
     cycle: int
     task: str
@@ -82,8 +72,6 @@ class ForecastFired:
 class ForecastEnded:
     """A Forecast point retired its SI demand (§4.2)."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.FORECAST_END
-
     cycle: int
     task: str
     si: str
@@ -92,8 +80,6 @@ class ForecastEnded:
 @dataclass(frozen=True, slots=True)
 class SIExecuted:
     """One SI executed (§5): ``mode`` is ``"SW"`` or a molecule label."""
-
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.SI_EXECUTED
 
     cycle: int
     task: str
@@ -108,8 +94,6 @@ class SIExecuted:
 class SIModeSwitched:
     """An SI's dispatch mode changed between executions (Fig. 6)."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.SI_MODE_SWITCH
-
     cycle: int
     task: str
     si: str
@@ -122,8 +106,6 @@ class SIModeSwitched:
 class RotationRequested:
     """A rotation job was issued to the SelectMap port (§5 task c)."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.ROTATION_REQUESTED
-
     cycle: int
     job: "RotationJob"
     #: Fault-recovery repair write (vs an ordinary planner rotation).
@@ -134,8 +116,6 @@ class RotationRequested:
 class RotationCompleted:
     """The port finished writing a bitstream; the Atom is usable."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.ROTATION_COMPLETED
-
     cycle: int
     job: "RotationJob"
 
@@ -143,8 +123,6 @@ class RotationCompleted:
 @dataclass(frozen=True, slots=True)
 class ContainerReallocated:
     """The planner moved an Atom Container between tasks (Fig. 6, T3)."""
-
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.REALLOCATION
 
     cycle: int
     container: int
@@ -156,8 +134,6 @@ class ContainerReallocated:
 class ContainerFailed:
     """An Atom Container was permanently retired."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.CONTAINER_FAILED
-
     cycle: int
     container: int
     lost_atom: str | None
@@ -166,8 +142,6 @@ class ContainerFailed:
 @dataclass(frozen=True, slots=True)
 class FaultInjected:
     """A scheduled fault event was delivered (transient / write / permanent)."""
-
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.FAULT_INJECTED
 
     cycle: int
     fault: str
@@ -182,8 +156,6 @@ class FaultInjected:
 class FaultDetected:
     """The readback scrubber found a silent corruption."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.FAULT_DETECTED
-
     cycle: int
     container: int
     atom: str
@@ -195,8 +167,6 @@ class FaultDetected:
 class ContainerQuarantined:
     """A corrupted container was barred from ordinary rotations."""
 
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.CONTAINER_QUARANTINED
-
     cycle: int
     container: int
     atom: str | None
@@ -205,8 +175,6 @@ class ContainerQuarantined:
 @dataclass(frozen=True, slots=True)
 class ContainerRepaired:
     """A repair rotation completed; the quarantine is released."""
-
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.CONTAINER_REPAIRED
 
     cycle: int
     task: str
@@ -219,8 +187,6 @@ class ContainerRepaired:
 @dataclass(frozen=True, slots=True)
 class RotationRetried:
     """An aborted bitstream write was rescheduled with backoff."""
-
-    TRACE_KIND: ClassVar[EventKind | None] = EventKind.ROTATION_RETRIED
 
     cycle: int
     task: str
@@ -241,25 +207,9 @@ class ReplanRequested:
     they produce.
     """
 
-    TRACE_KIND: ClassVar[EventKind | None] = None
-
     cycle: int
     task: str | None
     reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class Tick:
-    """The runtime clock advanced into the slow path (control event).
-
-    Published by :meth:`RisppRuntime.advance` before completions and
-    faults are drained; no default subscribers — an observation hook for
-    external tooling (the serve daemon, tests).  Never traced.
-    """
-
-    TRACE_KIND: ClassVar[EventKind | None] = None
-
-    cycle: int
 
 
 #: Every event type the runtime core may publish, in taxonomy order.
@@ -279,115 +229,15 @@ EVENT_TYPES: tuple[type, ...] = (
     ContainerRepaired,
     RotationRetried,
     ReplanRequested,
-    Tick,
 )
-
-#: Trace kinds recorded outside the bus: ``TASK_STEP`` belongs to the
-#: multi-task simulator (:mod:`repro.sim.task`) and ``ROTATION_STARTED``
-#: is reserved by the schema but not emitted by the §5 loop.
-NON_BUS_KINDS: frozenset[EventKind] = frozenset(
-    {EventKind.TASK_STEP, EventKind.ROTATION_STARTED}
-)
-
-
-# ---------------------------------------------------------------------------
-# The bus
-# ---------------------------------------------------------------------------
 
 #: Handler signature: stateless module-level functions of the publishing
 #: runtime and the event (determinism rule 3).
 Handler = Callable[["RisppRuntime", object], None]
 
-#: Canonical handler priorities, dispatched in ascending order.  The
-#: gaps are deliberate: external subscribers pick free slots without
-#: displacing the documented core order.
-PRIORITY_TRACE = 10
-PRIORITY_STATE = 20
-PRIORITY_METRICS = 30
-PRIORITY_FAULTS = 40
-PRIORITY_REPLAN = 50
-
-
-@dataclass(frozen=True, slots=True)
-class Subscription:
-    """One registered handler with its position in the dispatch order."""
-
-    priority: int
-    seq: int
-    name: str
-    handler: Handler
-
-
-class EventBus:
-    """Deterministic synchronous dispatch of runtime events.
-
-    Handlers for one event type run in ascending ``(priority, seq)``
-    where ``seq`` is the subscription order — re-running a program
-    yields the identical handler sequence, always.  ``publish`` passes
-    the owning runtime to every handler, so handlers themselves hold no
-    state and one bus may serve structural clones of a runtime.
-    """
-
-    __slots__ = ("_subs", "_seq")
-
-    def __init__(self) -> None:
-        self._subs: dict[type, list[Subscription]] = {}
-        self._seq = 0
-
-    def subscribe(
-        self,
-        event_type: type,
-        handler: Handler,
-        *,
-        name: str = "",
-        priority: int = 100,
-    ) -> Subscription:
-        """Register ``handler`` for ``event_type``; returns the subscription."""
-        if event_type not in EVENT_TYPES:
-            raise ValueError(
-                f"unknown event type {event_type!r}; the taxonomy is "
-                "repro.runtime.events.EVENT_TYPES"
-            )
-        sub = Subscription(
-            priority=priority,
-            seq=self._seq,
-            name=name or getattr(handler, "__name__", "handler"),
-            handler=handler,
-        )
-        self._seq += 1
-        entries = self._subs.setdefault(event_type, [])
-        entries.append(sub)
-        entries.sort(key=lambda s: (s.priority, s.seq))
-        return sub
-
-    def unsubscribe(self, event_type: type, sub: Subscription) -> None:
-        entries = self._subs.get(event_type, [])
-        if sub in entries:
-            entries.remove(sub)
-
-    def subscriptions(self, event_type: type) -> tuple[Subscription, ...]:
-        """The dispatch order for one event type (coherence checks)."""
-        return tuple(self._subs.get(event_type, ()))
-
-    def wiring(self) -> dict[str, tuple[tuple[int, str], ...]]:
-        """``{event type name: ((priority, handler name), ...)}`` — the
-        documented ordering table, in dispatch order."""
-        return {
-            event_type.__name__: tuple(
-                (s.priority, s.name) for s in self.subscriptions(event_type)
-            )
-            for event_type in EVENT_TYPES
-        }
-
-    def publish(self, runtime: "RisppRuntime", event: object) -> None:
-        subs = self._subs.get(type(event))
-        if subs:
-            for sub in list(subs):
-                sub.handler(runtime, event)
-
 
 # ---------------------------------------------------------------------------
-# Default handlers: the §5 loop's reactions, one function per concern
+# Handlers: the §5 loop's reactions, one function per concern
 # ---------------------------------------------------------------------------
 
 
@@ -647,124 +497,63 @@ def _replan_requested(rt: "RisppRuntime", ev: ReplanRequested) -> None:
         rt._replan(ev.cycle, triggering_task=trigger)
 
 
-#: The documented core wiring: ``(event type, priority, handler)`` in
-#: taxonomy order.  :func:`default_bus` subscribes exactly these;
-#: :func:`direct_dispatch` hand-writes the same sequence as direct
-#: calls; the EVT coherence rules hold the two (and the runtime's live
-#: bus) to each other.
-DEFAULT_WIRING: tuple[tuple[type, int, Handler], ...] = (
-    (ForecastFired, PRIORITY_TRACE, _trace_forecast),
-    (ForecastFired, PRIORITY_METRICS, _metrics_forecast),
-    (ForecastFired, PRIORITY_REPLAN, _replan_forecast),
-    (ForecastEnded, PRIORITY_TRACE, _trace_forecast_end),
-    (ForecastEnded, PRIORITY_STATE, _monitor_forecast_end),
-    (ForecastEnded, PRIORITY_METRICS, _metrics_forecast_end),
-    (ForecastEnded, PRIORITY_REPLAN, _replan_forecast_end),
-    (SIExecuted, PRIORITY_TRACE, _trace_si_executed),
-    (SIExecuted, PRIORITY_STATE, _monitor_si_executed),
-    (SIExecuted, PRIORITY_METRICS, _metrics_si_executed),
-    (SIExecuted, PRIORITY_FAULTS, _faults_si_executed),
-    (SIModeSwitched, PRIORITY_TRACE, _trace_mode_switch),
-    (SIModeSwitched, PRIORITY_METRICS, _metrics_mode_switch),
-    (RotationRequested, PRIORITY_TRACE, _trace_rotation_requested),
-    (RotationRequested, PRIORITY_STATE, _stats_rotation_requested),
-    (RotationRequested, PRIORITY_METRICS, _metrics_rotation_requested),
-    (RotationCompleted, PRIORITY_TRACE, _trace_rotation_completed),
-    (RotationCompleted, PRIORITY_FAULTS, _faults_rotation_completed),
-    (RotationCompleted, PRIORITY_REPLAN, _replan_rotation_completed),
-    (ContainerReallocated, PRIORITY_TRACE, _trace_reallocation),
-    (ContainerFailed, PRIORITY_TRACE, _trace_container_failed),
-    (ContainerFailed, PRIORITY_FAULTS, _faults_container_failed),
-    (ContainerFailed, PRIORITY_REPLAN, _replan_container_failed),
-    (FaultInjected, PRIORITY_TRACE, _trace_fault_injected),
-    (FaultDetected, PRIORITY_TRACE, _trace_fault_detected),
-    (ContainerQuarantined, PRIORITY_TRACE, _trace_quarantined),
-    (ContainerRepaired, PRIORITY_TRACE, _trace_repaired),
-    (RotationRetried, PRIORITY_TRACE, _trace_retried),
-    (ReplanRequested, PRIORITY_REPLAN, _replan_requested),
-)
+#: The §5 loop's reactions per event type, in dispatch order.  A traced
+#: event's ``_trace_*`` recorder always comes first (determinism rule 2).
+HANDLERS: dict[type, tuple[Handler, ...]] = {
+    ForecastFired: (_trace_forecast, _metrics_forecast, _replan_forecast),
+    ForecastEnded: (
+        _trace_forecast_end,
+        _monitor_forecast_end,
+        _metrics_forecast_end,
+        _replan_forecast_end,
+    ),
+    SIExecuted: (
+        _trace_si_executed,
+        _monitor_si_executed,
+        _metrics_si_executed,
+        _faults_si_executed,
+    ),
+    SIModeSwitched: (_trace_mode_switch, _metrics_mode_switch),
+    RotationRequested: (
+        _trace_rotation_requested,
+        _stats_rotation_requested,
+        _metrics_rotation_requested,
+    ),
+    RotationCompleted: (
+        _trace_rotation_completed,
+        _faults_rotation_completed,
+        _replan_rotation_completed,
+    ),
+    ContainerReallocated: (_trace_reallocation,),
+    ContainerFailed: (
+        _trace_container_failed,
+        _faults_container_failed,
+        _replan_container_failed,
+    ),
+    FaultInjected: (_trace_fault_injected,),
+    FaultDetected: (_trace_fault_detected,),
+    ContainerQuarantined: (_trace_quarantined,),
+    ContainerRepaired: (_trace_repaired,),
+    RotationRetried: (_trace_retried,),
+    ReplanRequested: (_replan_requested,),
+}
 
 
-def default_bus() -> EventBus:
-    """A fresh bus carrying the documented core wiring."""
-    bus = EventBus()
-    for event_type, priority, handler in DEFAULT_WIRING:
-        bus.subscribe(event_type, handler, priority=priority)
-    return bus
+class EventBus:
+    """Synchronous dispatch of runtime events through :data:`HANDLERS`.
 
-
-def direct_dispatch(rt: "RisppRuntime", event: object) -> None:
-    """The pre-bus direct-call loop, preserved as executable spec.
-
-    Hand-written ``if``/``elif`` over the taxonomy, calling the same
-    reactions in the same order the inline pre-refactor runtime did.
-    Installing this in place of :meth:`EventBus.publish` must yield
-    byte-identical traces — the hypothesis property asserts it over
-    arbitrary interleavings, seeds and backends.
+    Stateless: :data:`BUS` is the one instance every runtime publishes
+    through.  An event type outside the taxonomy raises ``KeyError``.
+    ``publish`` stays a method looked up on the class at every call so
+    that the benchmark's layer tracer (``perf/trace.py``) can wrap
+    ``EventBus.publish`` as the ``runtime.events`` layer.
     """
-    if type(event) is ForecastFired:
-        _trace_forecast(rt, event)
-        _metrics_forecast(rt, event)
-        if rt.forecasting:
-            direct_dispatch(
-                rt, ReplanRequested(event.cycle, task=event.task, reason="forecast")
-            )
-    elif type(event) is ForecastEnded:
-        _trace_forecast_end(rt, event)
-        _monitor_forecast_end(rt, event)
-        _metrics_forecast_end(rt, event)
-        if rt.forecasting:
-            remaining = {f.task for f in rt._active.values()}
-            trigger = sorted(remaining)[0] if remaining else event.task
-            direct_dispatch(
-                rt,
-                ReplanRequested(event.cycle, task=trigger, reason="forecast_end"),
-            )
-    elif type(event) is SIExecuted:
-        _trace_si_executed(rt, event)
-        _monitor_si_executed(rt, event)
-        _metrics_si_executed(rt, event)
-        _faults_si_executed(rt, event)
-    elif type(event) is SIModeSwitched:
-        _trace_mode_switch(rt, event)
-        _metrics_mode_switch(rt, event)
-    elif type(event) is RotationRequested:
-        _trace_rotation_requested(rt, event)
-        _stats_rotation_requested(rt, event)
-        _metrics_rotation_requested(rt, event)
-    elif type(event) is RotationCompleted:
-        _trace_rotation_completed(rt, event)
-        _faults_rotation_completed(rt, event)
-        if rt._unplaced_for is not None and rt._active:
-            trigger = rt._unplaced_for
-            rt._unplaced_for = None
-            direct_dispatch(
-                rt,
-                ReplanRequested(
-                    event.job.finish_at, task=trigger, reason="unplaced"
-                ),
-            )
-    elif type(event) is ContainerReallocated:
-        _trace_reallocation(rt, event)
-    elif type(event) is ContainerFailed:
-        _trace_container_failed(rt, event)
-        _faults_container_failed(rt, event)
-        direct_dispatch(
-            rt, ReplanRequested(event.cycle, task=None, reason="container_failed")
-        )
-    elif type(event) is FaultInjected:
-        _trace_fault_injected(rt, event)
-    elif type(event) is FaultDetected:
-        _trace_fault_detected(rt, event)
-    elif type(event) is ContainerQuarantined:
-        _trace_quarantined(rt, event)
-    elif type(event) is ContainerRepaired:
-        _trace_repaired(rt, event)
-    elif type(event) is RotationRetried:
-        _trace_retried(rt, event)
-    elif type(event) is ReplanRequested:
-        _replan_requested(rt, event)
-    elif type(event) is Tick:
-        pass
-    else:  # pragma: no cover - authoring error
-        raise ValueError(f"unknown runtime event {event!r}")
+
+    __slots__ = ()
+
+    def publish(self, runtime: "RisppRuntime", event: object) -> None:
+        for handler in HANDLERS[type(event)]:
+            handler(runtime, event)
+
+
+BUS = EventBus()

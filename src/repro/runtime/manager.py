@@ -37,7 +37,7 @@ from ..hardware.fabric import Fabric
 from ..hardware.reconfig import ReconfigurationPort, RotationJob
 from ..sim.trace import Trace
 from . import events
-from .events import EventBus, default_bus
+from .events import BUS
 from .monitor import ForecastMonitor
 from .replacement import LRUPolicy, ReplacementPolicy
 from .rotation import future_population, plan_rotations
@@ -103,15 +103,9 @@ class RisppRuntime:
         faults: "FaultInjector | None" = None,
         metrics: "MetricRegistry | None" = None,
         backend: "str | object | None" = None,
-        bus: EventBus | None = None,
     ):
         from ..obs import DISABLED
 
-        #: The runtime event bus (``docs/events.md``).  All cross-
-        #: component notifications flow through :meth:`publish`; a caller
-        #: may pass a pre-wired bus to add subscribers before the first
-        #: event fires.
-        self.bus = bus if bus is not None else default_bus()
         self.library = library
         #: The telemetry registry shared by every component of this
         #: runtime (fabric, port, monitor, fault injector) — the
@@ -211,8 +205,8 @@ class RisppRuntime:
     # -- events ----------------------------------------------------------
 
     def publish(self, event: object) -> None:
-        """Dispatch ``event`` to the bus subscribers, synchronously."""
-        self.bus.publish(self, event)
+        """Run ``event``'s reactions (``docs/events.md``), synchronously."""
+        BUS.publish(self, event)
 
     # -- time ------------------------------------------------------------
 
@@ -235,7 +229,6 @@ class RisppRuntime:
         ):
             # Nothing scheduled, in flight, or due: state cannot change.
             return
-        self.publish(events.Tick(now))
         if faults is not None:
             while True:
                 due = faults.next_cycle(now)
@@ -249,8 +242,8 @@ class RisppRuntime:
         """Process completions chronologically, then starts, up to ``limit``.
 
         The attached port publishes a :class:`~repro.runtime.events.
-        RotationCompleted` per retired job; the subscribed trace / fault /
-        replan handlers react at the job's own cycle.
+        RotationCompleted` per retired job; its trace / fault / replan
+        handlers react at the job's own cycle.
         """
         while True:
             next_completion = self.port.next_completion()
@@ -341,7 +334,7 @@ class RisppRuntime:
             )
         self._last_mode[(task, si_name)] = mode
         # Execution accounting is the publisher's own bookkeeping (it
-        # computes the return value's energy attribution); subscribers
+        # computes the return value's energy attribution); the handlers
         # get the settled picture.
         per_task = self.task_stats.setdefault(task, RuntimeStats())
         energy = 0.0

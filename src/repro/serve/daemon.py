@@ -18,11 +18,13 @@ SIGINT.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from .facade import RuntimeFacade, ScenarioError
+from .facade import FacadeClosed, RuntimeFacade, ScenarioError
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8321
@@ -33,7 +35,7 @@ DEFAULT_PORT = 8321
 ENDPOINTS: tuple[tuple[str, str, str], ...] = (
     ("GET", "/healthz", "liveness probe; 200 'ok' while the process serves"),
     ("GET", "/readyz", "readiness probe; 200 while the worker pool accepts "
-     "scenarios, 503 during shutdown"),
+     "scenarios, 503 during shutdown or once a worker died"),
     ("GET", "/metrics", "Prometheus text exposition of the service registry"),
     ("POST", "/scenario", "run one scenario request; the JSON body is the "
      "rendered chaos report, byte-identical to 'repro chaos --format json'"),
@@ -99,8 +101,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_error(self, status: int, message: str) -> None:
-        self._send(status, json.dumps({"error": message}) + "\n")
+    def _send_error(self, status: int, message: str, **extra: str) -> None:
+        self._send(status, json.dumps({"error": message, **extra}) + "\n")
 
     # -- routes -----------------------------------------------------------
 
@@ -112,6 +114,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.count_request("readyz")
             if self.server.facade.ready():
                 self._send(200, "ready\n", content_type="text/plain")
+            elif self.server.facade.broken:
+                self._send(503, "broken\n", content_type="text/plain")
             else:
                 self._send(503, "draining\n", content_type="text/plain")
         elif self.path == "/metrics":
@@ -162,8 +166,14 @@ class _Handler(BaseHTTPRequestHandler):
         except ScenarioError as exc:
             self._send_error(400, str(exc))
             return
-        except RuntimeError:
+        except FacadeClosed:
             self._send_error(503, "service is shutting down")
+            return
+        except Exception as exc:  # noqa: BLE001 - answer, don't drop the connection
+            traceback.print_exc(file=sys.stderr)
+            self._send_error(
+                500, f"scenario failed: {exc}", type=type(exc).__name__
+            )
             return
         self._send(200, body)
 
@@ -180,8 +190,6 @@ def serve(
     listening — with ``port=0`` the kernel picks a free port and this
     line is how callers learn it.  Returns 0 on graceful shutdown.
     """
-    import sys
-
     server = ScenarioServer(host, port, workers=workers)
     bound_host, bound_port = server.server_address[:2]
     print(f"serving on http://{bound_host}:{bound_port}", flush=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -29,6 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class ScenarioError(ValueError):
     """A scenario payload failed validation (HTTP 400 at the daemon)."""
+
+
+class FacadeClosed(RuntimeError):
+    """The facade was shut down and takes no work (HTTP 503 at the daemon)."""
 
 
 #: Scenario field defaults — one source of truth shared by the request
@@ -192,12 +197,15 @@ class RuntimeFacade:
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=workers
         )
+        #: Set once a worker process died: the pool refuses all further
+        #: work, so the facade is no longer ready (there is no respawn).
+        self.broken = False
 
     # -- lifecycle --------------------------------------------------------
 
     def ready(self) -> bool:
         """True while the pool accepts work (the ``/readyz`` answer)."""
-        return self._pool is not None
+        return self._pool is not None and not self.broken
 
     def shutdown(self) -> None:
         """Drain and release the pool; idempotent."""
@@ -222,9 +230,13 @@ class RuntimeFacade:
         """
         request = ScenarioRequest.from_payload(payload)
         pool = self._pool
-        if pool is None:
-            raise RuntimeError("facade is shut down")
-        return pool.submit(_pool_run, request.to_payload())
+        if pool is not None:
+            try:
+                return pool.submit(_pool_run, request.to_payload())
+            except RuntimeError:
+                if self._pool is not None:
+                    raise  # a broken pool, not a concurrent shutdown
+        raise FacadeClosed("facade is shut down")
 
     def run(self, payload: Mapping[str, Any]) -> str:
         """Run one scenario to completion; returns the rendered report."""
@@ -235,7 +247,9 @@ class RuntimeFacade:
             result = self.submit(payload).result()
         except ScenarioError:
             raise
-        except Exception:
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                self.broken = True
             if self._obs_on:
                 self._m_error.inc()
             raise

@@ -111,7 +111,7 @@ class TestRuleCatalogue:
     def test_every_rule_has_family_and_severity(self):
         families = {
             "lattice", "library", "cfg", "forecast", "schedule",
-            "trace", "feasibility", "explore", "audit", "events",
+            "trace", "feasibility", "explore", "audit",
         }
         for rule in RULES.values():
             assert rule.family in families

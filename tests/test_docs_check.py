@@ -32,17 +32,11 @@ def _analysis_stub() -> str:
 
 
 def _events_stub() -> str:
-    """A minimal events.md covering the taxonomy, wiring and bands."""
+    """A minimal events.md covering the event taxonomy."""
     from repro.runtime import events as ev
 
     lines = ["# Events", ""]
     lines += [f"- `{t.__name__}`" for t in ev.EVENT_TYPES]
-    lines += sorted(
-        {f"- `{handler.__name__}`" for _, _, handler in ev.DEFAULT_WIRING}
-    )
-    lines += [
-        f"- `{name}`" for name in dir(ev) if name.startswith("PRIORITY_")
-    ]
     return "\n".join(lines) + "\n"
 
 
@@ -204,37 +198,16 @@ class TestEventsCoverage:
         (repo / "docs" / "events.md").write_text(stub)
         assert any("'RotationCompleted'" in f for f in _findings(repo))
 
-    def test_undocumented_handler_is_flagged(self, repo):
-        stub = _events_stub().replace("`_monitor_si_executed`", "`y`")
-        (repo / "docs" / "events.md").write_text(stub)
-        assert any("'_monitor_si_executed'" in f for f in _findings(repo))
-
-    def test_undocumented_priority_band_is_flagged(self, repo):
-        stub = _events_stub().replace("`PRIORITY_REPLAN`", "`z`")
-        (repo / "docs" / "events.md").write_text(stub)
-        assert any("'PRIORITY_REPLAN'" in f for f in _findings(repo))
-
     def test_phantom_event_name_is_flagged(self, repo):
         (repo / "docs" / "events.md").write_text(
             _events_stub() + "\nAlso `MoleculeFired` fires here.\n"
         )
         assert any("'MoleculeFired'" in f for f in _findings(repo))
 
-    def test_phantom_handler_is_flagged(self, repo):
-        (repo / "docs" / "events.md").write_text(
-            _events_stub() + "\nThen `_trace_everything` runs.\n"
-        )
-        assert any("'_trace_everything'" in f for f in _findings(repo))
-
     def test_unknown_evt_rule_id_is_flagged(self, repo):
-        (repo / "docs" / "guide.md").write_text("Rule EVT999 applies.\n")
-        assert any("EVT999" in f for f in _findings(repo))
-
-    @pytest.mark.parametrize("rule_id", ["EVT001", "EVT002", "EVT003"])
-    def test_undocumented_evt_rule_is_flagged(self, repo, rule_id):
-        stub = _analysis_stub().replace(rule_id, "redacted")
-        (repo / "docs" / "analysis.md").write_text(stub)
-        assert any(rule_id in f for f in _findings(repo))
+        # The EVT family is retired: any mention of it is stale.
+        (repo / "docs" / "guide.md").write_text("Rule EVT001 applies.\n")
+        assert any("EVT001" in f for f in _findings(repo))
 
 
 class TestServingCoverage:

@@ -1,227 +1,66 @@
-"""The event bus is a refactor, not a behaviour change: property proof.
+"""The fixed handler table of the §5 runtime loop.
 
-``direct_dispatch`` in :mod:`repro.runtime.events` is the hand-written
-pre-bus call sequence, kept as the executable spec of what the runtime
-did before the bus existed.  Hypothesis drives two identically seeded
-runtimes — one publishing through the default bus, one through a bus
-whose ``publish`` *is* ``direct_dispatch`` — over random interleavings
-of forecasts, forecast ends, SI executions, container failures and idle
-advances, and asserts the traces are identical row for row.
-
-Alongside the property live the :class:`EventBus` contract tests
-(dispatch order, taxonomy enforcement, wiring introspection) and the
-``EVT*`` lint rules that keep ``docs/events.md`` honest.
+:data:`repro.runtime.events.HANDLERS` is the one place the loop's
+reactions and their order are written down.  These tests hold it to the
+taxonomy and to the trace-first rule; trace correctness itself is
+covered by the reference-machine replay (``test_analysis_verify_fuzz``),
+the trace contract (``test_trace_contract``) and the golden traces.
 """
 
-import dataclasses
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis import lint_events
-from repro.bench.harness import trace_signature
-from repro.core import (
-    AtomCatalogue,
-    AtomKind,
-    MoleculeImpl,
-    SILibrary,
-    SpecialInstruction,
-)
-from repro.core.backend import available_backends
-from repro.runtime import RisppRuntime
 from repro.runtime.events import (
-    DEFAULT_WIRING,
+    BUS,
     EVENT_TYPES,
-    PRIORITY_TRACE,
-    EventBus,
-    ForecastFired,
-    Tick,
-    default_bus,
-    direct_dispatch,
+    HANDLERS,
+    ForecastEnded,
+    ReplanRequested,
 )
 
-SIS = ("HT", "SATD")
-TASKS = ("A", "B")
-
-BACKENDS = [None] + (["numpy"] if "numpy" in available_backends() else [])
+#: Control events: they trigger reactions but never record a trace row.
+CONTROL_EVENTS = (ReplanRequested,)
 
 
-def _make_library() -> SILibrary:
-    """The conftest ``mini_library``, rebuilt per example (fixtures and
-    ``@given`` don't mix: hypothesis reuses function-scoped fixtures
-    across examples, which is exactly the sharing this test must avoid)."""
-    catalogue = AtomCatalogue.of(
-        [
-            AtomKind("Load", reconfigurable=False),
-            AtomKind("Pack", bitstream_bytes=65_713),
-            AtomKind("Transform", bitstream_bytes=59_353),
-            AtomKind("SATD", bitstream_bytes=58_141),
-        ]
-    )
-    space = catalogue.space
-    ht = SpecialInstruction(
-        "HT",
-        space,
-        298,
-        [
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 1}), 22),
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 2}), 17),
-            MoleculeImpl(space.molecule({"Load": 4, "Pack": 4, "Transform": 4}), 8),
-        ],
-    )
-    satd = SpecialInstruction(
-        "SATD",
-        space,
-        544,
-        [
-            MoleculeImpl(
-                space.molecule({"Load": 1, "Pack": 1, "Transform": 1, "SATD": 1}), 24
-            ),
-            MoleculeImpl(
-                space.molecule({"Load": 2, "Pack": 1, "Transform": 2, "SATD": 1}), 18
-            ),
-            MoleculeImpl(
-                space.molecule({"Load": 4, "Pack": 4, "Transform": 4, "SATD": 2}), 12
-            ),
-        ],
-    )
-    return SILibrary(catalogue, [ht, satd])
+def _is_trace_recorder(handler) -> bool:
+    return handler.__name__.startswith("_trace_")
 
 
-class DirectBus(EventBus):
-    """A bus whose dispatch is the pre-bus inline call sequence."""
+class TestHandlerTable:
+    def test_keys_are_the_taxonomy_in_order(self):
+        assert tuple(HANDLERS) == EVENT_TYPES
 
-    def publish(self, runtime, event) -> None:  # type: ignore[override]
-        direct_dispatch(runtime, event)
+    def test_every_event_has_a_reaction(self):
+        assert all(HANDLERS[event_type] for event_type in EVENT_TYPES)
 
-
-def _action_sequences():
-    forecast = st.tuples(
-        st.just("forecast"),
-        st.sampled_from(TASKS),
-        st.sampled_from(SIS),
-        st.sampled_from((5.0, 20.0, 40.0)),
-        st.sampled_from((1.0, 2.0)),
-    )
-    end = st.tuples(st.just("end"), st.sampled_from(TASKS), st.sampled_from(SIS))
-    execute = st.tuples(st.just("exec"), st.sampled_from(TASKS), st.sampled_from(SIS))
-    advance = st.tuples(st.just("advance"))
-    fail = st.tuples(st.just("fail"), st.integers(min_value=0, max_value=3))
-    step = st.tuples(
-        st.one_of(forecast, end, execute, advance, fail),
-        st.integers(min_value=0, max_value=400),
-    )
-    return st.lists(step, min_size=1, max_size=12)
-
-
-def _replay(bus: EventBus, actions, backend) -> RisppRuntime:
-    rt = RisppRuntime(_make_library(), 4, core_mhz=100.0, bus=bus, backend=backend)
-    now = 0
-    for action, dt in actions:
-        now += dt
-        kind = action[0]
-        if kind == "forecast":
-            _, task, si, expected, priority = action
-            rt.forecast(si, now, task=task, expected=expected, priority=priority)
-        elif kind == "end":
-            rt.forecast_end(action[2], now, task=action[1])
-        elif kind == "exec":
-            rt.execute_si(action[2], now, task=action[1])
-        elif kind == "fail":
-            rt.fail_container(action[1], now)
+    @pytest.mark.parametrize("event_type", EVENT_TYPES, ids=lambda t: t.__name__)
+    def test_trace_recorder_runs_first(self, event_type):
+        row = HANDLERS[event_type]
+        recorders = [h for h in row if _is_trace_recorder(h)]
+        if event_type in CONTROL_EVENTS:
+            assert recorders == []
         else:
-            rt.advance(now)
-    # Drain in-flight rotations so completion events are compared too.
-    rt.advance(now + 50_000)
-    return rt
-
-
-class TestBusMatchesDirectDispatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=40, deadline=None)
-    @given(actions=_action_sequences())
-    def test_trace_equivalence(self, backend, actions):
-        via_bus = _replay(default_bus(), actions, backend)
-        via_direct = _replay(DirectBus(), actions, backend)
-        assert trace_signature(via_bus.trace) == trace_signature(via_direct.trace)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @settings(max_examples=20, deadline=None)
-    @given(actions=_action_sequences())
-    def test_stats_equivalence(self, backend, actions):
-        via_bus = _replay(default_bus(), actions, backend)
-        via_direct = _replay(DirectBus(), actions, backend)
-        assert dataclasses.asdict(via_bus.stats) == dataclasses.asdict(
-            via_direct.stats
-        )
+            assert recorders == [row[0]]
 
 
 class TestEventBusContract:
-    def test_dispatch_order_is_priority_then_seq(self):
-        bus = EventBus()
+    def test_publish_runs_the_row_in_table_order(self, monkeypatch):
         calls = []
-        bus.subscribe(Tick, lambda rt, ev: calls.append("late"), priority=50)
-        bus.subscribe(Tick, lambda rt, ev: calls.append("first"), priority=10)
-        bus.subscribe(Tick, lambda rt, ev: calls.append("second"), priority=10)
-        bus.publish(None, Tick(0))
-        assert calls == ["first", "second", "late"]
-
-    def test_unsubscribe_removes_handler(self):
-        bus = EventBus()
-        calls = []
-        sub = bus.subscribe(Tick, lambda rt, ev: calls.append("gone"))
-        bus.subscribe(Tick, lambda rt, ev: calls.append("kept"))
-        bus.unsubscribe(Tick, sub)
-        bus.publish(None, Tick(0))
-        assert calls == ["kept"]
+        row = tuple(
+            (lambda rt, ev, tag=tag: calls.append((tag, rt, ev)))
+            for tag in ("first", "second", "third")
+        )
+        monkeypatch.setitem(HANDLERS, ForecastEnded, row)
+        event = ForecastEnded(0, task="A", si="HT")
+        BUS.publish("runtime", event)
+        assert calls == [
+            ("first", "runtime", event),
+            ("second", "runtime", event),
+            ("third", "runtime", event),
+        ]
 
     def test_unknown_event_type_is_rejected(self):
         class NotAnEvent:
             pass
 
-        with pytest.raises(ValueError, match="unknown event type"):
-            EventBus().subscribe(NotAnEvent, lambda rt, ev: None)
-
-    def test_default_bus_matches_documented_wiring(self):
-        wiring = default_bus().wiring()
-        expected: dict[str, list[tuple[int, str]]] = {
-            t.__name__: [] for t in EVENT_TYPES
-        }
-        for event_type, priority, handler in DEFAULT_WIRING:
-            expected[event_type.__name__].append((priority, handler.__name__))
-        assert wiring == {name: tuple(rows) for name, rows in expected.items()}
-
-    def test_subscriptions_expose_names_in_dispatch_order(self):
-        subs = default_bus().subscriptions(ForecastFired)
-        assert [s.priority for s in subs] == sorted(s.priority for s in subs)
-        assert subs[0].name == "_trace_forecast"
-        assert subs[0].priority == PRIORITY_TRACE
-
-
-class TestEventLint:
-    def test_default_bus_is_clean(self):
-        assert lint_events().ok()
-
-    def test_missing_trace_handler_raises_evt001_and_evt002(self):
-        bus = default_bus()
-        doomed = [
-            s
-            for s in bus.subscriptions(ForecastFired)
-            if s.name == "_trace_forecast"
-        ]
-        bus.unsubscribe(ForecastFired, doomed[0])
-        rules = set(lint_events(bus).rule_ids())
-        assert "EVT001" in rules
-        assert "EVT002" in rules
-
-    def test_extra_subscriber_is_a_wiring_divergence(self):
-        bus = default_bus()
-        bus.subscribe(Tick, lambda rt, ev: None, name="_rogue_tick", priority=99)
-        assert "EVT001" in set(lint_events(bus).rule_ids())
-
-    def test_stale_non_bus_kind_raises_evt003(self, monkeypatch):
-        import repro.runtime.events as events_mod
-
-        monkeypatch.setattr(events_mod, "NON_BUS_KINDS", frozenset())
-        assert "EVT003" in set(lint_events().rule_ids())
+        with pytest.raises(KeyError):
+            BUS.publish(None, NotAnEvent())

@@ -11,6 +11,8 @@ validation codes and the metrics endpoint without subprocess overhead.
 
 import http.client
 import json
+import os
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -259,6 +261,47 @@ class TestDaemonEndpoints:
                     base, path, json.dumps({"seed": 2}).encode()
                 )
             assert status == 200, f"{method} {path} -> {status}"
+
+
+def test_dead_worker_answers_500_and_unready():
+    server = ScenarioServer("127.0.0.1", 0, workers=1)
+    thread = threading.Thread(target=server.serve_until_stopped, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    base = f"http://{host}:{port}"
+    try:
+        assert _get(base, "/readyz") == (200, "ready\n")
+        worker = server.facade._pool.submit(os.getpid).result(timeout=60)
+        os.kill(worker, signal.SIGKILL)
+        status, body = _post(base, "/scenario", json.dumps({"seed": 3}).encode())
+        assert status == 500
+        error = json.loads(body)
+        assert error["type"] == "BrokenProcessPool"
+        assert error["error"].startswith("scenario failed: ")
+        assert _get(base, "/readyz") == (503, "broken\n")
+        # The pool stays broken: later requests fail the same way.
+        status, body = _post(base, "/scenario", json.dumps({"seed": 3}).encode())
+        assert status == 500
+        assert json.loads(body)["type"] == "BrokenProcessPool"
+        assert _get(base, "/healthz") == (200, "ok\n")
+    finally:
+        server.stop_requested.set()
+        thread.join(timeout=30)
+        server.server_close()
+
+
+def test_unexpected_failure_answers_500(daemon, monkeypatch):
+    server, base = daemon
+
+    def explode(payload):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(server.facade, "run", explode)
+    status, body = _post(base, "/scenario", json.dumps({"seed": 3}).encode())
+    assert status == 500
+    assert json.loads(body) == {
+        "error": "scenario failed: 'lost'", "type": "KeyError",
+    }
 
 
 def test_shutdown_endpoint_drains_and_stops():
