@@ -109,9 +109,11 @@ def time_best(fn: Callable[[], Any], *, repeats: int = 3) -> tuple[float, Any]:
 def trace_signature(trace: Trace) -> list[tuple]:
     """A trace as comparable tuples (cycle, kind, task, si, detail).
 
-    Lazy details are resolved here, so two runtimes are equivalent iff
-    their signatures are equal — the bench and the regression tests use
-    this to prove the hot-path caches never change event semantics.
+    Each detail is read out as a plain dict, whether the trace stores it
+    compactly (a shared items tuple), as the event's own dict or as a
+    lazy factory, so two runtimes are equivalent iff their signatures
+    are equal — the bench and the regression tests use this to prove the
+    hot-path caches never change event semantics.
     """
     return [
         (e.cycle, e.kind.value, e.task, e.si, dict(e.detail))

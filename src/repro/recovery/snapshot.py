@@ -200,9 +200,9 @@ def _manager_state(runtime: RisppRuntime) -> dict[str, Any]:
 
 
 def _trace_state(runtime: RisppRuntime) -> dict[str, Any]:
-    # Materializing ``e.detail`` resolves (and caches) lazy details; the
-    # resolved dict is identical to the eager form, so neither the live
-    # run nor the restored one observes a difference.
+    # Reading ``e.detail`` resolves (and caches) a lazy detail and builds
+    # a fresh dict from a compact one; neither the live run nor the
+    # restored one observes a difference.
     return {
         "events": [
             [e.cycle, e.kind.value, e.task, e.si, dict(e.detail)]
@@ -525,8 +525,11 @@ def _restore_manager(runtime: RisppRuntime, data: dict[str, Any]) -> None:
 
 def _restore_trace(runtime: RisppRuntime, data: dict[str, Any]) -> None:
     trace = runtime.trace
+    # Through the trace's shared-detail table, so a resumed trace is
+    # stored as compactly as an uninterrupted one.
+    compact = trace.compact
     trace.events = [
-        Event(cycle, EventKind(kind), task, si, dict(detail) if detail else None)
+        Event(cycle, EventKind(kind), task, si, compact(detail))
         for cycle, kind, task, si, detail in data["events"]
     ]
     trace._last_cycle = data["last_cycle"]

@@ -285,27 +285,16 @@ def _replan_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
 
 
 def _trace_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
-    if rt._optimize:
-        # Lazy detail: the dict is only built if somebody reads it —
-        # resolved values are identical to the eager form below.
-        rt.trace.record_lazy(
-            ev.cycle,
-            EventKind.SI_EXECUTED,
-            lambda mode=ev.mode, cycles=ev.cycles: {
-                "mode": mode, "cycles": cycles,
-            },
-            task=ev.task,
-            si=ev.si,
-        )
-    else:
-        rt.trace.record(
-            ev.cycle,
-            EventKind.SI_EXECUTED,
-            task=ev.task,
-            si=ev.si,
-            mode=ev.mode,
-            cycles=ev.cycles,
-        )
+    # A runtime has only a handful of distinct (mode, cycles) pairs, so
+    # the trace stores each once and the event holds a shared reference.
+    rt.trace.record(
+        ev.cycle,
+        EventKind.SI_EXECUTED,
+        task=ev.task,
+        si=ev.si,
+        mode=ev.mode,
+        cycles=ev.cycles,
+    )
 
 
 def _monitor_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:

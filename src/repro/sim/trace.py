@@ -13,10 +13,20 @@ task), so a cycle smaller than the previous event's is a scheduling bug
 upstream, not a legal relaxation — :meth:`Trace.record` raises rather
 than silently distorting the timeline benches measure.
 
-Event details can be built *lazily*: the run-time manager's hot path
-records thousands of events per run, and for most of them the detail
-dict is never read.  :meth:`Trace.record_lazy` accepts a zero-argument
-factory that is resolved (once) on first access to :attr:`Event.detail`.
+Event details are stored *compactly*: a run-time manager records one
+``SI_EXECUTED`` event per SI execution, and nearly all of them carry one
+of a handful of ``(mode, cycles)`` details.  :meth:`Trace.record` keeps
+a detail as a tuple of its items, and equal tuples share one object
+through a per-trace table (keyed on each value's exact type, so ``1``,
+``True`` and ``1.0`` never merge).  Details holding anything but
+``str``/``int``/``bool``/``None`` values — floats, containers,
+unhashable objects — are kept as a plain dict, unshared.  Reading
+:attr:`Event.detail` builds a fresh dict from the tuple; the first edit
+of that dict (``[k]=``, ``del``, ``update``, ``pop``, ``popitem``,
+``setdefault``, ``clear``, ``|=``) makes it that event's own detail, so
+edits stick to the edited event and never reach the events it shared
+storage with.  :meth:`Trace.record_lazy` still accepts a zero-argument
+factory, resolved (once) on first access to :attr:`Event.detail`.
 """
 
 from __future__ import annotations
@@ -45,12 +55,78 @@ class EventKind(enum.Enum):
     ROTATION_RETRIED = "rotation_retried"
 
 
+#: Value types whose equal values always print alike — a detail made of
+#: these alone may share storage with an equal one.  Exact types only:
+#: ``bool`` is listed apart from ``int`` and the table key carries each
+#: value's type, so ``x=1`` and ``x=True`` never merge; floats are not
+#: listed because ``0.0 == -0.0``.
+_SHAREABLE = frozenset({str, int, bool, type(None)})
+
+
+class _Detail(dict):
+    """A dict read from a shared detail; its first edit makes it the
+    event's own.
+
+    A view read before another view of the same event was edited no
+    longer belongs to the event: its edits stay private to it.
+    """
+
+    __slots__ = ("_event",)
+    _event: Event | None
+
+    def _own(self) -> None:
+        event = self._event
+        if event is not None:
+            self._event = None
+            if event._detail.__class__ is tuple:
+                event._detail = self
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        self._own()
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key: str) -> None:
+        self._own()
+        dict.__delitem__(self, key)
+
+    def __ior__(self, other: Any) -> "_Detail":
+        self._own()
+        dict.update(self, other)
+        return self
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        self._own()
+        dict.update(self, *args, **kwargs)
+
+    def pop(self, *args: Any) -> Any:
+        self._own()
+        return dict.pop(self, *args)
+
+    def popitem(self) -> tuple[str, Any]:
+        self._own()
+        return dict.popitem(self)
+
+    def setdefault(self, key: str, default: Any = None) -> Any:
+        self._own()
+        return dict.setdefault(self, key, default)
+
+    def clear(self) -> None:
+        self._own()
+        dict.clear(self)
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles are plain dicts, detached from the event.
+        return (dict, (dict(self),))
+
+
 class Event:
     """One timestamped run-time event.
 
-    ``detail`` may be stored as a zero-argument factory; it is resolved
-    and cached the first time it is read, so unread details cost nothing
-    beyond holding the factory.
+    ``detail`` is stored as a tuple of items (possibly shared with other
+    events of the same trace), as the event's own dict, or as a
+    zero-argument factory that is resolved and cached the first time it
+    is read.  Reading a tuple-stored detail returns a fresh dict each
+    time; editing that dict makes it the event's own.
     """
 
     __slots__ = ("cycle", "kind", "task", "si", "_detail")
@@ -61,23 +137,23 @@ class Event:
         kind: EventKind,
         task: str = "",
         si: str = "",
-        detail: dict | Callable[[], dict] | None = None,
+        detail: dict | tuple | Callable[[], dict] | None = None,
     ):
         self.cycle = cycle
         self.kind = kind
         self.task = task
         self.si = si
-        self._detail = detail
+        self._detail = () if detail is None else detail
 
     @property
     def detail(self) -> dict:
         d = self._detail
+        if d.__class__ is tuple:
+            view = _Detail(d)
+            view._event = self
+            return view
         if callable(d):
-            d = d()
-            self._detail = d
-        elif d is None:
-            d = {}
-            self._detail = d
+            d = self._detail = d()
         return d
 
     def __eq__(self, other: object) -> bool:
@@ -112,11 +188,16 @@ class Trace:
     are fine (many events legitimately share one cycle — a forecast and
     the rotations it requests, a mode switch and the execution it
     annotates).
+
+    ``_shared`` maps each shareable detail (its items plus their exact
+    types) to the one items tuple every equal detail stores.  Entries
+    never change, so shallow copies of a trace may share the table.
     """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
         self._last_cycle = 0
+        self._shared: dict[tuple, tuple] = {}
 
     def record(
         self,
@@ -127,7 +208,7 @@ class Trace:
         si: str = "",
         **detail: Any,
     ) -> Event:
-        return self._append(Event(cycle, kind, task, si, detail or None))
+        return self._append(Event(cycle, kind, task, si, self.compact(detail)))
 
     def record_lazy(
         self,
@@ -140,6 +221,19 @@ class Trace:
     ) -> Event:
         """Like :meth:`record`, but the detail dict is built on demand."""
         return self._append(Event(cycle, kind, task, si, detail_factory))
+
+    def compact(self, detail: dict) -> tuple | dict:
+        """The stored form of ``detail``: a shared items tuple, or a copy.
+
+        A detail whose values are all of a :data:`_SHAREABLE` type is
+        stored as the one items tuple this trace keeps for it; any other
+        detail (floats, containers, unhashable values) as a plain dict.
+        """
+        types = tuple(map(type, detail.values()))
+        if not _SHAREABLE.issuperset(types):
+            return dict(detail)
+        items = tuple(detail.items())
+        return self._shared.setdefault((items, types), items)
 
     def _append(self, event: Event) -> Event:
         cycle = event.cycle

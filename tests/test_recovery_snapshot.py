@@ -85,6 +85,23 @@ class TestRoundTrip:
             reference.trace
         )
 
+    def test_restored_trace_shares_details_like_the_original(
+        self, library, tmp_path
+    ):
+        original = fresh_runtime(library)
+        run_prefix(original, 31)
+        snap = snapshot_runtime(original, seq=31, cycle=0, results=[None] * 31)
+        restored = fresh_runtime(library)
+        restore_runtime(restored, load_snapshot(write_snapshot(tmp_path, snap)))
+
+        def stored(rt):
+            return [id(e._detail) for e in rt.trace if e.si == "SI0"]
+
+        # Equal details come back as one shared object each, just as
+        # the uninterrupted run stores them.
+        assert len(set(stored(restored))) == len(set(stored(original)))
+        assert len(set(stored(restored))) < len(stored(restored))
+
     def test_snapshot_is_versioned_and_kinded(self, library, tmp_path):
         rt = fresh_runtime(library)
         snap = snapshot_runtime(rt, seq=0, cycle=0, results=[])

@@ -1,20 +1,31 @@
-"""The trace time-ordering contract and lazy detail construction.
+"""The trace time-ordering contract and its detail storage.
 
 The trace is the ground truth every bench and figure reads, so its
 invariants are enforced at append time: cycles are non-negative and
-non-decreasing.  The second half fuzzes the run-time manager with
+non-decreasing.  Details are stored compactly (equal details share one
+items tuple, an edit copies) or built lazily; both must read back
+exactly what was recorded, and the compact form must keep a recorded
+h264 event small.  The last part fuzzes the run-time manager with
 arbitrary interleavings of ``forecast`` / ``execute_si`` /
 ``fail_container`` and asserts the recorded trace always honours the
 contract — and that the optimized runtime produces the exact same event
 sequence as the ``optimize=False`` baseline.
 """
 
+import copy
+import gc
+import pickle
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.h264 import build_h264_library
 from repro.bench import trace_signature
+from repro.bench.suites import H264_MACROBLOCK_CALLS
 from repro.core import AtomCatalogue, AtomKind, MoleculeImpl, SILibrary, SpecialInstruction
+from repro.obs import MetricRegistry
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind, Trace
 
@@ -119,6 +130,159 @@ class TestTraceContract:
             trace.record(now, EventKind.TASK_STEP, task="fuzz")
         assert [e.cycle for e in trace] == sorted(e.cycle for e in trace)
         assert trace.last_cycle == now
+
+
+_ORIGINAL = {"mode": "HW", "cycles": 12}
+
+#: Every way to change a detail dict in place, each applied to the event
+#: read and, for the expected value, to a plain dict.
+_EDITS = {
+    "setitem": lambda d: d.__setitem__("mode", "SW"),
+    "delitem": lambda d: d.__delitem__("cycles"),
+    "update": lambda d: d.update(cycles=30, extra=1),
+    "pop": lambda d: d.pop("mode"),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("extra", "new"),
+    "clear": lambda d: d.clear(),
+    "ior": lambda d: d.__ior__({"mode": "SW"}),
+}
+
+
+def _shared_pair() -> tuple[Trace, Event, Event]:
+    trace = Trace()
+    first = trace.record(1, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+    second = trace.record(2, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+    return trace, first, second
+
+
+class TestCompactDetails:
+    def test_equal_details_share_storage(self):
+        _trace, first, second = _shared_pair()
+        assert first._detail is second._detail
+        assert first.detail == second.detail == _ORIGINAL
+        # Each read is a fresh dict, never the shared storage itself.
+        assert first.detail is not first.detail
+
+    def test_different_details_do_not_share(self):
+        trace = Trace()
+        hw = trace.record(1, EventKind.SI_EXECUTED, mode="HW", cycles=12)
+        sw = trace.record(2, EventKind.SI_EXECUTED, mode="SW", cycles=12)
+        assert hw._detail is not sw._detail
+        assert hw.detail == {"mode": "HW", "cycles": 12}
+        assert sw.detail == {"mode": "SW", "cycles": 12}
+
+    @pytest.mark.parametrize("name", sorted(_EDITS))
+    def test_edit_persists_on_the_edited_event_only(self, name):
+        edit = _EDITS[name]
+        trace, first, second = _shared_pair()
+        expected = dict(_ORIGINAL)
+        edit(expected)
+
+        edit(first.detail)
+        assert first.detail == expected
+        # The edited detail is now the event's own: later reads see it,
+        # and a second edit lands on the same dict.
+        assert first.detail is first.detail
+        first.detail["later"] = True
+        assert first.detail == {**expected, "later": True}
+        # The sibling still reads (and shares) the original.
+        assert second.detail == _ORIGINAL
+        third = trace.record(3, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+        assert third._detail is second._detail
+
+    def test_edit_of_an_empty_detail_sticks(self):
+        trace = Trace()
+        first = trace.record(1, EventKind.FORECAST_END, si="HT")
+        second = trace.record(2, EventKind.FORECAST_END, si="HT")
+        first.detail["note"] = "x"
+        assert first.detail == {"note": "x"}
+        assert second.detail == {}
+
+    def test_copies_are_plain_detached_dicts(self):
+        _trace, first, _second = _shared_pair()
+        view = first.detail
+        for clone in (
+            copy.copy(view),
+            copy.deepcopy(view),
+            pickle.loads(pickle.dumps(view)),
+        ):
+            assert type(clone) is dict
+            assert clone == _ORIGINAL
+            clone["mode"] = "SW"
+        assert first.detail == _ORIGINAL
+
+    @pytest.mark.parametrize(
+        "order", [(1, True, 1.0, 0.0, -0.0), (-0.0, 0.0, 1.0, True, 1)]
+    )
+    def test_equal_values_keep_their_own_repr(self, order):
+        # 1 == True == 1.0 and 0.0 == -0.0 hash alike; sharing must
+        # never hand one event another's value.
+        trace = Trace()
+        events = [
+            trace.record(i, EventKind.TASK_STEP, x=value)
+            for i, value in enumerate(order)
+        ]
+        signature = trace_signature(trace)
+        for value, event, row in zip(order, events, signature):
+            assert repr(event.detail["x"]) == repr(value)
+            assert type(event.detail["x"]) is type(value)
+            assert repr(row[4]["x"]) == repr(value)
+
+    def test_unhashable_detail_records_and_reads_back(self):
+        trace = Trace()
+        atoms = ["Load", "Pack"]
+        event = trace.record(3, EventKind.TASK_STEP, atoms=atoms, nested=(1, []))
+        assert event.detail == {"atoms": ["Load", "Pack"], "nested": (1, [])}
+        assert event.detail["atoms"] is atoms
+        event.detail["atoms"].append("SATD")
+        assert event.detail["atoms"] == ["Load", "Pack", "SATD"]
+        assert trace_signature(trace)[0][4] == event.detail
+
+
+def _h264_runtime_stream(runtime: RisppRuntime, macroblocks: int, now: int) -> int:
+    """The Fig. 7 encoder loop: loop-head forecasts, then every SI call."""
+    forecasts = [(si, float(calls)) for si, calls in H264_MACROBLOCK_CALLS]
+    for _ in range(macroblocks):
+        for si, expected in forecasts:
+            runtime.forecast(si, now, expected=expected)
+        for si, calls in H264_MACROBLOCK_CALLS:
+            for _ in range(calls):
+                now += runtime.execute_si(si, now)
+        now += 5_000
+    return now
+
+
+class TestTraceMemory:
+    #: Measured ~115 bytes per event on 64-bit CPython 3.11 (an
+    #: ``Event``, its cycle int and a list slot); a per-event dict or
+    #: detail factory costs ~310.
+    MAX_BYTES_PER_EVENT = 160
+
+    def test_h264_stream_events_stay_compact(self):
+        runtime = RisppRuntime(
+            build_h264_library(), 6, core_mhz=100.0, metrics=MetricRegistry()
+        )
+        # Warm up first, so one-off allocations (caches, metric series,
+        # rotation plans) are not charged to the measured events.
+        now = _h264_runtime_stream(runtime, 4, 700_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recorded_before = len(runtime.trace)
+            _h264_runtime_stream(runtime, 80, now)
+            recorded = len(runtime.trace) - recorded_before
+            # trace_signature reads every detail; reads must not stay
+            # behind in memory.
+            trace_signature(runtime.trace)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert recorded >= 20_000
+        assert grown / recorded <= self.MAX_BYTES_PER_EVENT, (
+            f"{grown / recorded:.0f} bytes per recorded event"
+        )
 
 
 def _fuzz_library() -> SILibrary:
