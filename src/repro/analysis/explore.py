@@ -13,8 +13,9 @@ against the MC rule family declared in :mod:`.rules`:
   container lifecycle coherence (ROT001/ROT002 over all states);
 * MC004 — quarantine safety (TRC015 over all states, plus the repair
   flag actually reaching the trace);
-* MC005/MC006 — deadlock/livelock freedom and replan convergence, probed
-  by forking the state and draining / re-replanning it;
+* MC005/MC006 — deadlock/livelock freedom, replan convergence and
+  replan-skip soundness, probed by forking the state and draining /
+  re-replanning it;
 * MC007/MC008 — rotation latency ≤ the FEA004-style static bound and
   repair latency ≤ the ``static_repair_bound`` formula (FEA005
   cross-validation), both rate-aware via
@@ -269,7 +270,6 @@ def _build_world(scope: ExploreScope, mutator: Mutator | None) -> _World:
         scope.containers,
         core_mhz=scope.core_mhz,
         bytes_per_us=scope.bytes_per_us,
-        optimize=False,
         faults=injector,
     )
     if mutator is not None:
@@ -345,7 +345,6 @@ def _copy_world(world: _World) -> _World:
         _active={k: copy.copy(f) for k, f in rt._active.items()},
         _last_mode=dict(rt._last_mode),
         _impl_cache=dict(rt._impl_cache),
-        _rc_cache=dict(rt._rc_cache),
         _faults=new_inj,
     )
     if new_inj is not None:
@@ -736,13 +735,30 @@ def _drain_witness(world: _World, bounds: _Bounds) -> None:
 
 
 def _check_mc006(world: _World) -> list[str]:
-    """Replanning on a fork must be convergent: a second identical replan
-    round may not issue new rotations."""
+    """Replanning on a fork must be convergent and the replan skip sound.
+
+    The runtime's own round runs first; when its skip key fires, an
+    unskipped round on the same inputs must issue nothing.  The key is
+    then cleared again, so the convergence check — a second identical
+    round may not issue new rotations — never rests on the skip itself.
+    """
     rt = world.runtime
     if not rt._active:
         return []
+    before = rt.port.total_rotations()
+    skipped = rt.stats.replans_skipped
     rt._request_replan(world.now)
+    if rt.stats.replans_skipped > skipped:
+        rt._plan_key = None
+        rt._request_replan(world.now)
+        elided = rt.port.total_rotations() - before
+        if elided:
+            return [
+                f"the replan skip elided a round that issues {elided} "
+                "rotation(s)"
+            ]
     settled = rt.port.total_rotations()
+    rt._plan_key = None
     rt._request_replan(world.now)
     again = rt.port.total_rotations()
     if again > settled:

@@ -5,8 +5,7 @@ static prover (:mod:`.feasibility`) to the rest of the repository:
 
 * :func:`verify_runtime` / :func:`verify_trace` — check a live
   :class:`~repro.runtime.manager.RisppRuntime` (the bench harness calls
-  this so "optimized == baseline" means *both traces verify* and their
-  signatures match, not merely raw list equality);
+  this on every end-to-end run it times);
 * :func:`run_verify_suite` — run one of the three shipped scenarios
   (``h264``/``aes``/``synthetic``), verify its trace and prove the
   library's feasibility bounds (``python -m repro verify --suite ...``);
@@ -258,7 +257,6 @@ def _scenario_h264(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
         list(H264_MACROBLOCK_CALLS),
         containers=6,
         block_rounds=3 if quick else 8,
-        optimize=True,
         energy_model=EnergyModel(),
     )
     for si_name, _ in forecasts:

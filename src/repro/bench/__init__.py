@@ -1,10 +1,9 @@
 """``repro.bench`` — the performance harness (``python -m repro bench``).
 
-Times the end-to-end RISPP flows and the run-time hot paths, proves the
-hot-path caches preserve event semantics (trace equivalence between the
-``optimize=False`` baseline and the optimized runtime), and emits the
-schema-stable ``BENCH_runtime.json`` performance report that CI uploads
-on every push.
+Times the end-to-end RISPP flows and the run-time hot paths, replays
+each timed end-to-end trace through rispp-verify's reference machine,
+and emits the schema-stable ``BENCH_runtime.json`` performance report
+that CI uploads on every push.
 """
 
 from .harness import (

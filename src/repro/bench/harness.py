@@ -11,9 +11,9 @@ on every push).  The schema is deliberately small and stable:
     suite              str     h264 | aes | synthetic
     quick              bool    reduced iteration counts (CI mode)
     python / platform  str     environment fingerprint
-    end_to_end         dict    baseline vs optimized wall time + speedup,
-                               the trace-equivalence verdict and the
-                               rispp-verify replay verdict
+    end_to_end         dict    wall time, trace size, simulated cycles
+                               and throughput of one scenario run, plus
+                               its rispp-verify replay verdict
     stages             list    per-stage micro-benchmarks
     totals             dict    aggregate wall time
     metrics            dict    deterministic repro.obs snapshot of one
@@ -35,7 +35,7 @@ from typing import Any, Callable
 from ..obs.clock import perf_counter, utc_stamp
 from ..sim.trace import Trace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -159,30 +159,18 @@ def render_report(report: dict) -> str:
     e2e = report.get("end_to_end") or {}
     if e2e:
         lines.append(f"end-to-end: {e2e.get('scenario', '?')}")
+        lines.append(f"  wall       {e2e['wall_s'] * 1000:10.1f} ms")
         lines.append(
-            f"  baseline   {e2e['baseline_s'] * 1000:10.1f} ms"
+            f"  throughput {e2e['cycles_per_sec']:,.0f} simulated cycles/s"
         )
         lines.append(
-            f"  optimized  {e2e['optimized_s'] * 1000:10.1f} ms"
-            f"   ({e2e['speedup']:.2f}x speedup)"
+            "  trace verification: "
+            + ("OK" if e2e["trace_verified"] else "FAILED")
+            + f" ({e2e['trace_events']} events, "
+            f"{len(e2e['verify_findings'])} finding(s))"
         )
-        if "cycles_per_sec" in e2e:
-            lines.append(
-                f"  throughput {e2e['cycles_per_sec']:,.0f} simulated cycles/s"
-            )
-        lines.append(
-            "  trace equivalence: "
-            + ("OK" if e2e.get("trace_equal") else "MISMATCH")
-            + f" ({e2e.get('trace_events', 0)} events)"
-        )
-        if "trace_verified" in e2e:
-            lines.append(
-                "  trace verification: "
-                + ("OK" if e2e.get("trace_verified") else "FAILED")
-                + f" ({len(e2e.get('verify_findings', []))} finding(s))"
-            )
-            for finding in e2e.get("verify_findings", []):
-                lines.append(f"    {finding}")
+        for finding in e2e["verify_findings"]:
+            lines.append(f"    {finding}")
         lines.append("")
     if report.get("stages"):
         lines.append(f"{'stage':<24} {'wall [ms]':>12} {'throughput':>16}")

@@ -11,13 +11,10 @@ Three suites cover the repo's workloads:
 * ``synthetic`` — a small generated library; fast enough for CI's quick
   mode while exercising the same code paths.
 
-Every suite measures the end-to-end scenario twice — once with
-``optimize=False`` (the pre-optimization baseline: no fabric generation
-cache, no memoized ``best_available``, no replan skip, eager trace
-details) and once with ``optimize=True`` — verifies the two event traces
-are identical, and reports the speedup.  Micro-benchmarks cover the four
-run-time hot paths: molecule selection, rotation planning, ``execute_si``
-and trace recording.
+Every suite times one end-to-end scenario on the runtime that ships
+and replays its trace through rispp-verify's reference machine.
+Micro-benchmarks cover the four run-time hot paths: molecule selection,
+rotation planning, ``execute_si`` and trace recording.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ def run_si_stream(
     block_rounds: int,
     warmup_cycles: int = 700_000,
     inter_block_cycles: int = 5_000,
-    optimize: bool,
     energy_model=None,
     fault_injector=None,
     metrics=None,
@@ -82,9 +78,8 @@ def run_si_stream(
     skip cache's main prey).
     """
     rt = RisppRuntime(
-        library, containers, core_mhz=100.0, optimize=optimize,
-        energy_model=energy_model, faults=fault_injector, metrics=metrics,
-        backend=backend,
+        library, containers, core_mhz=100.0, energy_model=energy_model,
+        faults=fault_injector, metrics=metrics, backend=backend,
     )
     if wrap is not None:
         # Recovery hook (repro.recovery): journals the stream so the run
@@ -101,53 +96,42 @@ def run_si_stream(
     return rt
 
 
-def verify_equivalence(
-    baseline_rt: RisppRuntime, optimized_rt: RisppRuntime
-) -> dict:
-    """Replay both traces through rispp-verify's reference machine.
+def verify_findings(*runtimes: RisppRuntime) -> list[str]:
+    """rispp-verify errors of each runtime's trace, rendered.
 
-    Signature equality alone would also bless a *pair* of traces that
-    agree on the same wrong behaviour; model-based verification closes
-    that hole, so "equivalent" means both traces satisfy the §3/§5
-    runtime invariants *and* their signatures match.
+    Replaying through the reference machine checks the §3/§5 runtime
+    invariants directly, so a stale hot-path cache shows up here (as
+    TRC013, a dispatch that ignores a loaded molecule) without an
+    uncached twin run to compare against.
     """
     from ..analysis.verify import verify_runtime
 
-    baseline_report = verify_runtime(baseline_rt, subject="bench:baseline")
-    optimized_report = verify_runtime(optimized_rt, subject="bench:optimized")
-    findings = baseline_report.errors() + optimized_report.errors()
-    return {
-        "trace_verified": not findings,
-        "verify_findings": [d.render() for d in findings],
-    }
+    return [
+        d.render()
+        for rt in runtimes
+        for d in verify_runtime(rt, subject="bench").errors()
+    ]
 
 
 def end_to_end_stage(
     scenario_name: str,
-    run: Callable[[bool], RisppRuntime],
+    run: Callable[[], RisppRuntime],
     *,
     repeats: int,
 ) -> dict:
-    """Time ``run`` in baseline and optimized mode; verify equivalence."""
-    baseline_s, baseline_rt = time_best(lambda: run(False), repeats=repeats)
-    optimized_s, optimized_rt = time_best(lambda: run(True), repeats=repeats)
-    equal = trace_signature(baseline_rt.trace) == trace_signature(
-        optimized_rt.trace
-    )
-    simulated = optimized_rt.stats.si_cycles
+    """Time ``run`` (best of ``repeats``) and verify its trace."""
+    wall_s, rt = time_best(run, repeats=repeats)
+    findings = verify_findings(rt)
+    simulated = rt.stats.si_cycles
     return {
         "scenario": scenario_name,
-        "baseline_s": round(baseline_s, 6),
-        "optimized_s": round(optimized_s, 6),
-        "speedup": round(baseline_s / optimized_s, 3) if optimized_s else 0.0,
-        "trace_equal": equal,
-        "trace_events": len(optimized_rt.trace),
-        "si_executions": optimized_rt.stats.si_executions,
+        "wall_s": round(wall_s, 6),
+        "trace_events": len(rt.trace),
+        "si_executions": rt.stats.si_executions,
         "simulated_cycles": simulated,
-        "cycles_per_sec": round(simulated / optimized_s, 1)
-        if optimized_s
-        else 0.0,
-        **verify_equivalence(baseline_rt, optimized_rt),
+        "cycles_per_sec": round(simulated / wall_s, 1) if wall_s else 0.0,
+        "trace_verified": not findings,
+        "verify_findings": findings,
     }
 
 
@@ -308,7 +292,7 @@ def selection_backend_stage(
     def scenario(backend_name: str) -> RisppRuntime:
         return run_si_stream(
             library, forecasts, blocks, containers=containers,
-            block_rounds=2, optimize=True, backend=backend_name,
+            block_rounds=2, backend=backend_name,
         )
 
     reference_rt = scenario("reference")
@@ -316,7 +300,6 @@ def selection_backend_stage(
     trace_equal = trace_signature(reference_rt.trace) == trace_signature(
         numpy_rt.trace
     )
-    verdict = verify_equivalence(reference_rt, numpy_rt)
 
     return StageResult(
         name="selection_backend",
@@ -331,7 +314,7 @@ def selection_backend_stage(
             "speedup": round(reference_s / numpy_s, 2) if numpy_s else 0.0,
             "results_equal": results_equal,
             "trace_equal": trace_equal,
-            "trace_verified": verdict["trace_verified"],
+            "trace_verified": not verify_findings(reference_rt, numpy_rt),
         },
     )
 
@@ -511,7 +494,7 @@ def recovery_stage(*, quick: bool, checkpoint_every: int = 16) -> StageResult:
     def scenario(wrap: Any = None) -> RisppRuntime:
         return run_si_stream(
             library, forecasts, blocks,
-            containers=5, block_rounds=rounds, optimize=True, wrap=wrap,
+            containers=5, block_rounds=rounds, wrap=wrap,
         )
 
     reference_sig = trace_signature(scenario().trace)
@@ -539,7 +522,7 @@ def recovery_stage(*, quick: bool, checkpoint_every: int = 16) -> StageResult:
 
         def resume() -> Any:
             rec = RecoverableRuntime(
-                RisppRuntime(library, 5, core_mhz=100.0, optimize=True),
+                RisppRuntime(library, 5, core_mhz=100.0),
                 store, checkpoint_every=checkpoint_every, resume=True,
             )
             rec.close()
@@ -718,10 +701,10 @@ def run_h264(*, quick: bool = False) -> dict:
     macroblocks = 6 if quick else 40
     repeats = 2 if quick else 3
 
-    def scenario(optimize: bool) -> RisppRuntime:
+    def scenario() -> RisppRuntime:
         return run_si_stream(
             library, forecasts, list(H264_MACROBLOCK_CALLS),
-            containers=6, block_rounds=macroblocks, optimize=optimize,
+            containers=6, block_rounds=macroblocks,
         )
 
     end_to_end = end_to_end_stage(
@@ -770,7 +753,7 @@ def run_aes(*, quick: bool = False) -> dict:
             "key": bytes([(255 - i) % 256] * 16),
         }
 
-    def flow(optimize: bool):
+    def flow() -> RisppRuntime:
         return compile_and_run(
             program,
             library,
@@ -779,30 +762,11 @@ def run_aes(*, quick: bool = False) -> dict:
             profile_env_factory=env_factory,
             run_env=dict(env),
             profile_runs=2,
-            optimize=optimize,
-        )
+        ).runtime
 
-    baseline_s, baseline = time_best(lambda: flow(False), repeats=repeats)
-    optimized_s, optimized = time_best(lambda: flow(True), repeats=repeats)
-    equal = trace_signature(baseline.runtime.trace) == trace_signature(
-        optimized.runtime.trace
+    end_to_end = end_to_end_stage(
+        "aes compile_and_run", flow, repeats=repeats
     )
-    end_to_end = {
-        "scenario": "aes compile_and_run",
-        "baseline_s": round(baseline_s, 6),
-        "optimized_s": round(optimized_s, 6),
-        "speedup": round(baseline_s / optimized_s, 3) if optimized_s else 0.0,
-        "trace_equal": equal,
-        "trace_events": len(optimized.runtime.trace),
-        "si_executions": optimized.runtime.stats.si_executions,
-        "simulated_cycles": optimized.runtime.stats.si_cycles,
-        "cycles_per_sec": round(
-            optimized.runtime.stats.si_cycles / optimized_s, 1
-        )
-        if optimized_s
-        else 0.0,
-        **verify_equivalence(baseline.runtime, optimized.runtime),
-    }
     forecasts = [("SUBBYTES", 10.0), ("MIXCOL", 9.0), ("KEYEXP", 10.0)]
     stages = micro_stages(
         library, forecasts, containers=6,
@@ -850,10 +814,10 @@ def run_synthetic(*, quick: bool = False, checkpoint_every: int = 16) -> dict:
     rounds = 10 if quick else 60
     repeats = 2 if quick else 3
 
-    def scenario(optimize: bool) -> RisppRuntime:
+    def scenario() -> RisppRuntime:
         return run_si_stream(
             library, forecasts, blocks,
-            containers=5, block_rounds=rounds, optimize=optimize,
+            containers=5, block_rounds=rounds,
         )
 
     end_to_end = end_to_end_stage(

@@ -125,7 +125,6 @@ def _run_stream(
         config["blocks"],
         containers=config["containers"],
         block_rounds=rounds,
-        optimize=True,
         fault_injector=injector,
         metrics=metrics,
         wrap=wrap,

@@ -48,7 +48,6 @@ def _stream_suite(
         blocks,
         containers=containers,
         block_rounds=rounds,
-        optimize=True,
         metrics=registry,
     )
     end = rt.trace.events[-1].cycle + 1 if len(rt.trace) else 0

@@ -230,7 +230,6 @@ def _config_of(runtime: RisppRuntime) -> dict[str, Any]:
         "bytes_per_us": runtime.port.bytes_per_us,
         "static_multiplicity": runtime.fabric.static_multiplicity,
         "forecasting": runtime.forecasting,
-        "optimize": runtime._optimize,
         "metrics_enabled": runtime.metrics.enabled,
         "monitor_smoothing": runtime.monitor.smoothing,
         "atom_kinds": list(runtime.fabric.space.kinds),
@@ -520,7 +519,6 @@ def _restore_manager(runtime: RisppRuntime, data: dict[str, Any]) -> None:
     # Pure memoization caches; dropping them costs one recomputation.
     runtime._impl_cache.clear()
     runtime._impl_cache_gen = -1
-    runtime._rc_cache.clear()
 
 
 def _restore_trace(runtime: RisppRuntime, data: dict[str, Any]) -> None:

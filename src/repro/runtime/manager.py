@@ -99,7 +99,6 @@ class RisppRuntime:
         forecasting: bool = True,
         selection=select_greedy,
         energy_model=None,
-        optimize: bool = True,
         faults: "FaultInjector | None" = None,
         metrics: "MetricRegistry | None" = None,
         backend: "str | object | None" = None,
@@ -115,7 +114,6 @@ class RisppRuntime:
             library.catalogue,
             num_containers,
             static_multiplicity=static_multiplicity,
-            cache=optimize,
             metrics=self.metrics,
         )
         #: ``bytes_per_us`` overrides the SelectMap configuration rate —
@@ -152,16 +150,14 @@ class RisppRuntime:
         #: A previous plan could not place every demanded atom (all
         #: containers were reserved); retry when rotations complete.
         self._unplaced_for: str | None = None
-        #: Hot-path caching (disable with ``optimize=False`` for the
-        #: bench harness's pre-optimization baseline).
-        self._optimize = optimize
-        #: Memoized ``best_available`` per SI, valid for one fabric
-        #: generation: between rotations the fabric does not change, so
-        #: neither does the chosen implementation.
-        self._impl_cache: dict[str, MoleculeImpl | None] = {}
+        #: Memoized dispatch per SI — ``best_available`` and its
+        #: reconfigurable projection — valid for one fabric generation:
+        #: between rotations the fabric does not change, so neither does
+        #: the chosen implementation.
+        self._impl_cache: dict[
+            str, tuple[MoleculeImpl | None, Molecule | None]
+        ] = {}
         self._impl_cache_gen = -1
-        #: Memoized reconfigurable projection per implementation object.
-        self._rc_cache: dict[int, Molecule] = {}
         #: Input signature (weight vector, future population) of the last
         #: replan that issued nothing; an identical signature makes the
         #: next replan a guaranteed no-op, so it is skipped.
@@ -222,10 +218,8 @@ class RisppRuntime:
         fires, so injections always see the hardware state of their cycle.
         """
         faults = self._faults
-        if (
-            self._optimize
-            and self.port.is_idle()
-            and (faults is None or faults.next_cycle(now) is None)
+        if self.port.is_idle() and (
+            faults is None or faults.next_cycle(now) is None
         ):
             # Nothing scheduled, in flight, or due: state cannot change.
             return
@@ -311,14 +305,14 @@ class RisppRuntime:
             self.publish(
                 events.ReplanRequested(now, task=task, reason="on_demand")
             )
-        impl = self._best_available(si)
+        impl, reconfigurable = self._dispatch(si)
         if impl is None:
             cycles = si.software_cycles
             mode = "SW"
         else:
             cycles = impl.cycles
             mode = impl.label or "HW"
-            self.fabric.touch_atoms(self._reconfigurable_of(impl), now)
+            self.fabric.touch_atoms(reconfigurable, now)
         previous = self._last_mode.get((task, si_name))
         if previous is not None and previous != mode:
             self.stats.mode_switches += 1
@@ -422,15 +416,15 @@ class RisppRuntime:
 
     # -- internals -----------------------------------------------------------------
 
-    def _best_available(self, si) -> MoleculeImpl | None:
-        """``si.best_available`` memoized against the fabric generation.
+    def _dispatch(self, si) -> tuple[MoleculeImpl | None, Molecule | None]:
+        """``si.best_available`` and its reconfigurable projection.
 
-        Between rotations the available-atom molecule cannot change, so
-        the lattice scan over the SI's implementations is done once per
-        (SI, fabric state) instead of once per execution.
+        Memoized against the fabric generation: between rotations the
+        available-atom molecule cannot change, so the lattice scan over
+        the SI's implementations is done once per (SI, fabric state)
+        instead of once per execution.  The projection (``None`` for the
+        software fallback) names the Atoms the execution touches.
         """
-        if not self._optimize:
-            return si.best_available(self.fabric.available_atoms())
         gen = self.fabric.generation
         if gen != self._impl_cache_gen:
             self._impl_cache.clear()
@@ -439,23 +433,18 @@ class RisppRuntime:
             return self._impl_cache[si.name]
         except KeyError:
             impl = si.best_available(self.fabric.available_atoms())
-            self._impl_cache[si.name] = impl
-            return impl
+            entry = (
+                impl,
+                None
+                if impl is None
+                else self.library.restricted_to_reconfigurable(impl.molecule),
+            )
+            self._impl_cache[si.name] = entry
+            return entry
 
-    def _reconfigurable_of(self, impl: MoleculeImpl) -> Molecule:
-        """Reconfigurable projection of an implementation, memoized.
-
-        Implementations are immutable and owned by the library, so the
-        projection is computed once per object for the runtime's life.
-        """
-        if not self._optimize:
-            return self.library.restricted_to_reconfigurable(impl.molecule)
-        key = id(impl)
-        cached = self._rc_cache.get(key)
-        if cached is None:
-            cached = self.library.restricted_to_reconfigurable(impl.molecule)
-            self._rc_cache[key] = cached
-        return cached
+    def _best_available(self, si) -> MoleculeImpl | None:
+        """The implementation an execution of ``si`` would use now."""
+        return self._dispatch(si)[0]
 
     def _replan(self, now: int, *, triggering_task: str) -> None:
         weights: dict[str, float] = {}
@@ -469,7 +458,7 @@ class RisppRuntime:
             )
         loaded = future_population(self.fabric, self.port)
         plan_key = (tuple(sorted(weights.items())), loaded)
-        if self._optimize and plan_key == self._plan_key:
+        if plan_key == self._plan_key:
             # Identical inputs to a replan that provably issued nothing:
             # selection and planning are deterministic in (weights,
             # future population), so this round is a guaranteed no-op.

@@ -67,6 +67,20 @@ DISPATCH_SCOPE = ExploreScope(
     expected=(("SI_A", 4.0),),
 )
 
+#: SI_A's forecast stays active while SI_B's comes and goes, so a no-op
+#: replan arms the skip key; a failed write then shrinks the future
+#: population under unchanged weights.
+SKIP_SCOPE = ExploreScope(
+    name="micro-skip",
+    library_name="explore-tiny",
+    containers=2,
+    si_budgets=(("SI_A", 1, 0, 0), ("SI_B", 1, 1, 0)),
+    tick_budget=0,
+    fault_budget=1,
+    fault_actions=((FaultKind.WRITE_ERROR.value, 0),),
+    expected=(("SI_A", 4.0), ("SI_B", 3.0)),
+)
+
 
 def _overlap_mutator(rt):
     """Seeded bug: the port forgets its busy window after every request,
@@ -114,7 +128,30 @@ def _no_release_mutator(rt):
 
 def _dispatch_mutator(rt):
     """Seeded bug: dispatch ignores every loaded molecule."""
-    rt._best_available = lambda si: None
+    rt._dispatch = lambda si: (None, None)
+
+
+class _AnyPopulation:
+    """Compares equal to every future population."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = None
+
+
+def _skip_key_mutator(rt):
+    """Seeded bug: the replan skip key leaves out the future population,
+    so a round after the fabric lost an atom is skipped whenever the
+    weights did not change."""
+    original = rt._replan
+
+    def patched(now, *, triggering_task):
+        original(now, triggering_task=triggering_task)
+        if rt._plan_key is not None:
+            rt._plan_key = (rt._plan_key[0], _AnyPopulation())
+
+    rt._replan = patched
 
 
 class TestTinyProof:
@@ -125,7 +162,10 @@ class TestTinyProof:
     def test_exhausts_the_scope(self, tiny):
         assert tiny.complete
         assert tiny.terminal_states > 0
-        assert tiny.states_explored > 10_000
+        # Pinned: the caches are left out of the state key, so the
+        # explored space is the one the uncached runtime had.
+        assert tiny.states_explored == 30025
+        assert tiny.transitions == 50641
 
     def test_proves_every_mc_rule_on_the_seed(self, tiny):
         assert tiny.report.exit_code() == 0
@@ -210,6 +250,19 @@ class TestCounterexamples:
     def test_dispatch_regression_is_found_and_verifier_confirms(self):
         cx = self._one(DISPATCH_SCOPE, _dispatch_mutator, "MC010")
         assert "TRC013" in cx.verified_rule_ids
+
+    def test_unsound_replan_skip_is_found(self):
+        # A skipped round that would have issued rotations leaves a
+        # valid but slower trace, so there is no TRC rule to confirm it;
+        # MC006 catches it by replanning with the skip key cleared.
+        cx = self._one(SKIP_SCOPE, _skip_key_mutator, "MC006")
+        assert "skip" in cx.message
+        assert ("fault", FaultKind.WRITE_ERROR.value, 0) in cx.actions
+
+    def test_seed_replan_skip_is_proven_sound(self):
+        result = explore(SKIP_SCOPE, select=["MC006"])
+        assert result.complete
+        assert result.rules_proven == ("MC006",)
 
     def test_minimization_shrinks_the_witness(self):
         full = explore(REPAIR_SCOPE, mutator=_drop_repair_flag_mutator,

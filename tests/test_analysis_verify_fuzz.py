@@ -1,10 +1,11 @@
 """Fuzzing the verifier against the real runtime.
 
 Property: *any* interleaving of ``forecast`` / ``execute_si`` /
-``fail_container`` / ``advance`` through both the optimized and the
-baseline runtime yields a trace the reference machine replays with zero
-findings — the machine and the manager implement the same §3/§5
-semantics, independently.  The deterministic half then mutates verified
+``fail_container`` / ``advance`` yields a trace the reference machine
+replays with zero findings — the machine and the manager implement the
+same §3/§5 semantics, independently — and after every step the
+runtime's cached fabric views and dispatch memo equal a fresh
+recomputation.  The deterministic half then mutates verified
 traces by hand and asserts each mutation trips exactly the intended
 rule (no cascades: one corruption, one finding family).
 """
@@ -76,25 +77,31 @@ class TestFuzzedInterleavings:
 
     @settings(max_examples=40, deadline=None)
     @given(ops=_OPS)
-    def test_both_runtimes_always_verify_clean(self, ops):
+    def test_verifies_clean_with_coherent_caches(self, ops):
         library = _fuzz_library()
-        optimized = RisppRuntime(library, 3, core_mhz=100.0, optimize=True)
-        baseline = RisppRuntime(library, 3, core_mhz=100.0, optimize=False)
+        rt = RisppRuntime(library, 3, core_mhz=100.0)
+        fabric = rt.fabric
         now = 0
         for op, si, delta, scale in ops:
             now += delta
-            for rt in (optimized, baseline):
-                if op == "forecast":
-                    rt.forecast(si, now, expected=float(scale * 50))
-                elif op == "execute":
-                    rt.execute_si(si, now)
-                elif op == "advance":
-                    rt.advance(now)
-                else:  # fail one of the three containers (idempotent)
-                    rt.fail_container(scale, now)
-        for name, rt in (("optimized", optimized), ("baseline", baseline)):
-            report = verify_runtime(rt, subject=f"fuzz:{name}")
-            assert report.clean(), report.render_text()
+            if op == "forecast":
+                rt.forecast(si, now, expected=float(scale * 50))
+            elif op == "execute":
+                rt.execute_si(si, now)
+            elif op == "advance":
+                rt.advance(now)
+            else:  # fail one of the three containers (idempotent)
+                rt.fail_container(scale, now)
+            # Every cached view equals an uncached recomputation.
+            available = fabric._compute_available()
+            assert fabric.available_atoms() == available
+            assert fabric.loaded_reconfigurable() == fabric._compute_loaded()
+            for each in library:
+                assert rt._best_available(each) == each.best_available(
+                    available
+                )
+        report = verify_runtime(rt, subject="fuzz")
+        assert report.clean(), report.render_text()
 
 
 def _verified_scenario():

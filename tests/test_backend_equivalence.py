@@ -157,7 +157,7 @@ class TestRuntimeTraceEquality:
         return run_si_stream(
             mini_library, forecasts, blocks,
             containers=4, block_rounds=3, inter_block_cycles=200_000,
-            optimize=True, backend=backend,
+            backend=backend,
         )
 
     def test_traces_identical(self, mini_library):

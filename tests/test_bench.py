@@ -23,9 +23,9 @@ REPORT_KEYS = {
     "python", "platform", "end_to_end", "stages", "totals", "metrics",
 }
 END_TO_END_KEYS = {
-    "scenario", "baseline_s", "optimized_s", "speedup", "trace_equal",
-    "trace_events", "si_executions", "simulated_cycles", "cycles_per_sec",
-    "trace_verified", "verify_findings",
+    "scenario", "wall_s", "trace_events", "si_executions",
+    "simulated_cycles", "cycles_per_sec", "trace_verified",
+    "verify_findings",
 }
 STAGE_KEYS = {
     "name", "wall_s", "iterations", "repeats", "throughput", "unit", "extra",
@@ -84,16 +84,15 @@ class TestSuites:
             assert set(stage) == STAGE_KEYS
         assert report["totals"]["stages"] == len(report["stages"])
 
-    def test_optimizations_preserve_trace_and_speed_things_up(
-        self, synthetic_report
-    ):
+    def test_end_to_end_run_is_timed_and_verified(self, synthetic_report):
         e2e = synthetic_report["end_to_end"]
-        assert e2e["trace_equal"] is True
         assert e2e["trace_verified"] is True, e2e["verify_findings"]
         assert e2e["verify_findings"] == []
         assert e2e["trace_events"] > 0
-        assert e2e["speedup"] > 0
+        assert e2e["wall_s"] > 0
         assert e2e["si_executions"] > 0
+        assert e2e["simulated_cycles"] > 0
+        assert e2e["cycles_per_sec"] > 0
 
     def test_micro_stages_cover_the_hot_paths(self, synthetic_report):
         names = [s["name"] for s in synthetic_report["stages"]]
@@ -206,8 +205,8 @@ class TestSuites:
 
     def test_render_report_mentions_the_verdict(self, synthetic_report):
         text = render_report(synthetic_report)
-        assert "trace equivalence: OK" in text
-        assert "speedup" in text
+        assert "trace verification: OK" in text
+        assert "simulated cycles/s" in text
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown bench suite"):
@@ -224,7 +223,7 @@ class TestBenchCLI:
         assert "bench suite: synthetic (quick)" in out
         report = json.loads(path.read_text())
         assert report["schema_version"] == SCHEMA_VERSION
-        assert report["end_to_end"]["trace_equal"] is True
+        assert report["end_to_end"]["trace_verified"] is True
 
     def test_bench_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit):

@@ -262,15 +262,19 @@ class TestScheduleValidation:
             FaultInjector(schedule, backoff_cycles=0)
 
 
-class TestOptimizeEquivalence:
-    def test_same_schedule_same_trace_either_optimize_mode(self, library):
+class TestFaultDeterminism:
+    def test_same_schedule_same_trace(self, library):
+        import hashlib
+        import json
+
+        from repro.analysis import verify_runtime
         from repro.bench.harness import trace_signature
 
         schedule = FaultSchedule.generate(
             seed=11, horizon=852_370, containers=5, rate=20.0
         )
 
-        def run(optimize):
+        def run():
             injector = FaultInjector(FaultSchedule(list(schedule)))
             return run_si_stream(
                 library,
@@ -278,13 +282,21 @@ class TestOptimizeEquivalence:
                 [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
                 containers=5,
                 block_rounds=6,
-                optimize=optimize,
                 fault_injector=injector,
             )
 
-        assert trace_signature(run(False).trace) == trace_signature(
-            run(True).trace
+        first, second = run(), run()
+        signature = trace_signature(first.trace)
+        assert signature == trace_signature(second.trace)
+        # The digest the uncached runtime (no generation memo, dispatch
+        # memo, replan skip or idle fast path) recorded for this schedule.
+        digest = hashlib.sha256(
+            json.dumps(signature, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "d5a32d5ac054cd18a980ef53e9c8799ad4ba243fda4712e74d57aff4cb95b6d4"
         )
+        assert verify_runtime(first).clean()
 
 
 # -- satellite 1: fail_container hardening -----------------------------------

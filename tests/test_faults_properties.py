@@ -41,7 +41,6 @@ def _run(injector=None):
         BLOCKS,
         containers=CONTAINERS,
         block_rounds=ROUNDS,
-        optimize=True,
         fault_injector=injector,
     )
 

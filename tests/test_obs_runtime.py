@@ -23,7 +23,6 @@ def instrumented():
         BLOCKS,
         containers=5,
         block_rounds=6,
-        optimize=True,
         metrics=registry,
     )
     end = runtime.trace.last_cycle + 1
@@ -155,17 +154,26 @@ class TestCountsMatchTheRun:
 
 class TestTraceEquivalence:
     def test_metrics_do_not_perturb_the_trace(self):
+        """Telemetry on the fault paths (injections, quarantines, repairs)
+        must not change what the runtime does either."""
+        from repro.faults import FaultInjector, FaultSchedule
+
         library = build_synthetic_library()
-        baseline = run_si_stream(
-            library, FORECASTS, BLOCKS,
-            containers=5, block_rounds=4, optimize=False,
+        schedule = FaultSchedule.generate(
+            seed=5, horizon=852_370, containers=5, rate=20.0
         )
-        instrumented_rt = run_si_stream(
-            library, FORECASTS, BLOCKS,
-            containers=5, block_rounds=4, optimize=True,
-            metrics=MetricRegistry(),
-        )
-        assert trace_signature(baseline.trace) == trace_signature(
+
+        def run(metrics):
+            return run_si_stream(
+                library, FORECASTS, BLOCKS,
+                containers=5, block_rounds=6, metrics=metrics,
+                fault_injector=FaultInjector(FaultSchedule(list(schedule))),
+            )
+
+        plain, instrumented_rt = run(None), run(MetricRegistry())
+        assert plain._faults.stats.faults_injected > 0
+        assert plain.stats.hw_executions > 0
+        assert trace_signature(plain.trace) == trace_signature(
             instrumented_rt.trace
         )
 
@@ -173,11 +181,11 @@ class TestTraceEquivalence:
         library = build_synthetic_library()
         plain = run_si_stream(
             library, FORECASTS, BLOCKS,
-            containers=5, block_rounds=4, optimize=True,
+            containers=5, block_rounds=4,
         )
         instrumented_rt = run_si_stream(
             library, FORECASTS, BLOCKS,
-            containers=5, block_rounds=4, optimize=True,
+            containers=5, block_rounds=4,
             metrics=MetricRegistry(),
         )
         assert trace_signature(plain.trace) == trace_signature(

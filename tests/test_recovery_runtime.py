@@ -34,7 +34,7 @@ def library():
 
 
 def fresh_runtime(library):
-    return RisppRuntime(library, 5, core_mhz=100.0, optimize=True)
+    return RisppRuntime(library, 5, core_mhz=100.0)
 
 
 def drive(rt):

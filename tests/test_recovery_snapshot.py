@@ -33,7 +33,7 @@ def library():
 
 
 def fresh_runtime(library, *, containers=5):
-    return RisppRuntime(library, containers, core_mhz=100.0, optimize=True)
+    return RisppRuntime(library, containers, core_mhz=100.0)
 
 
 def run_prefix(rt, commands):
@@ -101,6 +101,23 @@ class TestRoundTrip:
         # the uninterrupted run stores them.
         assert len(set(stored(restored))) == len(set(stored(original)))
         assert len(set(stored(restored))) < len(stored(restored))
+
+    def test_snapshot_carrying_the_retired_optimize_key_restores(
+        self, library, tmp_path
+    ):
+        # Stores written while the runtime still had an ``optimize``
+        # switch carry it in their config; only live keys are compared.
+        original = fresh_runtime(library)
+        run_prefix(original, 12)
+        snap = snapshot_runtime(original, seq=12, cycle=0, results=[None] * 12)
+        assert "optimize" not in snap["config"]
+        snap["config"]["optimize"] = True
+        restored = fresh_runtime(library)
+        restore_runtime(restored, load_snapshot(write_snapshot(tmp_path, snap)))
+        assert trace_signature(restored.trace) == trace_signature(
+            original.trace
+        )
+        assert restored._plan_key == original._plan_key
 
     def test_snapshot_is_versioned_and_kinded(self, library, tmp_path):
         rt = fresh_runtime(library)

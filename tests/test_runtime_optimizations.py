@@ -11,12 +11,19 @@ Covers the three fixed bugs:
   ``test_trace_contract``).
 
 And the optimization layer: the fabric generation counter, the
-``best_available`` memo, the replan skip cache and the ``advance`` fast
-path must all be *observably invisible* — the optimized runtime emits the
-exact trace of the ``optimize=False`` baseline.
+dispatch memo, the replan skip cache and the ``advance`` fast path must
+all be *observably invisible* — the runtime still emits the exact trace
+an uncached runtime produced before the caches became unconditional
+(pinned below as a digest), and a stale cache is caught by rispp-verify's
+reference machine on its own.
 """
 
+import hashlib
+import json
+
 import pytest
+
+from repro.analysis import verify_runtime
 
 from repro.apps.h264 import build_h264_library
 from repro.bench import H264_MACROBLOCK_CALLS, run_si_stream, trace_signature
@@ -176,38 +183,56 @@ class TestFabricGenerationCache:
         # Same generation -> the memoized molecule is returned as-is.
         assert fabric.available_atoms() is before
 
-    def test_cache_disabled_recomputes(self, mini_catalogue):
-        fabric = Fabric(mini_catalogue, 2, cache=False)
-        a, b = fabric.available_atoms(), fabric.available_atoms()
-        assert a == b and a is not b
+
+
+#: The 3-macroblock Fig. 7 stream of the equivalence tests below.
+H264_FORECASTS = [
+    ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
+    ("HT_4x4", 1.0), ("HT_2x2", 2.0),
+]
+
+#: SHA-256 of that stream's trace signature as the uncached runtime
+#: (no generation memo, dispatch memo, replan skip or idle fast path)
+#: recorded it; its 12 replan rounds all ran.
+UNCACHED_H264_TRACE_SHA256 = (
+    "40a25466e768d4a5a610947719b0afe9d75a3742ba09de03b0adae2d991d82d6"
+)
+
+
+def _h264_stream(library):
+    return run_si_stream(
+        library, H264_FORECASTS, list(H264_MACROBLOCK_CALLS),
+        containers=6, block_rounds=3,
+    )
 
 
 class TestOptimizedRuntimeEquivalence:
     def test_h264_stream_traces_identical(self, library):
-        forecasts = [
-            ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-            ("HT_4x4", 1.0), ("HT_2x2", 2.0),
-        ]
-
-        def run(optimize):
-            return run_si_stream(
-                library, forecasts, list(H264_MACROBLOCK_CALLS),
-                containers=6, block_rounds=3, optimize=optimize,
-            )
-
-        base, fast = run(False), run(True)
-        assert trace_signature(base.trace) == trace_signature(fast.trace)
-        assert base.stats.si_cycles == fast.stats.si_cycles
-        assert base.stats.hw_executions == fast.stats.hw_executions
-        assert base.stats.rotations_requested == fast.stats.rotations_requested
+        rt = _h264_stream(library)
+        signature = json.dumps(trace_signature(rt.trace), sort_keys=True)
+        digest = hashlib.sha256(signature.encode()).hexdigest()
+        assert digest == UNCACHED_H264_TRACE_SHA256
+        assert len(rt.trace) == 884
+        assert rt.stats.si_cycles == 426_411
+        assert rt.stats.hw_executions == 63
+        assert rt.stats.rotations_requested == 6
         # The caches actually engaged: redundant replans were skipped...
-        assert fast.stats.replans_skipped > 0
-        assert base.stats.replans_skipped == 0
-        # ...without changing how many effective replans happened.
-        assert (
-            base.stats.replans
-            == fast.stats.replans + fast.stats.replans_skipped
-        )
+        assert rt.stats.replans_skipped > 0
+        # ...without changing how many replan rounds were requested.
+        assert rt.stats.replans + rt.stats.replans_skipped == 12
+        assert verify_runtime(rt).clean()
+
+    def test_frozen_generation_trips_trc013(
+        self, library, monkeypatch
+    ):
+        """A stale dispatch cache needs no uncached twin to be caught:
+        with the fabric generation frozen, executions keep the molecule
+        chosen before the rotations landed, and the reference machine
+        flags the wrong-mode dispatch (TRC013)."""
+        monkeypatch.setattr(Fabric, "generation", property(lambda self: 0))
+        rt = _h264_stream(library)
+        flagged = {d.rule_id for d in verify_runtime(rt).errors()}
+        assert "TRC013" in flagged
 
     def test_plan_cache_invalidated_by_failure(self, mini_library):
         """A container failure must force a real replan, not a skip."""
