@@ -19,8 +19,8 @@ Forecast placement alone — *no simulation* — the prover derives:
   bitstream can never be loaded by any reachable schedule, and atom
   kinds used only by such molecules never reach a container at all.
 
-FEA004 is informational: it publishes the proven bounds (the bench and
-verify drivers cross-check them against observed rotation latencies).
+FEA004 is informational: it publishes the proven bounds (the verify
+drivers cross-check them against observed rotation latencies).
 """
 
 from __future__ import annotations

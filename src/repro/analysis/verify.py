@@ -4,8 +4,8 @@ Three entry points tie the reference machine (:mod:`.machine`) and the
 static prover (:mod:`.feasibility`) to the rest of the repository:
 
 * :func:`verify_runtime` / :func:`verify_trace` — check a live
-  :class:`~repro.runtime.manager.RisppRuntime` (the bench harness calls
-  this on every end-to-end run it times);
+  :class:`~repro.runtime.manager.RisppRuntime` (``run_chaos_suite``
+  calls this on every scenario it runs);
 * :func:`run_verify_suite` — run one of the three shipped scenarios
   (``h264``/``aes``/``synthetic``), verify its trace and prove the
   library's feasibility bounds (``python -m repro verify --suite ...``);

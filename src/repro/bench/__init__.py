@@ -1,41 +1,18 @@
-"""``repro.bench`` — the performance harness (``python -m repro bench``).
+"""``repro.bench`` — the seeded scenario inputs shared across the repo.
 
-Times the end-to-end RISPP flows and the run-time hot paths, replays
-each timed end-to-end trace through rispp-verify's reference machine,
-and emits the schema-stable ``BENCH_runtime.json`` performance report
-that CI uploads on every push.
+Chaos, verify, the metric suites, the tests and the ``perf/`` benchmark
+all drive the runtime with these: the Fig. 7 macroblock call mix, the
+forecast-then-execute SI stream, the small synthetic library, and the
+trace signature two runs are compared by.  Wall-time measurement lives
+in ``perf/`` (``python3 -m perf run``).
 """
 
-from .harness import (
-    SCHEMA_VERSION,
-    StageResult,
-    build_report,
-    render_report,
-    time_best,
-    time_stage,
-    trace_signature,
-    write_report,
-)
-from .suites import (
-    H264_MACROBLOCK_CALLS,
-    SUITES,
-    build_synthetic_library,
-    run_si_stream,
-    run_suite,
-)
+from .harness import trace_signature
+from .suites import H264_MACROBLOCK_CALLS, build_synthetic_library, run_si_stream
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "StageResult",
-    "build_report",
-    "render_report",
-    "time_best",
-    "time_stage",
-    "trace_signature",
-    "write_report",
     "H264_MACROBLOCK_CALLS",
-    "SUITES",
     "build_synthetic_library",
     "run_si_stream",
-    "run_suite",
+    "trace_signature",
 ]

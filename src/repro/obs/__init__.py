@@ -13,15 +13,16 @@ exposition format and schema-stable JSONL snapshots.
 Telemetry is off by default: every instrumented constructor takes
 ``metrics: MetricRegistry | None = None`` and falls back to the shared
 :data:`DISABLED` registry, whose instruments are no-op singletons; the
-per-event disabled cost is one boolean guard (bounded < 3% by the
-``metrics_overhead`` bench stage).  Pass ``MetricRegistry()`` to turn
-the lights on — traces and simulation results are bit-identical either
-way (metrics never feed back into decisions).
+per-event disabled cost is one boolean guard (bounded < 3% of one
+``execute_si`` by ``tests/test_obs_runtime.py``).  Pass
+``MetricRegistry()`` to turn the lights on — traces and simulation
+results are bit-identical either way (metrics never feed back into
+decisions).
 
 ``python -m repro metrics --suite h264|aes|synthetic [--format
 prom|json]`` runs one shipped workload instrumented and prints the
-export; ``python -m repro bench`` / ``python -m repro chaos`` embed a
-deterministic snapshot under their reports' shared ``metrics`` key.
+export; ``python -m repro chaos`` embeds a deterministic snapshot under
+its report's ``metrics`` key.
 The metric catalogue with units, sources and paper references lives in
 ``docs/observability.md`` and is enforced by :mod:`repro.obs.catalogue`
 (undeclared metric names are rejected at instrument creation).

@@ -9,10 +9,10 @@ Two consumers, two formats:
   sample state so tests can prove the round trip is lossless
   (``parse_prometheus(to_prometheus(r)) == exposition_state(r)``).
 * :func:`snapshot` / :func:`to_jsonl` produce the machine-readable
-  snapshot embedded in ``BENCH_runtime.json`` and the chaos resilience
-  reports (their shared ``metrics`` key).  With
-  ``deterministic_only=True`` (the embedded default) wall-clock span
-  timers are dropped, so a seeded run snapshots byte-identically.
+  snapshot embedded in the chaos resilience reports (their ``metrics``
+  key).  With ``deterministic_only=True`` (the embedded default)
+  wall-clock span timers are dropped, so a seeded run snapshots
+  byte-identically.
 
 Sample ordering is canonical everywhere — catalogue order for families,
 sorted label values for children — so equal registry states render to
@@ -201,9 +201,9 @@ def snapshot(
 ) -> dict[str, Any]:
     """The registry as a schema-stable, JSON-safe dict.
 
-    The embedded form (bench / chaos ``metrics`` key).  Histograms carry
-    cumulative ``[upper_bound, count]`` pairs with ``"+Inf"`` as the
-    overflow bound; integral values are plain ints.
+    The embedded form (the chaos report's ``metrics`` key).  Histograms
+    carry cumulative ``[upper_bound, count]`` pairs with ``"+Inf"`` as
+    the overflow bound; integral values are plain ints.
     """
     metrics: list[dict[str, Any]] = []
     for family in registry.instruments():

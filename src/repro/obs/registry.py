@@ -7,8 +7,8 @@ Design constraints, in order:
    additionally the hot seams (``execute_si``, the port's per-event
    paths) guard their whole instrumentation block behind a single
    pre-resolved boolean, so the disabled path costs one attribute truth
-   test per event — measured (< 3%) by the ``metrics_overhead`` bench
-   stage.
+   test per event — bounded below 3% of one ``execute_si`` by
+   ``tests/test_obs_runtime.py``.
 2. **Deterministic exports.**  All counters/gauges/cycle histograms take
    simulated-cycle or count values, so a seeded run produces a
    byte-identical snapshot; wall-clock span timers are declared

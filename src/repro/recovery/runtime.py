@@ -99,8 +99,8 @@ def query(runtime: Any, name: str) -> Any:
 class RecoveryPlan:
     """How a driver should attach recovery to the runtime it builds.
 
-    Passed through ``run_chaos_suite(recovery=...)`` and the bench
-    drivers' ``wrap=`` hook; :meth:`wrap` is the hook's callable.
+    Passed through ``run_chaos_suite(recovery=...)`` and the ``wrap=``
+    hook of ``run_si_stream``; :meth:`wrap` is the hook's callable.
     """
 
     store: Path

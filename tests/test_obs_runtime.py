@@ -1,14 +1,17 @@
 """Telemetry wired through the runtime: counts match the trace/stats,
 and metrics never perturb simulation semantics (trace equivalence)."""
 
+import time
+
 import pytest
 
 from repro.bench import trace_signature
 from repro.bench.suites import build_synthetic_library, run_si_stream
 from repro.obs import MetricRegistry
+from repro.runtime import RisppRuntime
 from repro.sim import EventKind
 
-# The proven synthetic stream of the bench/chaos suites: strong enough
+# The proven synthetic stream of the chaos suites: strong enough
 # loop-head forecasts that rotations land and executions upgrade to HW.
 FORECASTS = [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)]
 BLOCKS = [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)]
@@ -191,3 +194,50 @@ class TestTraceEquivalence:
         assert trace_signature(plain.trace) == trace_signature(
             instrumented_rt.trace
         )
+
+
+def _best_of(fn, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestDisabledTelemetryCost:
+    def test_disabled_guard_costs_under_three_percent_of_execute_si(self):
+        """The disabled path's only per-event work is one pre-resolved
+        boolean guard (``self._obs_on``).  No uninstrumented twin exists
+        to diff against, so the guard is timed in a burst loop against
+        an empty loop and scaled to one guard per execution."""
+        library = build_synthetic_library()
+        # A primed runtime: rotations have landed, executions run in HW.
+        rt = RisppRuntime(library, 5, core_mhz=100.0)
+        for si_name, expected in FORECASTS:
+            rt.forecast(si_name, 0, expected=expected)
+        clock = {"now": max(j.finish_at for j in rt.port.jobs) + 1}
+        exec_si = FORECASTS[0][0]
+        exec_rounds = 200
+        guard_rounds = exec_rounds * 50
+
+        def exec_loop():
+            now = clock["now"]
+            for _ in range(exec_rounds):
+                now += rt.execute_si(exec_si, now)
+            clock["now"] = now
+
+        def guard_loop():
+            for _ in range(guard_rounds):
+                if rt._obs_on:
+                    pass
+
+        def empty_loop():
+            for _ in range(guard_rounds):
+                pass
+
+        assert rt._obs_on is False
+        per_exec_s = _best_of(exec_loop) / exec_rounds
+        guard_s = max(0.0, _best_of(guard_loop) - _best_of(empty_loop))
+        assert rt.stats.hw_executions > 0
+        assert 100.0 * (guard_s / guard_rounds) / per_exec_s < 3.0

@@ -36,8 +36,6 @@ class TestArgumentValidation:
             ["chaos", "--resume", "x", "--suite", "synthetic"],
             ["chaos", "--resume", "x", "--seed", "3"],
             ["chaos", "--resume", "x", "--quick"],
-            ["bench", "--checkpoint-every", "0"],
-            ["bench", "--checkpoint-every", "-4"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

@@ -1,6 +1,6 @@
 """The trace time-ordering contract and its detail storage.
 
-The trace is the ground truth every bench and figure reads, so its
+The trace is the ground truth every benchmark and figure reads, so its
 invariants are enforced at append time: cycles are non-negative and
 non-decreasing.  Details are stored compactly (equal details share one
 items tuple, an edit copies) or built lazily; both must read back
@@ -86,6 +86,16 @@ class TestTraceContract:
         trace.record(50, EventKind.FORECAST)
         with pytest.raises(ValueError, match="out-of-order"):
             trace.record_lazy(49, EventKind.SI_EXECUTED, dict)
+
+    def test_trace_signature_resolves_lazy_details(self):
+        eager, lazy = Trace(), Trace()
+        eager.record(5, EventKind.SI_EXECUTED, si="S", mode="HW", cycles=12)
+        lazy.record_lazy(
+            5, EventKind.SI_EXECUTED, lambda: {"mode": "HW", "cycles": 12},
+            si="S",
+        )
+        assert trace_signature(eager) == trace_signature(lazy)
+        assert trace_signature(eager) != trace_signature(Trace())
 
     def test_queries_without_detail_filter_never_materialize(self):
         # Regression: accessor scans must stay on the slot attributes so
