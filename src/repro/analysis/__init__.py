@@ -12,8 +12,7 @@ already-constructed RISPP artifacts *without executing a simulation*:
   flow conservation);
 * **forecast** — placement soundness of Forecast points (§4.2) against
   their CFG, library and FDFs;
-* **schedule** — feasibility of dataflow schedules (§3) and rotation
-  job sequences on the single reconfiguration port (§5);
+* **schedule** — feasibility of dataflow schedules (§3);
 * **trace** — rispp-verify's model-based replay of simulation traces
   against a reference state machine of the §3/§5 runtime invariants;
 * **feasibility** — rispp-verify's static prover of per-SI worst-case
@@ -24,10 +23,10 @@ already-constructed RISPP artifacts *without executing a simulation*:
   counterexamples;
 * **audit** — rispp-audit's AST-level source-contract analyzer over
   ``src/repro`` itself: determinism sanitizer, obs-catalogue and
-  rule-registry resolution, compute-backend purity.
+  rule-catalogue resolution, compute-backend purity.
 
-Entry points: :func:`run_checks` (registry driver over mixed artifacts),
-the per-family ``lint_*`` helpers, :func:`verify_trace` /
+Entry points: the per-family ``lint_*`` helpers (each calls its
+family's ``check_*`` function directly), :func:`verify_trace` /
 :func:`verify_runtime` / :func:`prove_feasibility`, :func:`explore`,
 :func:`run_audit`, and ``python -m repro lint`` / ``python -m repro
 verify`` / ``python -m repro explore`` / ``python -m repro audit``.
@@ -59,29 +58,18 @@ from .lint import (
     lint_flow,
     lint_forecast,
     lint_library,
-    lint_rotations,
     lint_schedule,
 )
 from .machine import ReferenceMachine
-from .rules import families, render_rule_list
-from .registry import (
+from .rules import (
     RULES,
-    Checker,
-    FeasibilityArtifact,
-    ForecastArtifact,
-    LintContext,
-    RotationLog,
     Rule,
-    ScheduleArtifact,
-    TraceArtifact,
-    checker,
-    checkers,
-    checkers_for,
     diag,
     expand_selectors,
+    families,
+    render_rule_list,
     rule,
     rules_of_family,
-    run_checks,
 )
 from .verify import (
     GoldenTrace,
@@ -99,34 +87,24 @@ __all__ = [
     "AuditResult",
     "BUILTIN_SUBJECTS",
     "Baseline",
-    "Checker",
     "Counterexample",
     "Diagnostic",
     "DiagnosticReport",
     "EXPLORE_SCOPES",
     "ExploreResult",
     "ExploreScope",
-    "FeasibilityArtifact",
     "FeasibilityResult",
-    "ForecastArtifact",
     "GoldenTrace",
-    "LintContext",
     "LintError",
     "MoleculeFeasibility",
     "RULES",
     "ReferenceMachine",
-    "RotationLog",
     "Rule",
     "SIRotationBound",
-    "ScheduleArtifact",
     "Severity",
     "Suppression",
-    "TraceArtifact",
     "VerifyResult",
     "build_explore_library",
-    "checker",
-    "checkers",
-    "checkers_for",
     "diag",
     "expand_selectors",
     "explore",
@@ -137,7 +115,6 @@ __all__ = [
     "lint_flow",
     "lint_forecast",
     "lint_library",
-    "lint_rotations",
     "lint_schedule",
     "load_golden",
     "port_backlog_bound",
@@ -147,7 +124,6 @@ __all__ = [
     "rule",
     "rules_of_family",
     "run_audit",
-    "run_checks",
     "run_verify_suite",
     "verify_golden_result",
     "verify_runtime",

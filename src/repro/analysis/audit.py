@@ -8,7 +8,7 @@ source, every metric name must resolve against the declared catalogue,
 every ``diag()`` must use a registered rule ID, and compute-backend
 kernels must never mutate their inputs.  This module machine-checks
 those contracts over the source tree itself, reusing the Diagnostic /
-rule-registry machinery every other analyser shares.
+rule-catalogue machinery every other analyser shares.
 
 Rule groups (family ``audit``, catalogued in ``docs/analysis.md``):
 

@@ -27,11 +27,7 @@ from collections.abc import Iterator
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.scc import condense
 from .diagnostics import Diagnostic
-from .registry import LintContext, checker, diag
-
-
-def _subject(cfg: ControlFlowGraph, ctx: LintContext) -> str:
-    return ctx.subject or f"cfg:{len(cfg)}-blocks"
+from .rules import TOLERANCE, diag
 
 
 def reachable_from_entry(cfg: ControlFlowGraph) -> set[str]:
@@ -48,10 +44,7 @@ def reachable_from_entry(cfg: ControlFlowGraph) -> set[str]:
     return seen
 
 
-@checker("cfg-profile", "cfg", ControlFlowGraph)
-def check_cfg(cfg: ControlFlowGraph, ctx: LintContext) -> Iterator[Diagnostic]:
-    subject = _subject(cfg, ctx)
-
+def check_cfg(cfg: ControlFlowGraph, subject: str) -> Iterator[Diagnostic]:
     if cfg.entry is None or cfg.entry not in cfg:
         yield diag(
             "CFG001",
@@ -95,7 +88,7 @@ def check_cfg(cfg: ControlFlowGraph, ctx: LintContext) -> Iterator[Diagnostic]:
             continue
         probabilities = [cfg.edge_probability(block_id, s) for s in successors]
         for succ, p in zip(successors, probabilities):
-            if p < -ctx.tolerance or p > 1 + ctx.tolerance:
+            if p < -TOLERANCE or p > 1 + TOLERANCE:
                 yield diag(
                     "CFG003",
                     f"edge {block_id!r}->{succ!r} has probability {p!r}, "
@@ -104,7 +97,7 @@ def check_cfg(cfg: ControlFlowGraph, ctx: LintContext) -> Iterator[Diagnostic]:
                     src=block_id, dst=succ, probability=p,
                 )
         total = sum(probabilities)
-        if abs(total - 1.0) > ctx.tolerance:
+        if abs(total - 1.0) > TOLERANCE:
             yield diag(
                 "CFG002",
                 f"out-edge probabilities of block {block_id!r} sum to "

@@ -185,7 +185,7 @@ class DiagnosticReport:
         ``select`` keeps only the named rules; ``ignore`` then drops its
         rules (ignore wins on overlap).  ``None`` means "no constraint".
         Callers expand user-facing prefixes into concrete IDs first (see
-        :func:`repro.analysis.registry.expand_selectors`).
+        :func:`repro.analysis.rules.expand_selectors`).
         """
         selected = set(select) if select is not None else None
         ignored = set(ignore) if ignore is not None else set()

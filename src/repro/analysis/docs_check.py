@@ -6,7 +6,7 @@ references drift from the code:
 * ``src/repro/...`` file paths that do not exist in the repository;
 * relative markdown links (``[text](path)``) whose target is missing;
 * analysis rule IDs (``LAT001`` .. ``AUD011``) absent from the
-  :data:`repro.analysis.registry.RULES` registry;
+  :data:`repro.analysis.rules.RULES` catalogue;
 * ``rispp_*`` metric names absent from the :mod:`repro.obs` catalogue;
 * catalogue metrics *not documented* in ``docs/observability.md`` — the
   metric table must cover every declared family;
@@ -34,8 +34,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Families of rule IDs the analysis registries declare, plus the
-#: retired ``EVT`` family, so a stale mention of it is flagged too.
+#: Families of rule IDs the rule catalogue declares, plus the retired
+#: ``EVT`` and ``ROT`` families, so a stale mention of them is flagged too.
 _RULE_ID = re.compile(r"\b(?:LAT|LIB|CFG|FC|SCH|ROT|TRC|FEA|MC|AUD|EVT)\d{3}\b")
 #: Exported metric names (the ``rispp_`` namespace) as written in prose.
 _METRIC_NAME = re.compile(r"\brispp_[a-z][a-z0-9_]*\b")
@@ -198,7 +198,7 @@ _DOCUMENTED_FAMILIES = ("trace", "feasibility", "explore", "audit")
 
 def _check_rule_coverage(root: Path) -> list[Finding]:
     """Every TRC/FEA/MC/AUD rule must appear in docs/analysis.md."""
-    from .registry import rules_of_family
+    from .rules import rules_of_family
 
     doc = root / "docs" / "analysis.md"
     rel = doc.relative_to(root).as_posix()
@@ -409,7 +409,7 @@ def _check_cli_surface(root: Path) -> list[Finding]:
 
 def check_docs(root: Path) -> list[Finding]:
     """All documentation findings for the repository at ``root``."""
-    from .registry import RULES
+    from .rules import RULES
 
     rule_ids = set(RULES)
     metric_names = _known_metric_names()

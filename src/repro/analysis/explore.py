@@ -10,7 +10,7 @@ hashing on a frontier/visited BFS core.  Every reachable state is judged
 against the MC rule family declared in :mod:`.rules`:
 
 * MC001/MC002/MC003 — port serialization, reservation/queue coherence and
-  container lifecycle coherence (ROT001/ROT002 over all states);
+  container lifecycle coherence (TRC002/TRC004 over all states);
 * MC004 — quarantine safety (TRC015 over all states, plus the repair
   flag actually reaching the trace);
 * MC005/MC006 — deadlock/livelock freedom, replan convergence and
@@ -51,7 +51,7 @@ from ..faults.injector import FaultInjector
 from ..faults.model import FaultEvent, FaultKind, FaultSchedule
 from ..runtime.manager import RisppRuntime
 from ..sim.trace import EventKind
-from .diagnostics import Diagnostic, DiagnosticReport
+from .diagnostics import DiagnosticReport
 from .feasibility import rotation_cycle_table
 from .rules import diag, expand_selectors, rules_of_family
 from .verify import golden_from_dict, golden_from_runtime, verify_golden, verify_trace

@@ -26,14 +26,13 @@ drivers cross-check them against observed rotation latencies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 from ..core.library import SILibrary
 from ..core.si import MoleculeImpl, SpecialInstruction
 from ..hardware.atom_specs import SELECTMAP_BYTES_PER_US
 from ..hardware.reconfig import ReconfigurationPort
-from .diagnostics import Diagnostic, DiagnosticReport
-from .registry import FeasibilityArtifact, LintContext, checker, diag
+from .diagnostics import DiagnosticReport
+from .rules import diag
 
 
 def rotation_cycle_table(
@@ -372,20 +371,3 @@ def port_backlog_bound(library: SILibrary, containers: int) -> int:
     """
     table = rotation_cycle_table(library)
     return containers * max(table.values(), default=0)
-
-
-@checker("feasibility-prover", "feasibility", FeasibilityArtifact)
-def check_feasibility(
-    artifact: FeasibilityArtifact, ctx: LintContext
-) -> Iterator[Diagnostic]:
-    subject = artifact.subject or ctx.subject or "feasibility"
-    result = prove_feasibility(
-        artifact.library,
-        artifact.containers,
-        placements=artifact.placements,
-        core_mhz=artifact.core_mhz,
-        bytes_per_us=artifact.bytes_per_us,
-        survivable_failures=artifact.survivable_failures,
-        subject=subject,
-    )
-    yield from result.report

@@ -1,9 +1,8 @@
 """Forecast placement checks (rules FC001..FC007).
 
-A :class:`ForecastArtifact` bundles placed Forecast points (or a complete
-:class:`~repro.forecast.annotate.ForecastAnnotation`) with the CFG they
-were placed on, optionally the SI library and the FDFs that produced
-them.  The checks verify the §4.2 placement contract:
+:func:`check_forecast` judges placed Forecast points against the CFG
+they were placed on, optionally the SI library and the FDFs that
+produced them.  The checks verify the §4.2 placement contract:
 
 * FC001 — every point targets an existing block;
 * FC002 — every forecasted SI exists in the library (when given);
@@ -24,12 +23,18 @@ them.  The checks verify the §4.2 placement contract:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 from ..cfg.dominators import immediate_dominators
 from ..cfg.graph import ControlFlowGraph
 from .diagnostics import Diagnostic
-from .registry import ForecastArtifact, LintContext, checker, diag
+from .rules import TOLERANCE, diag
+
+if TYPE_CHECKING:
+    from ..core.library import SILibrary
+    from ..forecast.fdf import ForecastDecisionFunction
+    from ..forecast.placement import ForecastPoint
 
 
 def _dominator_chain(
@@ -57,11 +62,14 @@ def _reachable_from(cfg: ControlFlowGraph, start: str) -> set[str]:
     return seen
 
 
-@checker("forecast-placement", "forecast", ForecastArtifact)
-def check_forecast(artifact: ForecastArtifact, ctx: LintContext) -> Iterator[Diagnostic]:
-    cfg = artifact.cfg
-    subject = artifact.subject or ctx.subject or f"forecast:{len(artifact.points)}-points"
-
+def check_forecast(
+    cfg: ControlFlowGraph,
+    points: "Sequence[ForecastPoint]",
+    *,
+    library: "SILibrary | None",
+    fdfs: "dict[str, ForecastDecisionFunction] | None",
+    subject: str,
+) -> Iterator[Diagnostic]:
     idom: dict[str, str] | None = None
     if cfg.entry is not None and cfg.entry in cfg:
         try:
@@ -70,7 +78,7 @@ def check_forecast(artifact: ForecastArtifact, ctx: LintContext) -> Iterator[Dia
             idom = None
 
     seen_pairs: set[tuple[str, str]] = set()
-    for point in artifact.points:
+    for point in points:
         loc = f"FC {point.block_id}/{point.si_name}"
 
         pair = (point.block_id, point.si_name)
@@ -93,7 +101,7 @@ def check_forecast(artifact: ForecastArtifact, ctx: LintContext) -> Iterator[Dia
             )
             continue
 
-        if artifact.library is not None and point.si_name not in artifact.library:
+        if library is not None and point.si_name not in library:
             yield diag(
                 "FC002",
                 f"forecast names SI {point.si_name!r}, absent from the "
@@ -150,9 +158,9 @@ def check_forecast(artifact: ForecastArtifact, ctx: LintContext) -> Iterator[Dia
                 block=point.block_id, si=point.si_name, uses=list(uses),
             )
 
-        if artifact.fdfs is not None and point.si_name in artifact.fdfs:
-            offset = artifact.fdfs[point.si_name].offset
-            if point.expected_executions + ctx.tolerance < offset:
+        if fdfs is not None and point.si_name in fdfs:
+            offset = fdfs[point.si_name].offset
+            if point.expected_executions + TOLERANCE < offset:
                 yield diag(
                     "FC005",
                     f"forecast expects {point.expected_executions:g} "

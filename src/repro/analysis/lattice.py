@@ -22,18 +22,11 @@ from collections.abc import Iterator
 from ..core.library import SILibrary
 from ..core.molecule import infimum, supremum
 from .diagnostics import Diagnostic
-from .registry import LintContext, checker, diag
+from .rules import diag
 
 
-def _subject(library: SILibrary, ctx: LintContext) -> str:
-    return ctx.subject or f"library:{len(library)}-SIs"
-
-
-@checker("lattice-laws", "lattice", SILibrary)
-def check_lattice_laws(library: SILibrary, ctx: LintContext) -> Iterator[Diagnostic]:
+def check_lattice_laws(library: SILibrary, subject: str) -> Iterator[Diagnostic]:
     """LAT001/LAT002 over all molecule pairs, LAT003/LAT004 per SI."""
-    subject = _subject(library, ctx)
-
     labelled = []
     for si in library:
         for i, impl in enumerate(si.implementations):

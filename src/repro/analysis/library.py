@@ -18,8 +18,8 @@ verify that contract without running a simulation:
 * LIB007 — an SI without hardware molecules (post-construction mutation);
 * LIB008 — catalogue atom kinds no SI uses (dead fabric area).
 
-Capacity rules (LIB004/LIB005) only run when the :class:`LintContext`
-carries a container count — a library is not wrong per se on a smaller
+Capacity rules (LIB004/LIB005) only run when the caller passes a
+container count — a library is not wrong per se on a smaller
 platform, merely unusable there.
 """
 
@@ -30,11 +30,7 @@ from collections.abc import Iterator
 from ..core.library import SILibrary
 from ..core.si import SpecialInstruction
 from .diagnostics import Diagnostic
-from .registry import LintContext, checker, diag
-
-
-def _subject(library: SILibrary, ctx: LintContext) -> str:
-    return ctx.subject or f"library:{len(library)}-SIs"
+from .rules import diag
 
 
 def _dominating_impl(si: SpecialInstruction, idx: int) -> int | None:
@@ -59,11 +55,9 @@ def _dominating_impl(si: SpecialInstruction, idx: int) -> int | None:
     return None
 
 
-@checker("library-coherence", "library", SILibrary)
-def check_library(library: SILibrary, ctx: LintContext) -> Iterator[Diagnostic]:
-    subject = _subject(library, ctx)
-    reconfigurable = library.catalogue.reconfigurable_names()
-
+def check_library(
+    library: SILibrary, containers: int | None, subject: str
+) -> Iterator[Diagnostic]:
     for si in library:
         loc = f"SI {si.name}"
         if si.space != library.space:
@@ -117,33 +111,33 @@ def check_library(library: SILibrary, ctx: LintContext) -> Iterator[Diagnostic]:
                     software_cycles=si.software_cycles,
                 )
 
-        if ctx.containers is not None:
+        if containers is not None:
             minimal_demand = min(
                 library.container_demand(impl.molecule)
                 for impl in si.implementations
             )
-            if minimal_demand > ctx.containers:
+            if minimal_demand > containers:
                 yield diag(
                     "LIB004",
                     f"SI {si.name!r} needs at least {minimal_demand} Atom "
-                    f"Containers but the platform offers {ctx.containers}; "
+                    f"Containers but the platform offers {containers}; "
                     "the SI can never leave its software molecule",
                     subject=subject, location=loc, si=si.name,
-                    minimal_demand=minimal_demand, containers=ctx.containers,
+                    minimal_demand=minimal_demand, containers=containers,
                 )
             else:
                 for idx, impl in enumerate(si.implementations):
                     demand = library.container_demand(impl.molecule)
-                    if demand > ctx.containers:
+                    if demand > containers:
                         yield diag(
                             "LIB005",
                             f"molecule {idx} of SI {si.name!r} occupies "
                             f"{demand} containers, beyond the platform's "
-                            f"{ctx.containers}; it is unreachable here",
+                            f"{containers}; it is unreachable here",
                             subject=subject,
                             location=f"{loc} / molecule {idx}",
                             si=si.name, molecule=idx, demand=demand,
-                            containers=ctx.containers,
+                            containers=containers,
                         )
 
     used_kinds: set[str] = set()

@@ -1,9 +1,10 @@
 """High-level lint drivers: one call per artifact family, plus built-ins.
 
-These are the convenience entry points everything else uses:
+Each ``lint_*`` helper calls its family's ``check_*`` function(s)
+directly, fills in the default subject label and collects the findings:
 
 * :func:`lint_library` / :func:`lint_cfg` / :func:`lint_forecast` /
-  :func:`lint_schedule` / :func:`lint_rotations` — single-artifact runs;
+  :func:`lint_schedule` — single-artifact runs;
 * :func:`lint_flow` — the combined compile-time bundle checked by
   :func:`repro.sim.integration.compile_and_run` before executing;
 * :func:`lint_builtin` — the shipped H.264 and AES subjects behind
@@ -15,14 +16,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
+from .cfgcheck import check_cfg
 from .diagnostics import DiagnosticReport
-from .registry import (
-    ForecastArtifact,
-    LintContext,
-    RotationLog,
-    ScheduleArtifact,
-    run_checks,
-)
+from .forecastcheck import check_forecast
+from .lattice import check_lattice_laws
+from .library import check_library
+from .schedcheck import check_schedule
 
 if TYPE_CHECKING:
     from ..cfg.graph import ControlFlowGraph
@@ -32,7 +31,6 @@ if TYPE_CHECKING:
     from ..forecast.annotate import ForecastAnnotation
     from ..forecast.fdf import ForecastDecisionFunction
     from ..forecast.placement import ForecastPoint
-    from ..hardware.reconfig import ReconfigurationPort, RotationJob
 
 
 def lint_library(
@@ -41,14 +39,21 @@ def lint_library(
     containers: int | None = None,
     subject: str = "",
 ) -> DiagnosticReport:
-    """Lattice + library checks over one SI library."""
-    ctx = LintContext(containers=containers, subject=subject)
-    return run_checks(library, context=ctx)
+    """Lattice + library checks over one SI library.
+
+    The capacity rules (LIB004/LIB005) only run when ``containers`` is
+    given.
+    """
+    subject = subject or f"library:{len(library)}-SIs"
+    report = DiagnosticReport(list(check_lattice_laws(library, subject)))
+    report.extend(check_library(library, containers, subject))
+    return report
 
 
 def lint_cfg(cfg: "ControlFlowGraph", *, subject: str = "") -> DiagnosticReport:
     """Profile well-formedness checks over one CFG."""
-    return run_checks(cfg, context=LintContext(subject=subject))
+    subject = subject or f"cfg:{len(cfg)}-blocks"
+    return DiagnosticReport(list(check_cfg(cfg, subject)))
 
 
 def lint_forecast(
@@ -60,10 +65,13 @@ def lint_forecast(
     subject: str = "",
 ) -> DiagnosticReport:
     """Placement checks of forecast points (or a whole annotation)."""
-    artifact = ForecastArtifact(
-        cfg=cfg, points=placements, fdfs=fdfs, library=library, subject=subject
+    points = list(
+        placements.all_points() if hasattr(placements, "all_points") else placements
     )
-    return run_checks(artifact, context=LintContext(subject=subject))
+    subject = subject or f"forecast:{len(points)}-points"
+    return DiagnosticReport(list(check_forecast(
+        cfg, points, library=library, fdfs=fdfs, subject=subject
+    )))
 
 
 def lint_schedule(
@@ -76,32 +84,12 @@ def lint_schedule(
     subject: str = "",
 ) -> DiagnosticReport:
     """Feasibility checks of a list-scheduler result."""
-    artifact = ScheduleArtifact(
-        dataflow=dataflow,
-        molecule=molecule,
-        schedule=schedule,
-        unconstrained_kinds=tuple(unconstrained_kinds),
+    return DiagnosticReport(list(check_schedule(
+        dataflow, molecule, schedule,
+        unconstrained_kinds=unconstrained_kinds,
         issue_overhead=issue_overhead,
-        subject=subject,
-    )
-    return run_checks(artifact, context=LintContext(subject=subject))
-
-
-def lint_rotations(
-    jobs: "Sequence[RotationJob] | ReconfigurationPort",
-    *,
-    subject: str = "",
-) -> DiagnosticReport:
-    """Serialisation/feasibility checks of a rotation job sequence.
-
-    Accepts a raw job list or a whole port (which also yields the
-    per-atom expected rotation latencies).
-    """
-    if hasattr(jobs, "rotation_cycles"):  # a ReconfigurationPort
-        log = RotationLog.from_port(jobs, subject=subject)  # type: ignore[arg-type]
-    else:
-        log = RotationLog(jobs=list(jobs), subject=subject)
-    return run_checks(log, context=LintContext(subject=subject))
+        subject=subject or "schedule",
+    )))
 
 
 def lint_flow(
@@ -166,8 +154,6 @@ def _aes_artifacts(containers: int | None) -> DiagnosticReport:
         profile_aes,
     )
     from ..forecast import run_forecast_pipeline
-    from ..hardware.fabric import Fabric
-    from ..hardware.reconfig import ReconfigurationPort
 
     library = build_aes_library()
     report = lint_library(library, containers=containers, subject="library:aes")
@@ -182,15 +168,6 @@ def _aes_artifacts(containers: int | None) -> DiagnosticReport:
             cfg, annotation, library=library, fdfs=fdfs, subject="forecast:aes"
         )
     )
-
-    # A short synthetic rotation sequence through the single port.
-    fabric = Fabric(library.catalogue, 3)
-    port = ReconfigurationPort(library.catalogue)
-    now = 0
-    for container_id, atom in enumerate(("SBoxLUT", "GFMul", "XorTree")):
-        port.request(fabric, atom, container_id, now)
-    port.advance(fabric, port.busy_until)
-    report.merge(lint_rotations(port, subject="rotations:aes"))
     return report
 
 

@@ -21,7 +21,7 @@ issues an impossible rotation cannot also hide it here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
 from ..core.library import SILibrary
@@ -32,7 +32,7 @@ from ..hardware.energy import EnergyModel
 from ..hardware.reconfig import ReconfigurationPort
 from ..sim.trace import Event, EventKind
 from .diagnostics import Diagnostic, Severity
-from .registry import diag
+from .rules import diag
 
 #: Events recorded by the manager's public entry points.  The manager
 #: processes (and records) every due rotation completion *before* any of

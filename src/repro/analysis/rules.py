@@ -1,6 +1,6 @@
 """The rule-ID catalogue: one source of truth for every declared invariant.
 
-rispp-lint (LAT/LIB/CFG/FC/SCH/ROT), rispp-verify (TRC/FEA) and
+rispp-lint (LAT/LIB/CFG/FC/SCH), rispp-verify (TRC/FEA) and
 rispp-explore (MC) all judge artifacts against rules declared *here* —
 one :class:`Rule` per invariant, with a stable ID, a default severity and
 the paper section it formalises.  The CLIs' ``--select``/``--ignore``/
@@ -8,10 +8,11 @@ the paper section it formalises.  The CLIs' ``--select``/``--ignore``/
 (:mod:`.docs_check`) read this single catalogue, so a rule cannot exist
 in one surface and be missing from another.
 
-Checker *functions* live elsewhere (:mod:`.registry` holds the artifact
-dispatch; :mod:`.explore` holds the model-checking drivers); this module
-is import-light on purpose so CLI help and docs tooling can load the
-catalogue without pulling in the domain packages.
+Checker *functions* live elsewhere (one ``check_*`` per artifact kind,
+called by its ``lint_*`` helper in :mod:`.lint`; :mod:`.explore` holds
+the model-checking drivers); this module is import-light on purpose so
+CLI help and docs tooling can load the catalogue without pulling in the
+domain packages.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ class Rule:
 
 
 RULES: dict[str, Rule] = {}
+
+#: Numeric tolerance of the lint checkers' probability sums and float
+#: comparisons.
+TOLERANCE = 1e-6
 
 
 def _rule(rule_id: str, family: str, severity: Severity, title: str, paper_ref: str) -> None:
@@ -102,7 +107,7 @@ _rule("FC006", "forecast", Severity.WARNING,
 _rule("FC007", "forecast", Severity.ERROR,
       "duplicate forecast for the same (block, SI) pair", "§4.2")
 
-# -- schedule family (§3 / §5): dataflow schedules and rotations ------------
+# -- schedule family (§3): dataflow schedules --------------------------------
 _rule("SCH001", "schedule", Severity.ERROR,
       "two operations overlap on one atom instance", "§3")
 _rule("SCH002", "schedule", Severity.ERROR,
@@ -113,14 +118,6 @@ _rule("SCH004", "schedule", Severity.ERROR,
       "makespan below the latest operation finish", "§3")
 _rule("SCH005", "schedule", Severity.ERROR,
       "scheduled operations do not match the dataflow", "§3")
-_rule("ROT001", "schedule", Severity.ERROR,
-      "rotations overlap on the single reconfiguration port", "§5")
-_rule("ROT002", "schedule", Severity.ERROR,
-      "overlapping reservations of one Atom Container", "§5")
-_rule("ROT003", "schedule", Severity.ERROR,
-      "rotation job timing inconsistent", "§5")
-_rule("ROT004", "schedule", Severity.ERROR,
-      "rotation of a static atom kind", "§3")
 
 # -- trace family (§3/§5): model-based replay of recorded run traces --------
 _rule("TRC001", "trace", Severity.ERROR,

@@ -1,41 +1,40 @@
-"""Schedule feasibility checks (rules SCH001..SCH005, ROT001..ROT004).
+"""Dataflow schedule feasibility checks (rules SCH001..SCH005).
 
-Two kinds of "schedule" exist in the model and both get checked:
+A list-scheduler result places an SI's atomic operations onto a
+molecule's atom instances (§3, the spatial/temporal trade-off).
+Feasibility means: no two operations overlap on one instance (SCH001),
+no operation uses an instance the molecule does not offer (SCH002),
+dependencies are honoured (SCH003), the makespan covers the last finish
+plus the issue overhead (SCH004), and the placements cover the dataflow
+exactly (SCH005).
 
-**Dataflow schedules** (:class:`ScheduleArtifact`) — a list-scheduler
-result placing an SI's atomic operations onto a molecule's atom
-instances (§3, the spatial/temporal trade-off).  Feasibility means: no
-two operations overlap on one instance (SCH001), no operation uses an
-instance the molecule does not offer (SCH002), dependencies are honoured
-(SCH003), the makespan covers the last finish plus the issue overhead
-(SCH004), and the placements cover the dataflow exactly (SCH005).
-
-**Rotation logs** (:class:`RotationLog`) — the reconfiguration-port job
-sequence of a run (§5).  The prototype has a *single* SelectMap port, so
-jobs must be strictly serialised (ROT001: the per-step reconfiguration
-bandwidth is one bitstream write); a container must never be reserved by
-two overlapping jobs (ROT002: no double-assignment); job timing must be
-internally consistent and match the atom's bitstream rotation latency
-(ROT003); static atoms never rotate (ROT004).
+Rotation-port schedules (§5) are not linted here: the reference-machine
+replay of every verified trace checks them (TRC002/TRC004/TRC008/TRC009).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from .diagnostics import Diagnostic
-from .registry import LintContext, RotationLog, ScheduleArtifact, checker, diag
+from .rules import diag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.schedule import ScheduledOp
+    from ..core.molecule import Molecule
+    from ..core.schedule import Dataflow, Schedule, ScheduledOp
 
 
-@checker("dataflow-schedule", "schedule", ScheduleArtifact)
-def check_schedule(artifact: ScheduleArtifact, ctx: LintContext) -> Iterator[Diagnostic]:
-    subject = artifact.subject or ctx.subject or "schedule"
-    dataflow, molecule, schedule = artifact.dataflow, artifact.molecule, artifact.schedule
-    unconstrained = set(artifact.unconstrained_kinds)
+def check_schedule(
+    dataflow: "Dataflow",
+    molecule: "Molecule",
+    schedule: "Schedule",
+    *,
+    unconstrained_kinds: Iterable[str],
+    issue_overhead: int,
+    subject: str,
+) -> Iterator[Diagnostic]:
+    unconstrained = set(unconstrained_kinds)
     ops = dataflow.ops
 
     finish_by_op: dict[str, int] = {}
@@ -134,91 +133,14 @@ def check_schedule(artifact: ScheduleArtifact, ctx: LintContext) -> Iterator[Dia
                 )
 
     last_finish = max((p.finish for p in schedule.placements), default=0)
-    required = last_finish + artifact.issue_overhead
+    required = last_finish + issue_overhead
     if schedule.makespan < required:
         yield diag(
             "SCH004",
             f"makespan {schedule.makespan} is below the latest operation "
             f"finish {last_finish} plus issue overhead "
-            f"{artifact.issue_overhead}",
+            f"{issue_overhead}",
             subject=subject, location="makespan",
             makespan=schedule.makespan, last_finish=last_finish,
-            issue_overhead=artifact.issue_overhead,
+            issue_overhead=issue_overhead,
         )
-
-
-@checker("rotation-log", "schedule", RotationLog)
-def check_rotations(log: RotationLog, ctx: LintContext) -> Iterator[Diagnostic]:
-    subject = log.subject or ctx.subject or f"rotations:{len(log.jobs)}-jobs"
-
-    for i, job in enumerate(log.jobs):
-        loc = f"job {i} ({job.atom}->AC{job.container_id})"
-        if log.catalogue is not None and job.atom in log.catalogue:
-            if not log.catalogue.get(job.atom).reconfigurable:
-                yield diag(
-                    "ROT004",
-                    f"job {i} rotates static atom kind {job.atom!r}; static "
-                    "atoms live in the fabric and never rotate",
-                    subject=subject, location=loc, job=i, atom=job.atom,
-                )
-                continue
-        if job.started_at < job.requested_at:
-            yield diag(
-                "ROT003",
-                f"job {i} starts at {job.started_at}, before its request at "
-                f"{job.requested_at}",
-                subject=subject, location=loc, job=i,
-                started_at=job.started_at, requested_at=job.requested_at,
-            )
-        if job.finish_at <= job.started_at:
-            yield diag(
-                "ROT003",
-                f"job {i} finishes at {job.finish_at}, not after its start "
-                f"at {job.started_at}",
-                subject=subject, location=loc, job=i,
-                started_at=job.started_at, finish_at=job.finish_at,
-            )
-        elif log.rotation_cycles and job.atom in log.rotation_cycles:
-            expected = log.rotation_cycles[job.atom]
-            if job.duration != expected:
-                yield diag(
-                    "ROT003",
-                    f"job {i} rotates {job.atom!r} in {job.duration} cycles "
-                    f"but the bitstream needs {expected}",
-                    subject=subject, location=loc, job=i,
-                    duration=job.duration, expected=expected,
-                )
-
-    # ROT001: the single port serialises rotations strictly.
-    by_start = sorted(
-        ((j.started_at, j.finish_at, i) for i, j in enumerate(log.jobs)),
-    )
-    for (s1, f1, i1), (s2, f2, i2) in zip(by_start, by_start[1:]):
-        if s2 < f1:
-            yield diag(
-                "ROT001",
-                f"jobs {i1} and {i2} overlap on the single reconfiguration "
-                f"port ([{s1},{f1}) vs [{s2},{f2}))",
-                subject=subject, location=f"jobs {i1},{i2}",
-                jobs=[i1, i2],
-            )
-
-    # ROT002: a container's reservation spans request..finish; two jobs on
-    # one container must not overlap in that span.
-    by_container: dict[int, list[tuple[int, int, int]]] = {}
-    for i, job in enumerate(log.jobs):
-        by_container.setdefault(job.container_id, []).append(
-            (job.requested_at, job.finish_at, i)
-        )
-    for container_id, spans in sorted(by_container.items()):
-        spans.sort()
-        for (r1, f1, i1), (r2, f2, i2) in zip(spans, spans[1:]):
-            if r2 < f1:
-                yield diag(
-                    "ROT002",
-                    f"jobs {i1} and {i2} both reserve container "
-                    f"{container_id} with overlapping spans "
-                    f"([{r1},{f1}) vs [{r2},{f2}))",
-                    subject=subject, location=f"AC{container_id}",
-                    container=container_id, jobs=[i1, i2],
-                )

@@ -27,7 +27,7 @@ from ..hardware.energy import EnergyModel
 from ..sim.trace import Event, EventKind
 from .diagnostics import DiagnosticReport
 from .feasibility import FeasibilityResult, prove_feasibility
-from .registry import LintContext, TraceArtifact, run_checks
+from .machine import ReferenceMachine
 
 if TYPE_CHECKING:
     from ..runtime.manager import RisppRuntime
@@ -78,11 +78,15 @@ def verify_trace(
     energy_model: EnergyModel | None = None,
     subject: str = "trace",
 ) -> DiagnosticReport:
-    """Replay ``events`` against the reference machine; return findings."""
-    artifact = TraceArtifact(
-        events=events,
-        library=library,
-        containers=containers,
+    """Replay ``events`` against the reference machine; return findings.
+
+    ``totals`` unlocks the TRC007 accounting rules (pass the runtime's
+    ``RuntimeStats`` as a dict); ``energy_model`` additionally checks the
+    energy totals.
+    """
+    machine = ReferenceMachine(
+        library,
+        containers,
         core_mhz=core_mhz,
         bytes_per_us=bytes_per_us,
         static_multiplicity=static_multiplicity,
@@ -90,9 +94,7 @@ def verify_trace(
         energy_model=energy_model,
         subject=subject,
     )
-    return run_checks(
-        artifact, context=LintContext(subject=subject), families=("trace",)
-    )
+    return DiagnosticReport(list(machine.verify(events)))
 
 
 def verify_runtime(
@@ -117,11 +119,19 @@ def verify_runtime(
 
 @dataclass
 class GoldenTrace:
-    """A deserialised golden-trace file, ready to verify."""
+    """A deserialised golden-trace file: its events plus the replay inputs."""
 
     suite: str
     library_name: str
-    artifact: TraceArtifact
+    events: list[Event]
+    library: SILibrary
+    containers: int
+    core_mhz: float
+    bytes_per_us: float | None
+    static_multiplicity: int
+    totals: "dict[str, float] | None"
+    energy_model: EnergyModel | None
+    subject: str
 
 
 def golden_from_runtime(
@@ -195,7 +205,9 @@ def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
         for e in raw_events
     ]
     totals = data.get("totals")
-    artifact = TraceArtifact(
+    return GoldenTrace(
+        suite=str(data.get("suite", library_name)),
+        library_name=library_name,
         events=events,
         library=library,
         containers=int(data["containers"]),  # type: ignore[call-overload]
@@ -210,18 +222,19 @@ def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
         energy_model=energy,
         subject=f"golden:{data.get('suite', library_name)}",
     )
-    return GoldenTrace(
-        suite=str(data.get("suite", library_name)),
-        library_name=library_name,
-        artifact=artifact,
-    )
 
 
 def verify_golden(golden: GoldenTrace) -> DiagnosticReport:
-    return run_checks(
-        golden.artifact,
-        context=LintContext(subject=golden.artifact.subject),
-        families=("trace",),
+    return verify_trace(
+        golden.events,
+        golden.library,
+        containers=golden.containers,
+        core_mhz=golden.core_mhz,
+        bytes_per_us=golden.bytes_per_us,
+        static_multiplicity=golden.static_multiplicity,
+        totals=golden.totals,
+        energy_model=golden.energy_model,
+        subject=golden.subject,
     )
 
 
@@ -373,18 +386,17 @@ def run_verify_suite(
 
 def verify_golden_result(golden: GoldenTrace) -> VerifyResult:
     """Verify a golden trace and prove its library's feasibility."""
-    artifact = golden.artifact
     report = verify_golden(golden)
     feasibility = prove_feasibility(
-        artifact.library,
-        artifact.containers,
-        core_mhz=artifact.core_mhz,
-        bytes_per_us=artifact.bytes_per_us,
-        subject=artifact.subject,
+        golden.library,
+        golden.containers,
+        core_mhz=golden.core_mhz,
+        bytes_per_us=golden.bytes_per_us,
+        subject=golden.subject,
     )
     return VerifyResult(
         suite=golden.suite,
         report=report,
         feasibility=feasibility,
-        trace_events=len(list(artifact.events)),
+        trace_events=len(golden.events),
     )

@@ -34,11 +34,6 @@ from .library import SILibrary
 from .molecule import Molecule
 from .si import MoleculeImpl, SpecialInstruction
 
-#: Backwards-compatible aliases — the scoring helpers moved to
-#: :mod:`repro.core.backend` so every backend shares one definition.
-_benefit = benefit
-_demand = demand
-
 
 @dataclass(frozen=True)
 class ForecastedSI:

@@ -11,12 +11,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis import (
-    FeasibilityArtifact,
-    LintContext,
     port_backlog_bound,
     prove_feasibility,
     rotation_cycle_table,
-    run_checks,
     run_verify_suite,
 )
 from repro.bench.suites import build_synthetic_library
@@ -149,20 +146,14 @@ class TestStarvation:
         assert result.report.by_rule("FEA001")
 
 
-class TestCheckerRegistration:
-    def test_artifact_flows_through_run_checks(self, library):
-        artifact = FeasibilityArtifact(
-            library=library,
-            containers=5,
-            placements=[_point("SI0", "bb", 1.0)],
-            subject="unit",
-        )
-        report = run_checks(
-            artifact, context=LintContext(subject="unit"),
-            families=("feasibility",),
-        )
+class TestProverReport:
+    def test_placements_flow_through_prove_feasibility(self, library):
+        report = prove_feasibility(
+            library, 5, placements=[_point("SI0", "bb", 1.0)], subject="unit"
+        ).report
         ids = set(d.rule_id for d in report)
         assert "FEA004" in ids and "FEA001" in ids
+        assert {d.subject for d in report} == {"unit"}
         assert report.ok()  # feasibility findings never ERROR
 
 

@@ -17,6 +17,7 @@ from repro.analysis import (
 )
 from repro.bench.suites import build_synthetic_library
 from repro.hardware.energy import EnergyModel
+from repro.hardware.reconfig import ReconfigurationPort
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind
 
@@ -118,6 +119,48 @@ class TestCleanTraces:
         )
         assert acc["execution_energy_nj"] == pytest.approx(
             stats.execution_energy_nj
+        )
+
+
+def _port_ignoring_busy_until(request):
+    """The port starts every write at its request, even while busy."""
+
+    def mutated(self, *args, **kwargs):
+        self.busy_until = 0
+        return request(self, *args, **kwargs)
+
+    return mutated
+
+
+def _port_lengthening_writes(request):
+    """The port spends 7 cycles more on every write than its bitstream."""
+
+    def mutated(self, *args, **kwargs):
+        cycles = ReconfigurationPort.rotation_cycles
+        self.rotation_cycles = lambda atom: cycles(self, atom) + 7
+        try:
+            return request(self, *args, **kwargs)
+        finally:
+            del self.rotation_cycles
+
+    return mutated
+
+
+class TestMutatedPort:
+    """A buggy ReconfigurationPort is caught by replaying its trace."""
+
+    @pytest.mark.parametrize(
+        "mutate, rule_id",
+        [(_port_ignoring_busy_until, "TRC002"), (_port_lengthening_writes, "TRC008")],
+        ids=["ignore-busy-until", "lengthen-write"],
+    )
+    def test_port_bug_fails_verification(self, monkeypatch, mutate, rule_id):
+        monkeypatch.setattr(
+            ReconfigurationPort, "request", mutate(ReconfigurationPort.request)
+        )
+        result = run_verify_suite("synthetic", quick=True)
+        assert rule_id in {d.rule_id for d in result.report.errors()}, (
+            result.report.render_text()
         )
 
 

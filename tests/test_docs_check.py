@@ -205,9 +205,10 @@ class TestEventsCoverage:
         assert any("'MoleculeFired'" in f for f in _findings(repo))
 
     def test_unknown_evt_rule_id_is_flagged(self, repo):
-        # The EVT family is retired: any mention of it is stale.
-        (repo / "docs" / "guide.md").write_text("Rule EVT001 applies.\n")
-        assert any("EVT001" in f for f in _findings(repo))
+        # The EVT and ROT families are retired: any mention of them is stale.
+        for rule_id in ("EVT001", "ROT001"):
+            (repo / "docs" / "guide.md").write_text(f"Rule {rule_id} applies.\n")
+            assert any(rule_id in f for f in _findings(repo))
 
 
 class TestServingCoverage:
