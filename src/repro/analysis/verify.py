@@ -35,31 +35,19 @@ if TYPE_CHECKING:
 GOLDEN_SCHEMA_VERSION = 1
 GOLDEN_KIND = "rispp-golden-trace"
 
-#: Suites the verify CLI can run end to end (also valid golden libraries).
-VERIFY_SUITES = ("aes", "h264", "synthetic")
-
-
 def build_library(name: str) -> SILibrary:
     """The shipped library behind one suite/golden-trace name."""
-    if name == "h264":
-        from ..apps.h264 import build_h264_library
+    from ..sim.suites import SUITES, suite_library
 
-        return build_h264_library()
-    if name == "aes":
-        from ..apps.aes import build_aes_library
-
-        return build_aes_library()
-    if name == "synthetic":
-        from ..bench.suites import build_synthetic_library
-
-        return build_synthetic_library()
+    if name in SUITES:
+        return suite_library(name)
     if name.startswith("explore-"):
         from .explore import build_explore_library
 
         return build_explore_library(name)
     raise ValueError(
         f"unknown library {name!r}; choose from "
-        f"{sorted(VERIFY_SUITES) + ['explore-small', 'explore-tiny']}"
+        f"{sorted(SUITES) + ['explore-small', 'explore-tiny']}"
     )
 
 
@@ -255,71 +243,21 @@ class VerifyResult:
         return self.report.exit_code()
 
 
-def _scenario_h264(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
-    from ..apps.h264 import build_h264_library
-    from ..bench.suites import H264_MACROBLOCK_CALLS, run_si_stream
+def _scenario_synthetic(*, quick: bool) -> "RisppRuntime":
+    """Verify's own synthetic scenario, not the shared chaos stream.
 
-    library = build_h264_library()
-    forecasts = [
-        ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-        ("HT_4x4", 1.0), ("HT_2x2", 2.0),
-    ]
-    runtime = run_si_stream(
-        library,
-        forecasts,
-        list(H264_MACROBLOCK_CALLS),
-        containers=6,
-        block_rounds=3 if quick else 8,
-        energy_model=EnergyModel(),
-    )
-    for si_name, _ in forecasts:
-        runtime.forecast_end(si_name, runtime.trace.last_cycle)
-    runtime.advance(runtime.trace.last_cycle + 10_000_000)
-    return runtime, []
-
-
-def _scenario_aes(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
-    import warnings
-
-    from ..apps.aes import (
-        build_aes_library,
-        build_aes_program,
-        default_aes_fdfs,
-    )
-    from ..sim.integration import compile_and_run
-
-    del quick  # one AES run is already CI-sized
-
-    def env_factory(i: int) -> dict[str, bytes]:
-        return {
-            "plaintext": bytes([i % 256] * 16),
-            "key": bytes([(255 - i) % 256] * 16),
-        }
-
-    with warnings.catch_warnings():
-        # Library advisories (dominated molecules etc.) belong to `lint`.
-        warnings.simplefilter("ignore")
-        flow = compile_and_run(
-            build_aes_program(),
-            build_aes_library(),
-            default_aes_fdfs(),
-            containers=6,
-            profile_env_factory=env_factory,
-            run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
-            profile_runs=2,
-            energy_model=EnergyModel(),
-        )
-    flow.runtime.advance(flow.runtime.trace.last_cycle + 10_000_000)
-    return flow.runtime, list(flow.annotation.all_points())
-
-
-def _scenario_synthetic(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
-    from ..bench.suites import build_synthetic_library
+    It is the only scenario that fails a container mid-run without a
+    fault injector: the port's dropped and resequenced queue and the
+    replacement rotations are replayed by the reference machine on every
+    ``repro verify --suite synthetic`` run, and ``TestMutatedPort`` in
+    ``tests/test_analysis_verify.py`` relies on that.
+    """
     from ..runtime.manager import RisppRuntime
+    from ..sim.suites import suite_library
 
-    library = build_synthetic_library()
     runtime = RisppRuntime(
-        library, 5, core_mhz=100.0, energy_model=EnergyModel()
+        suite_library("synthetic"), 5, core_mhz=100.0,
+        energy_model=EnergyModel(),
     )
     forecasts = [("SI0", 16.0), ("SI1", 8.0), ("SI2", 4.0), ("SI3", 2.0)]
     blocks = [("SI0", 16), ("SI1", 8), ("SI2", 4), ("SI3", 2)]
@@ -341,14 +279,7 @@ def _scenario_synthetic(*, quick: bool) -> "tuple[RisppRuntime, list[object]]":
         now += 60_000
     runtime.forecast_end("SI3", now)
     runtime.advance(now + 10_000_000)
-    return runtime, []
-
-
-_SCENARIOS = {
-    "aes": _scenario_aes,
-    "h264": _scenario_h264,
-    "synthetic": _scenario_synthetic,
-}
+    return runtime
 
 
 def run_verify_suite(
@@ -357,14 +288,21 @@ def run_verify_suite(
     quick: bool = False,
     survivable_failures: int | None = None,
 ) -> VerifyResult:
-    """Run one shipped scenario, verify its trace, prove feasibility."""
-    try:
-        scenario = _SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown verify suite {name!r}; choose from {sorted(_SCENARIOS)}"
-        ) from None
-    runtime, placements = scenario(quick=quick)
+    """Run one shipped scenario, verify its trace, prove feasibility.
+
+    ``aes`` and ``h264`` are the shared suites (:mod:`repro.sim.suites`)
+    with energy accounting on; ``synthetic`` is verify's own scenario.
+    Each run then idles 10M cycles so every pending rotation lands.
+    """
+    from ..sim.suites import run_suite
+
+    placements: list[object] = []
+    if name == "synthetic":
+        runtime = _scenario_synthetic(quick=quick)
+    else:
+        run = run_suite(name, quick=quick, energy_model=EnergyModel())
+        runtime, placements = run.runtime, run.placements
+        runtime.advance(runtime.trace.last_cycle + 10_000_000)
     report = verify_runtime(runtime, subject=f"suite:{name}")
     feasibility = prove_feasibility(
         runtime.library,

@@ -1,6 +1,6 @@
 """``repro.bench`` — the seeded scenario inputs shared across the repo.
 
-Chaos, verify, the metric suites, the tests and the ``perf/`` benchmark
+The shipped suites (:mod:`repro.sim.suites`), the tests and ``perf/``
 all drive the runtime with these: the Fig. 7 macroblock call mix, the
 forecast-then-execute SI stream, the small synthetic library, and the
 trace signature two runs are compared by.  Wall-time measurement lives

@@ -1,5 +1,5 @@
-"""Seeded scenario inputs shared by chaos, verify, the metric suites and
-the tests.
+"""Seeded scenario inputs of the shipped suites (:mod:`repro.sim.suites`),
+the tests and the ``perf/`` benchmark.
 
 * :data:`H264_MACROBLOCK_CALLS` — the SI calls of one encoded H.264
   macroblock (256 SATD + 24 DCT + 1 HT_4x4 + 2 HT_2x2, the Fig. 7

@@ -253,24 +253,23 @@ def _apply_backend(
         parser.error(str(exc))
 
 
-def _write_guarded(
-    parser: argparse.ArgumentParser, path: str, text: str, *, force: bool
+def _refuse_overwrite(
+    parser: argparse.ArgumentParser, path: str | None, *, force: bool
 ) -> None:
-    """Write a report file, refusing to clobber existing files.
+    """Refuse an existing report target before any work starts.
 
     Silent overwrites destroy evidence (a baseline report, a previous
     campaign); without ``--force`` an existing target is a usage error
-    (exit 2), like any other bad flag combination.
+    (exit 2), like any other bad flag combination.  The check runs
+    before the scenario, so a refused command leaves nothing behind.
     """
     import os
 
-    if not force and os.path.exists(path):
+    if path and not force and os.path.exists(path):
         parser.error(
             f"refusing to overwrite existing file {path}; pass --force "
             "to replace it"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
@@ -352,7 +351,8 @@ def _verify(argv: list[str]) -> int:
         run_verify_suite,
         verify_golden_result,
     )
-    from .analysis.verify import VERIFY_SUITES, golden_from_runtime, write_golden
+    from .analysis.verify import golden_from_runtime, write_golden
+    from .sim.suites import SUITES
 
     parser = argparse.ArgumentParser(
         prog="repro verify",
@@ -370,7 +370,7 @@ def _verify(argv: list[str]) -> int:
         help="verify a golden-trace JSON file instead of running a suite",
     )
     source.add_argument(
-        "--suite", choices=sorted(VERIFY_SUITES), default="synthetic",
+        "--suite", choices=sorted(SUITES), default="synthetic",
         help="run + verify one shipped scenario (default: synthetic)",
     )
     parser.add_argument(
@@ -533,12 +533,23 @@ def _chaos(argv: list[str]) -> int:
     from pathlib import Path
 
     from .faults import (
-        CHAOS_SUITES,
+        CHAOS_DEFAULTS,
         chaos_ok,
         render_chaos_report,
         run_chaos_suite,
     )
     from .recovery import JOURNAL_NAME, RecoveryPlan, SimulatedCrash
+    from .sim.suites import SUITES
+
+    defaults = CHAOS_DEFAULTS
+    # The scenario knobs besides --suite/--quick: (key, metavar, help).
+    knobs = (
+        ("seed", "N", "fault-schedule seed, positive"),
+        ("fault_rate", "R", "expected faults per million cycles"),
+        ("scrub_period", "CYCLES", "readback-scrubber pass period"),
+        ("max_retries", "N", "bitstream write retries before giving up"),
+        ("backoff_cycles", "CYCLES", "base retry backoff; doubles per attempt"),
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro chaos",
@@ -553,29 +564,15 @@ def _chaos(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--suite", choices=sorted(CHAOS_SUITES), default=None,
-        help="workload to fuzz (default: synthetic)",
+        "--suite", choices=sorted(SUITES), default=None,
+        help=f"workload to fuzz (default: {defaults['suite']})",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="fault-schedule seed, positive (default: 1)",
-    )
-    parser.add_argument(
-        "--fault-rate", type=float, default=None, metavar="R",
-        help="expected faults per million cycles (default: 5.0)",
-    )
-    parser.add_argument(
-        "--scrub-period", type=int, default=None, metavar="CYCLES",
-        help="readback-scrubber pass period (default: 10000)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="bitstream write retries before giving up (default: 3)",
-    )
-    parser.add_argument(
-        "--backoff-cycles", type=int, default=None, metavar="CYCLES",
-        help="base retry backoff; doubles per attempt (default: 1000)",
-    )
+    for key, metavar, text in knobs:
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=type(defaults[key]),
+            default=None, metavar=metavar,
+            help=f"{text} (default: {defaults[key]})",
+        )
     parser.add_argument(
         "--quick", action="store_true",
         help="reduced scenario sizes (CI mode)",
@@ -620,6 +617,7 @@ def _chaos(argv: list[str]) -> int:
     _add_backend_arg(parser)
     args = parser.parse_args(argv)
     _apply_backend(parser, args)
+    _refuse_overwrite(parser, args.json, force=args.force)
 
     resume = args.resume is not None
     if resume and args.checkpoint_dir is not None:
@@ -647,16 +645,9 @@ def _chaos(argv: list[str]) -> int:
 
     if resume:
         conflicting = [
-            flag
-            for flag, value in (
-                ("--suite", args.suite),
-                ("--seed", args.seed),
-                ("--fault-rate", args.fault_rate),
-                ("--scrub-period", args.scrub_period),
-                ("--max-retries", args.max_retries),
-                ("--backoff-cycles", args.backoff_cycles),
-            )
-            if value is not None
+            "--" + key.replace("_", "-")
+            for key in ("suite", *(key for key, _, _ in knobs))
+            if getattr(args, key) is not None
         ]
         if args.quick:
             conflicting.append("--quick")
@@ -681,28 +672,20 @@ def _chaos(argv: list[str]) -> int:
         if not isinstance(meta, dict) or meta.get("kind") != CHAOS_RUN_KIND:
             parser.error(f"{meta_path} is not a chaos run-metadata file")
         try:
-            suite = str(meta["suite"])
-            seed = int(meta["seed"])
-            fault_rate = float(meta["fault_rate"])
-            quick = bool(meta["quick"])
-            scrub_period = int(meta["scrub_period"])
-            max_retries = int(meta["max_retries"])
-            backoff_cycles = int(meta["backoff_cycles"])
+            scenario = {
+                key: type(default)(meta[key])
+                for key, default in defaults.items()
+            }
         except (KeyError, TypeError, ValueError) as exc:
             parser.error(f"run metadata {meta_path} is incomplete: {exc!r}")
     else:
-        suite = args.suite if args.suite is not None else "synthetic"
-        seed = args.seed if args.seed is not None else 1
-        fault_rate = args.fault_rate if args.fault_rate is not None else 5.0
-        quick = args.quick
-        scrub_period = (
-            args.scrub_period if args.scrub_period is not None else 10_000
-        )
-        max_retries = args.max_retries if args.max_retries is not None else 3
-        backoff_cycles = (
-            args.backoff_cycles if args.backoff_cycles is not None else 1_000
-        )
+        # Unset flags fall back to the one chaos defaults table.
+        scenario = {
+            key: default if getattr(args, key) is None else getattr(args, key)
+            for key, default in defaults.items()
+        }
 
+    fault_rate, seed = scenario["fault_rate"], scenario["seed"]
     if not math.isfinite(fault_rate) or fault_rate < 0:
         parser.error(
             f"--fault-rate must be finite and non-negative, got {fault_rate}"
@@ -724,17 +707,7 @@ def _chaos(argv: list[str]) -> int:
         )
         if not resume:
             store.mkdir(parents=True, exist_ok=True)
-            meta = {
-                "kind": CHAOS_RUN_KIND,
-                "schema_version": 1,
-                "suite": suite,
-                "seed": seed,
-                "fault_rate": fault_rate,
-                "quick": quick,
-                "scrub_period": scrub_period,
-                "max_retries": max_retries,
-                "backoff_cycles": backoff_cycles,
-            }
+            meta = {"kind": CHAOS_RUN_KIND, "schema_version": 1, **scenario}
             (store / CHAOS_RUN_META).write_text(
                 json.dumps(meta, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",
@@ -742,14 +715,7 @@ def _chaos(argv: list[str]) -> int:
 
     try:
         report = run_chaos_suite(
-            suite,
-            seed=seed,
-            fault_rate=fault_rate,
-            quick=quick,
-            scrub_period=scrub_period,
-            max_retries=max_retries,
-            backoff_cycles=backoff_cycles,
-            recovery=recovery,
+            scenario.pop("suite"), **scenario, recovery=recovery
         )
     except SimulatedCrash as exc:
         print(f"chaos: {exc}", file=sys.stderr)
@@ -766,13 +732,14 @@ def _chaos(argv: list[str]) -> int:
     else:
         print(render_chaos_report(report))
     if args.json:
-        _write_guarded(parser, args.json, rendered_json + "\n", force=args.force)
+        Path(args.json).write_text(rendered_json + "\n", encoding="utf-8")
         print(f"report written to {args.json}", file=sys.stderr)
     return 0 if chaos_ok(report) else 1
 
 
 def _metrics(argv: list[str]) -> int:
-    from .obs import METRIC_SUITES, run_metrics_suite, to_jsonl, to_prometheus
+    from .obs import run_metrics_suite, to_jsonl, to_prometheus
+    from .sim.suites import SUITES
 
     parser = argparse.ArgumentParser(
         prog="repro metrics",
@@ -783,7 +750,7 @@ def _metrics(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--suite", choices=sorted(METRIC_SUITES), default="synthetic",
+        "--suite", choices=sorted(SUITES), default="synthetic",
         help="workload to instrument (default: synthetic)",
     )
     parser.add_argument(
@@ -808,6 +775,7 @@ def _metrics(argv: list[str]) -> int:
     _add_backend_arg(parser)
     args = parser.parse_args(argv)
     _apply_backend(parser, args)
+    _refuse_overwrite(parser, args.output, force=args.force)
     registry, _runtime = run_metrics_suite(args.suite, quick=args.quick)
     if args.format == "prom":
         # The scrape view: everything recorded, span timers included.
@@ -818,7 +786,8 @@ def _metrics(argv: list[str]) -> int:
         text = to_jsonl(registry)
     print(text, end="")
     if args.output:
-        _write_guarded(parser, args.output, text, force=args.force)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"metrics written to {args.output}", file=sys.stderr)
     return 0
 

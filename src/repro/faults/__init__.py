@@ -26,7 +26,7 @@ documented in ``docs/faults.md``.
 """
 
 from .chaos import (
-    CHAOS_SUITES,
+    CHAOS_DEFAULTS,
     chaos_ok,
     render_chaos_report,
     run_chaos_suite,
@@ -37,7 +37,7 @@ from .model import FaultEvent, FaultKind, FaultSchedule
 from .stats import ResilienceStats
 
 __all__ = [
-    "CHAOS_SUITES",
+    "CHAOS_DEFAULTS",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

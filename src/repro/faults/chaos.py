@@ -1,15 +1,15 @@
 """Chaos runs: seeded fault campaigns over the shipped suites.
 
-``run_chaos_suite`` drives one of the three repository workloads
-(``aes``/``h264``/``synthetic``) twice — once fault-free to fix the
+``run_chaos_suite`` drives one of the three shipped suites
+(:data:`repro.sim.suites.SUITES`) twice — once fault-free to fix the
 campaign horizon and the functional baseline, once under a
 :class:`FaultSchedule` drawn from the seed — then checks three things:
 
 * the chaos trace replays cleanly through rispp-verify (including the
   quarantine/repair rules TRC014/TRC015);
 * the run is functionally indistinguishable from the fault-free
-  baseline (the AES suite compares ciphertext environments; the SI
-  stream suites compare execution counts — every call completes);
+  baseline (the same AES ciphertext environment, and the same SI
+  execution count — every call completes);
 * every observed repair landed within :func:`static_repair_bound`, the
   static worst case derived from the scrub period, the port backlog
   bound and the retry backoff ladder.
@@ -21,7 +21,6 @@ byte-identical across runs — the acceptance gate of the fault work.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
@@ -31,16 +30,24 @@ from .injector import FaultInjector
 from .model import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import MetricRegistry
     from ..recovery import RecoveryPlan
     from ..runtime.manager import RisppRuntime
-    from ..sim.integration import CompileAndRunResult
 
 CHAOS_SCHEMA_VERSION = 1
 CHAOS_KIND = "rispp-chaos-report"
 
-#: Suites the chaos CLI can fuzz (the same three the verifier ships).
-CHAOS_SUITES = ("aes", "h264", "synthetic")
+#: Scenario defaults of one chaos campaign: the ``run_chaos_suite``
+#: keyword defaults, the ``repro chaos`` flag defaults and, with
+#: ``quick`` flipped on, ``repro.serve.SCENARIO_DEFAULTS``.
+CHAOS_DEFAULTS: dict[str, Any] = {
+    "suite": "synthetic",
+    "seed": 1,
+    "fault_rate": 5.0,
+    "scrub_period": 10_000,
+    "max_retries": 3,
+    "backoff_cycles": 1_000,
+    "quick": False,
+}
 
 
 def static_repair_bound(
@@ -74,103 +81,7 @@ def static_repair_bound(
     return scrub_period + (1 + max_retries) * backlog + backoff_total
 
 
-# -- suite scenarios ----------------------------------------------------------
-
-
-def _h264_config() -> dict[str, Any]:
-    from ..apps.h264 import build_h264_library
-    from ..bench.suites import H264_MACROBLOCK_CALLS
-
-    return {
-        "library": build_h264_library(),
-        "forecasts": [
-            ("SATD_4x4", 256.0), ("DCT_4x4", 24.0),
-            ("HT_4x4", 1.0), ("HT_2x2", 2.0),
-        ],
-        "blocks": list(H264_MACROBLOCK_CALLS),
-        "containers": 6,
-        "rounds": {"quick": 3, "full": 8},
-    }
-
-
-def _synthetic_config() -> dict[str, Any]:
-    from ..bench.suites import build_synthetic_library
-
-    return {
-        "library": build_synthetic_library(),
-        "forecasts": [
-            ("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0),
-        ],
-        "blocks": [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
-        "containers": 5,
-        "rounds": {"quick": 6, "full": 20},
-    }
-
-
-def _run_stream(
-    config: dict[str, Any],
-    *,
-    quick: bool,
-    injector: FaultInjector | None,
-    metrics: "MetricRegistry | None" = None,
-    wrap: Any = None,
-) -> "RisppRuntime":
-    from ..bench.suites import run_si_stream
-    from ..recovery import query
-
-    rounds = config["rounds"]["quick" if quick else "full"]
-    runtime = run_si_stream(
-        config["library"],
-        config["forecasts"],
-        config["blocks"],
-        containers=config["containers"],
-        block_rounds=rounds,
-        fault_injector=injector,
-        metrics=metrics,
-        wrap=wrap,
-    )
-    # Journaled state query: on a resumed run the underlying runtime is
-    # already past this point, so the answer must come from the journal.
-    end = query(runtime, "last_cycle")
-    for si_name, _ in config["forecasts"]:
-        runtime.forecast_end(si_name, end)
-    return runtime
-
-
-def _run_aes(
-    *,
-    injector: FaultInjector | None,
-    metrics: "MetricRegistry | None" = None,
-    wrap: Any = None,
-) -> "CompileAndRunResult":
-    from ..apps.aes import (
-        build_aes_library,
-        build_aes_program,
-        default_aes_fdfs,
-    )
-    from ..sim.integration import compile_and_run
-
-    def env_factory(i: int) -> dict[str, bytes]:
-        return {
-            "plaintext": bytes([i % 256] * 16),
-            "key": bytes([(255 - i) % 256] * 16),
-        }
-
-    with warnings.catch_warnings():
-        # Library advisories (dominated molecules etc.) belong to `lint`.
-        warnings.simplefilter("ignore")
-        return compile_and_run(
-            build_aes_program(),
-            build_aes_library(),
-            default_aes_fdfs(),
-            containers=6,
-            profile_env_factory=env_factory,
-            run_env={"plaintext": b"\x21" * 16, "key": b"\x42" * 16},
-            profile_runs=2,
-            fault_injector=injector,
-            metrics=metrics,
-            wrap=wrap,
-        )
+# -- the chaos driver ---------------------------------------------------------
 
 
 def _quiesce(
@@ -205,18 +116,15 @@ def _quiesce(
     return now
 
 
-# -- the chaos driver ---------------------------------------------------------
-
-
 def run_chaos_suite(
     name: str,
     *,
     seed: int,
-    fault_rate: float = 5.0,
-    quick: bool = False,
-    scrub_period: int = 10_000,
-    max_retries: int = 3,
-    backoff_cycles: int = 1_000,
+    fault_rate: float = CHAOS_DEFAULTS["fault_rate"],
+    quick: bool = CHAOS_DEFAULTS["quick"],
+    scrub_period: int = CHAOS_DEFAULTS["scrub_period"],
+    max_retries: int = CHAOS_DEFAULTS["max_retries"],
+    backoff_cycles: int = CHAOS_DEFAULTS["backoff_cycles"],
     survivable_failures: int = 1,
     recovery: "RecoveryPlan | None" = None,
 ) -> dict[str, Any]:
@@ -232,24 +140,19 @@ def run_chaos_suite(
     """
     from ..analysis.feasibility import prove_feasibility
     from ..analysis.verify import verify_runtime
+    from ..sim.suites import SUITES, run_suite
 
-    if name not in CHAOS_SUITES:
+    if name not in SUITES:
         raise ValueError(
-            f"unknown chaos suite {name!r}; choose from {sorted(CHAOS_SUITES)}"
+            f"unknown chaos suite {name!r}; choose from {sorted(SUITES)}"
         )
 
     # Fault-free reference run: fixes the campaign horizon and the
     # functional baseline the chaos run must match.
-    if name == "aes":
-        baseline_flow = _run_aes(injector=None)
-        baseline_rt = baseline_flow.runtime
-        library = baseline_rt.library
-        containers = len(baseline_rt.fabric)
-    else:
-        config = _h264_config() if name == "h264" else _synthetic_config()
-        baseline_rt = _run_stream(config, quick=quick, injector=None)
-        library = config["library"]
-        containers = config["containers"]
+    baseline = run_suite(name, quick=quick)
+    baseline_rt = baseline.runtime
+    library = baseline_rt.library
+    containers = len(baseline_rt.fabric)
     horizon = baseline_rt.trace.last_cycle
 
     schedule = FaultSchedule.generate(
@@ -275,20 +178,20 @@ def run_chaos_suite(
     from ..obs.exporters import snapshot
 
     registry = MetricRegistry()
-    wrap = recovery.wrap if recovery is not None else None
-    if name == "aes":
-        chaos_flow = _run_aes(injector=injector, metrics=registry, wrap=wrap)
-        runtime = chaos_flow.runtime
-        functional_match = chaos_flow.result.env == baseline_flow.result.env
-    else:
-        runtime = _run_stream(
-            config, quick=quick, injector=injector, metrics=registry, wrap=wrap
-        )
-        # Stream suites carry no data environment; "functionally equal"
-        # means every SI call completed, exactly as many as fault-free.
-        functional_match = (
-            runtime.stats.si_executions == baseline_rt.stats.si_executions
-        )
+    chaos = run_suite(
+        name,
+        quick=quick,
+        fault_injector=injector,
+        metrics=registry,
+        wrap=recovery.wrap if recovery is not None else None,
+    )
+    runtime = chaos.runtime
+    # "Functionally equal": the same data environment (the AES
+    # ciphertext; stream suites carry none) and every SI call completed,
+    # exactly as many as fault-free.
+    functional_match = chaos.env == baseline.env and (
+        runtime.stats.si_executions == baseline_rt.stats.si_executions
+    )
     settled_at = _quiesce(runtime, injector, horizon=horizon, bound=bound)
 
     verify_report = verify_runtime(runtime, subject=f"chaos:{name}")

@@ -36,21 +36,22 @@ class FacadeClosed(RuntimeError):
     """The facade was shut down and takes no work (HTTP 503 at the daemon)."""
 
 
-#: Scenario field defaults — one source of truth shared by the request
-#: validator, ``docs/serving.md`` and the serve integration tests.
-#: They mirror the ``repro chaos`` flag defaults except ``quick``: a
-#: *service* answers interactively, so reduced scenario sizes are the
-#: default and full-size runs are opt-in (``"quick": false``).
-SCENARIO_DEFAULTS: dict[str, Any] = {
-    "suite": "synthetic",
-    "seed": 1,
-    "fault_rate": 5.0,
-    "scrub_period": 10_000,
-    "max_retries": 3,
-    "backoff_cycles": 1_000,
-    "quick": True,
-    "backend": None,
-}
+def _scenario_defaults() -> dict[str, Any]:
+    from ..faults.chaos import CHAOS_DEFAULTS
+
+    return {**CHAOS_DEFAULTS, "quick": True, "backend": None}
+
+
+def __getattr__(name: str) -> Any:
+    """``SCENARIO_DEFAULTS``: the ``repro chaos`` defaults, served quick.
+
+    A service answers interactively, so reduced sizes are the default
+    (``"quick": false`` opts in to full size).  Built on first access, so
+    ``import repro.serve`` stays free of the simulator.
+    """
+    if name == "SCENARIO_DEFAULTS":
+        return _scenario_defaults()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +73,7 @@ class ScenarioRequest:
         import math
 
         from ..core.backend import available_backends
-        from ..faults import CHAOS_SUITES
+        from ..sim.suites import SUITES
 
         if not isinstance(payload, Mapping):
             raise ScenarioError("scenario request must be a JSON object")
@@ -83,11 +84,11 @@ class ScenarioRequest:
                 f"unknown scenario field(s): {', '.join(unknown)}; "
                 f"accepted: {', '.join(sorted(known))}"
             )
-        merged = {**SCENARIO_DEFAULTS, **dict(payload)}
+        merged = {**_scenario_defaults(), **dict(payload)}
         suite = merged["suite"]
-        if suite not in CHAOS_SUITES:
+        if suite not in SUITES:
             raise ScenarioError(
-                f"unknown suite {suite!r}; one of {sorted(CHAOS_SUITES)}"
+                f"unknown suite {suite!r}; one of {sorted(SUITES)}"
             )
         try:
             seed = int(merged["seed"])

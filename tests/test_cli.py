@@ -290,3 +290,40 @@ class TestOverwriteGuard:
         )
         first_line = target.read_text().splitlines()[0]
         json.loads(first_line)
+
+    @staticmethod
+    def _must_not_run(*args, **kwargs):
+        raise AssertionError("the scenario ran before the overwrite check")
+
+    def test_chaos_refuses_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.faults
+
+        monkeypatch.setattr(repro.faults, "run_chaos_suite", self._must_not_run)
+        target = tmp_path / "chaos.json"
+        target.write_text("precious baseline\n")
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "chaos", "--quick", "--json", str(target),
+                "--checkpoint-dir", str(store),
+            ])
+        assert excinfo.value.code == 2
+        assert "refusing to overwrite existing file" in capsys.readouterr().err
+        assert not store.exists()
+        assert target.read_text() == "precious baseline\n"
+
+    def test_metrics_refuses_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.obs
+
+        monkeypatch.setattr(repro.obs, "run_metrics_suite", self._must_not_run)
+        target = tmp_path / "metrics.jsonl"
+        target.write_text("precious snapshot\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "--quick", "--output", str(target)])
+        assert excinfo.value.code == 2
+        assert "refusing to overwrite existing file" in capsys.readouterr().err
+        assert target.read_text() == "precious snapshot\n"

@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.faults import CHAOS_SUITES, chaos_ok, run_chaos_suite
+from repro.faults import chaos_ok, run_chaos_suite
 from repro.faults.chaos import render_chaos_report
+from repro.sim.suites import SUITES
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,8 @@ class TestChaosDriver:
             run_chaos_suite("mp3", seed=0)
 
     def test_suite_list_matches_verifier(self):
-        assert CHAOS_SUITES == ("aes", "h264", "synthetic")
+        # Chaos, verify and metrics all read the one suite table.
+        assert SUITES == ("aes", "h264", "synthetic")
 
     def test_report_schema(self, synthetic_report):
         report = synthetic_report
