@@ -1,14 +1,16 @@
 """rispp-audit: the AST-level source-contract analyzer (``repro audit``).
 
 The platform's verification story — byte-identical seeded chaos
-reports, trace-equivalent backends, replayable golden traces — rests on
-implementation contracts that no runtime test can see from the outside:
-model code must never consult the host clock or an unseeded entropy
-source, every metric name must resolve against the declared catalogue,
-every ``diag()`` must use a registered rule ID, and compute-backend
-kernels must never mutate their inputs.  This module machine-checks
-those contracts over the source tree itself, reusing the Diagnostic /
-rule-catalogue machinery every other analyser shares.
+reports, replayable golden traces — rests on implementation contracts
+that no runtime test can see from the outside: model code must never
+consult the host clock or an unseeded entropy source, and the metric
+and rule catalogues must not carry entries nothing uses.  This module
+machine-checks those contracts over the source tree itself, reusing the
+Diagnostic / rule-catalogue machinery every other analyser shares.
+Contracts the runtime already refuses (an undeclared metric name, type
+or label value; an unregistered ``diag()`` rule ID) or the tests already
+observe (backend kernels never mutate their inputs) are not re-checked
+here.
 
 Rule groups (family ``audit``, catalogued in ``docs/analysis.md``):
 
@@ -16,21 +18,11 @@ Rule groups (family ``audit``, catalogued in ``docs/analysis.md``):
   entropy sources, wall-clock reads outside the
   :mod:`repro.obs.clock` seam, environment reads, and order-sensitive
   iteration over unordered ``set`` values;
-* **obs contract** (AUD005–AUD006) — every instrumentation site
-  (``registry.counter("name")``, ``.labels(...)``) must statically
-  resolve against :data:`repro.obs.catalogue.METRICS` (name, metric
-  type, label names, declared label values), and every declared metric
-  must be instrumented somewhere (dead-catalogue-entry detection);
-* **rules contract** (AUD007–AUD008) — every rule-ID literal (and every
-  ``diag()`` first argument) must be registered in
-  :mod:`repro.analysis.rules`, and every registered rule must be
-  referenced by some checker;
-* **backend purity** (AUD009–AUD010) — a lightweight attribute-store /
-  alias pass over :class:`repro.core.backend.ComputeBackend` subclasses
-  proving kernel methods never mutate their arguments or undeclared
-  state (instance attributes assigned in ``__init__`` and module names
-  listed in a module-level ``__audit_caches__`` frozenset are the
-  declared caches).
+* **dead catalogue entries** (AUD006, AUD008) — every metric declared
+  in :data:`repro.obs.catalogue.METRICS` must be instrumented somewhere
+  (a literal name at a ``counter``/``gauge``/``histogram`` call), and
+  every rule registered in :mod:`repro.analysis.rules` must appear as a
+  literal outside the registry.
 
 Intentional exceptions live in a checked-in suppression baseline
 (``audit_baseline.json`` at the repository root): entries match on
@@ -43,7 +35,6 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,20 +58,6 @@ DEFAULT_BASELINE_NAME = "audit_baseline.json"
 #: Path suffixes (posix) allowed to read the host clock — the seam.
 CLOCK_SEAM_SUFFIXES: tuple[str, ...] = ("obs/clock.py",)
 
-def _family_prefixes() -> tuple[str, ...]:
-    """Registered rule-ID prefixes (``TRC``, ``AUD``, ...), longest first."""
-    prefixes: set[str] = set()
-    for rid in RULES:
-        match = re.match(r"[A-Z]+", rid)
-        if match is not None:
-            prefixes.add(match.group(0))
-    return tuple(sorted(prefixes, key=lambda p: (-len(p), p)))
-
-
-#: A string literal shaped ``<known-prefix>NNN`` must name a registered
-#: rule (AUD007).
-_RULE_SHAPE = re.compile(r"(?:" + "|".join(_family_prefixes()) + r")\d{3}")
-
 #: ``random`` module attributes that are fine: seeded-instance
 #: construction (the zero-argument call is caught separately).
 _RANDOM_ALLOWED = frozenset({"Random"})
@@ -102,14 +79,6 @@ _ORDER_CASTS = frozenset({"list", "tuple", "enumerate", "iter"})
 #: Set methods returning another set (propagate set-ness).
 _SET_PRODUCERS = frozenset(
     {"union", "intersection", "difference", "symmetric_difference", "copy"}
-)
-#: Method names that mutate their receiver in place.
-_MUTATORS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "popitem", "clear",
-        "add", "discard", "update", "setdefault", "sort", "reverse", "fill",
-        "intersection_update", "difference_update", "symmetric_difference_update",
-    }
 )
 #: Instrument-factory method names of the obs registry.
 _INSTRUMENT_KINDS = frozenset({"counter", "gauge", "histogram"})
@@ -203,7 +172,7 @@ class FileFacts:
     path: str
     #: Metric names used at instrumentation sites.
     metric_uses: set[str] = field(default_factory=set)
-    #: Rule-ID-shaped string literals appearing anywhere in the module.
+    #: Registered rule IDs appearing as string literals in the module.
     rule_literals: set[str] = field(default_factory=set)
 
 
@@ -223,21 +192,6 @@ def _attr_chain(node: ast.expr) -> list[str] | None:
     return None
 
 
-def _root_name(node: ast.expr) -> str | None:
-    """The root ``Name`` of an attribute/subscript/call chain, if any."""
-    while True:
-        if isinstance(node, ast.Attribute) or isinstance(node, ast.Starred):
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        elif isinstance(node, ast.Name):
-            return node.id
-        else:
-            return None
-
-
 def _literal_str(node: ast.expr | None) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -251,7 +205,7 @@ def _metric_catalogue() -> Mapping[str, object]:
 
 
 class _Scope:
-    """One lexical scope: name bindings with set-ness, and instruments.
+    """One lexical scope: name bindings with their set-ness.
 
     ``bindings`` maps every name assigned in the scope to whether its
     last-seen value was set-typed; tracking non-set bindings too lets
@@ -259,19 +213,18 @@ class _Scope:
     through to an outer set-typed constant (false-positive guard).
     """
 
-    __slots__ = ("name", "bindings", "instruments")
+    __slots__ = ("name", "bindings")
 
     def __init__(self, name: str):
         self.name = name
         self.bindings: dict[str, bool] = {}
-        self.instruments: dict[str, object] = {}
 
 
 # -- the per-module analyzer --------------------------------------------------
 
 
 class _ModuleAuditor(ast.NodeVisitor):
-    """Single-pass visitor emitting AUD001–AUD005 and AUD007 findings."""
+    """Single-pass visitor emitting AUD001–AUD004 and collecting facts."""
 
     def __init__(
         self,
@@ -461,15 +414,8 @@ class _ModuleAuditor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         self.generic_visit(node)
         setish = self._is_setish(node.value)
-        spec = self._instrument_spec(node.value)
-        scope = self.scopes[-1]
         for target in node.targets:
             self._bind_target(target, setish)
-            if isinstance(target, ast.Name):
-                if spec is not None:
-                    scope.instruments[target.id] = spec
-                else:
-                    scope.instruments.pop(target.id, None)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self.generic_visit(node)
@@ -518,87 +464,7 @@ class _ModuleAuditor(ast.NodeVisitor):
         self._check_comprehension(node)
         self.generic_visit(node)
 
-    # -- calls: determinism, obs contract, rules contract -----------------
-
-    def _instrument_spec(self, node: ast.expr) -> object | None:
-        """The MetricSpec produced by ``<x>.counter("name")``-style calls."""
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _INSTRUMENT_KINDS
-        ):
-            return None
-        name = _literal_str(node.args[0] if node.args else None)
-        if name is None:
-            return None
-        catalogue = _metric_catalogue()
-        return catalogue.get(name)
-
-    def _check_instrument_call(self, node: ast.Call, kind: str) -> None:
-        name = _literal_str(node.args[0] if node.args else None)
-        if name is None:
-            return
-        self.facts.metric_uses.add(name)
-        catalogue = _metric_catalogue()
-        spec = catalogue.get(name)
-        if spec is None:
-            self.emit(
-                "AUD005",
-                f"metric {name!r} is not declared in the repro.obs "
-                "catalogue; instrumentation sites must resolve statically",
-                node,
-                metric=name,
-            )
-            return
-        declared_type = getattr(spec, "type", kind)
-        if declared_type != kind:
-            self.emit(
-                "AUD005",
-                f"metric {name!r} is declared as a {declared_type}, but "
-                f"this site creates a {kind}",
-                node,
-                metric=name,
-            )
-
-    def _check_labels_call(self, node: ast.Call) -> None:
-        assert isinstance(node.func, ast.Attribute)
-        receiver = node.func.value
-        spec: object | None = None
-        if isinstance(receiver, ast.Call):
-            spec = self._instrument_spec(receiver)
-        elif isinstance(receiver, ast.Name):
-            for scope in reversed(self.scopes):
-                if receiver.id in scope.instruments:
-                    spec = scope.instruments[receiver.id]
-                    break
-        if spec is None:
-            return
-        if any(kw.arg is None for kw in node.keywords):
-            return  # **splat: not statically resolvable
-        declared = tuple(getattr(spec, "labels", ()))
-        metric = str(getattr(spec, "name", "?"))
-        given = tuple(sorted(kw.arg for kw in node.keywords if kw.arg))
-        if given != tuple(sorted(declared)):
-            self.emit(
-                "AUD005",
-                f"metric {metric!r} declares labels {declared}, but this "
-                f"site binds {given}",
-                node,
-                metric=metric,
-            )
-            return
-        label_values = getattr(spec, "label_values", {})
-        for kw in node.keywords:
-            value = _literal_str(kw.value)
-            allowed = label_values.get(kw.arg, ()) if kw.arg else ()
-            if value is not None and allowed and value not in allowed:
-                self.emit(
-                    "AUD005",
-                    f"metric {metric!r} label {kw.arg!r} declares values "
-                    f"{tuple(allowed)}, got {value!r}",
-                    node,
-                    metric=metric,
-                )
+    # -- calls: determinism, instrumented metric names -------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -629,27 +495,9 @@ class _ModuleAuditor(ast.NodeVisitor):
                     node,
                 )
             if func.attr in _INSTRUMENT_KINDS:
-                self._check_instrument_call(node, func.attr)
-            if func.attr == "labels":
-                self._check_labels_call(node)
-        # diag() with a literal rule ID must be registered.  IDs shaped
-        # like a known family are handled by the literal check below
-        # (exactly one finding per site); this catches foreign shapes.
-        is_diag = (isinstance(func, ast.Name) and func.id == "diag") or (
-            isinstance(func, ast.Attribute) and func.attr == "diag"
-        )
-        if is_diag:
-            rid = _literal_str(node.args[0] if node.args else None)
-            if rid is not None:
-                self.facts.rule_literals.add(rid)
-                if rid not in RULES and not _RULE_SHAPE.fullmatch(rid):
-                    self.emit(
-                        "AUD007",
-                        f"diag() uses rule ID {rid!r}, which is not "
-                        "registered in repro.analysis.rules",
-                        node,
-                        rule=rid,
-                    )
+                name = _literal_str(node.args[0] if node.args else None)
+                if name is not None:
+                    self.facts.metric_uses.add(name)
         # Unseeded constructors: random.Random() / np.random.default_rng()
         chain = _attr_chain(func) if isinstance(func, ast.Attribute) else None
         if chain is not None and not node.args and not node.keywords:
@@ -759,362 +607,11 @@ class _ModuleAuditor(ast.NodeVisitor):
                     node,
                 )
 
-    # -- rule-ID-shaped literals ------------------------------------------
+    # -- rule-ID literals --------------------------------------------------
 
     def visit_Constant(self, node: ast.Constant) -> None:
-        if isinstance(node.value, str) and _RULE_SHAPE.fullmatch(node.value):
+        if isinstance(node.value, str) and node.value in RULES:
             self.facts.rule_literals.add(node.value)
-            if node.value not in RULES:
-                self.emit(
-                    "AUD007",
-                    f"rule-ID literal {node.value!r} is not registered in "
-                    "repro.analysis.rules",
-                    node,
-                    rule=node.value,
-                )
-
-
-# -- backend purity (AUD009 / AUD010) -----------------------------------------
-
-
-def _module_level_names(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(stmt.target, ast.Name):
-                names.add(stmt.target.id)
-    return names
-
-
-def _declared_module_caches(tree: ast.Module) -> set[str]:
-    """Names listed in a module-level ``__audit_caches__`` declaration."""
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__audit_caches__"
-                for t in stmt.targets
-            )
-        ):
-            names: set[str] = set()
-            for literal in ast.walk(stmt.value):
-                if isinstance(literal, ast.Constant) and isinstance(
-                    literal.value, str
-                ):
-                    names.add(literal.value)
-            return names
-    return set()
-
-
-def _backend_classes(tree: ast.Module) -> list[ast.ClassDef]:
-    """Classes deriving (transitively, within the module) from ComputeBackend."""
-    classes = [s for s in tree.body if isinstance(s, ast.ClassDef)]
-    known = {"ComputeBackend"}
-    found: dict[str, ast.ClassDef] = {}
-    changed = True
-    while changed:
-        changed = False
-        for cls in classes:
-            if cls.name in found:
-                continue
-            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)} | {
-                b.attr for b in cls.bases if isinstance(b, ast.Attribute)
-            }
-            if bases & known:
-                found[cls.name] = cls
-                known.add(cls.name)
-                changed = True
-    return list(found.values())
-
-
-def _init_declared_attrs(cls: ast.ClassDef) -> set[str]:
-    attrs: set[str] = set()
-    for stmt in cls.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-            self_name = stmt.args.args[0].arg if stmt.args.args else "self"
-            for node in ast.walk(stmt):
-                targets: list[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                    targets = [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == self_name
-                    ):
-                        attrs.add(target.attr)
-    return attrs
-
-
-class _KernelPurity:
-    """Alias-tracking walk of one backend kernel method."""
-
-    def __init__(
-        self,
-        cls: ast.ClassDef,
-        fn: ast.FunctionDef,
-        declared_attrs: set[str],
-        module_names: set[str],
-        module_caches: set[str],
-        emit: "_Emitter",
-    ):
-        args = fn.args
-        self.cls = cls
-        self.fn = fn
-        self.emit = emit
-        self.declared_attrs = declared_attrs
-        self.module_names = module_names
-        self.module_caches = module_caches
-        positional = [a.arg for a in args.posonlyargs + args.args]
-        self.self_name = positional[0] if positional else "self"
-        params = positional[1:] + [a.arg for a in args.kwonlyargs]
-        if args.vararg is not None:
-            params.append(args.vararg.arg)
-        if args.kwarg is not None:
-            params.append(args.kwarg.arg)
-        #: Names aliasing an input argument (or an element of one).
-        self.aliases: set[str] = set(params)
-        #: Names aliasing internal (self-derived) state.
-        self.self_derived: set[str] = set()
-        #: Every locally bound name.
-        self.locals: set[str] = set(params) | {self.self_name}
-
-    # -- classification ---------------------------------------------------
-
-    def _is_alias_expr(self, node: ast.expr) -> bool:
-        """Does this expression alias an input argument (or element)?"""
-        if isinstance(node, ast.Name):
-            return node.id in self.aliases
-        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-            return self._is_alias_expr(node.value)
-        return False
-
-    def _is_self_derived(self, node: ast.expr) -> bool:
-        root = _root_name(node)
-        if root == self.self_name:
-            return True
-        return root is not None and root in self.self_derived
-
-    # -- emission ----------------------------------------------------------
-
-    def _where(self) -> str:
-        return f"{self.cls.name}.{self.fn.name}"
-
-    def _flag_arg_mutation(self, node: ast.AST, what: str) -> None:
-        self.emit(
-            "AUD009",
-            f"backend kernel {self._where()} mutates its input "
-            f"({what}); kernels must treat arguments as immutable",
-            node,
-            symbol=self._where(),
-        )
-
-    def _flag_state_write(self, node: ast.AST, what: str) -> None:
-        self.emit(
-            "AUD010",
-            f"backend kernel {self._where()} writes undeclared state "
-            f"({what}); declare caches in __init__ or __audit_caches__",
-            node,
-            symbol=self._where(),
-        )
-
-    # -- store / call checks ----------------------------------------------
-
-    def _check_store(self, target: ast.expr) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._check_store(element)
-            return
-        if isinstance(target, ast.Name):
-            return  # plain rebinding never mutates a value
-        root = _root_name(target)
-        if root is None:
-            return
-        if root in self.aliases:
-            self._flag_arg_mutation(target, f"store into {root!r}")
-        elif root == self.self_name:
-            attr = self._first_attr(target)
-            if attr is not None and attr not in self.declared_attrs:
-                self._flag_state_write(target, f"self.{attr}")
-        elif root in self.self_derived or root in self.locals:
-            return
-        elif root in self.module_names and root not in self.module_caches:
-            self._flag_state_write(target, f"module global {root!r}")
-
-    def _first_attr(self, node: ast.expr) -> str | None:
-        """The attribute closest to the root: ``self.X[...].y`` -> ``X``."""
-        attr: str | None = None
-        while True:
-            if isinstance(node, ast.Attribute):
-                attr = node.attr
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                node = node.value
-            else:
-                return attr
-
-    def _check_calls(self, node: ast.AST) -> None:
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            for kw in call.keywords:
-                if kw.arg == "out" and self._is_alias_expr(kw.value):
-                    self._flag_arg_mutation(
-                        call, f"out= into {_root_name(kw.value)!r}"
-                    )
-            func = call.func
-            if not isinstance(func, ast.Attribute) or func.attr not in _MUTATORS:
-                continue
-            root = _root_name(func.value)
-            if root is None:
-                continue
-            if root in self.aliases:
-                self._flag_arg_mutation(call, f"{root}.{func.attr}()")
-            elif root == self.self_name:
-                attr = self._first_attr(func.value)
-                if attr is not None and attr not in self.declared_attrs:
-                    self._flag_state_write(call, f"self.{attr}.{func.attr}()")
-            elif root in self.self_derived or root in self.locals:
-                continue
-            elif root in self.module_names and root not in self.module_caches:
-                self._flag_state_write(call, f"{root}.{func.attr}()")
-
-    # -- statement walk ----------------------------------------------------
-
-    def run(self) -> None:
-        self._walk(self.fn.body)
-
-    def _bind(self, target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                # Element binding from an alias container keeps aliasing.
-                self._bind(element, value)
-            return
-        if not isinstance(target, ast.Name):
-            return
-        name = target.id
-        self.locals.add(name)
-        self.aliases.discard(name)
-        self.self_derived.discard(name)
-        if self._is_alias_expr(value):
-            self.aliases.add(name)
-        elif self._is_self_derived(value):
-            self.self_derived.add(name)
-
-    def _walk(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Assign):
-                self._check_calls(stmt.value)
-                for target in stmt.targets:
-                    self._check_store(target)
-                    self._bind(target, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign):
-                if stmt.value is not None:
-                    self._check_calls(stmt.value)
-                    self._check_store(stmt.target)
-                    self._bind(stmt.target, stmt.value)
-            elif isinstance(stmt, ast.AugAssign):
-                self._check_calls(stmt.value)
-                if isinstance(stmt.target, ast.Name):
-                    if stmt.target.id in self.aliases:
-                        self._flag_arg_mutation(
-                            stmt.target,
-                            f"augmented assignment to {stmt.target.id!r}",
-                        )
-                else:
-                    self._check_store(stmt.target)
-            elif isinstance(stmt, ast.Global):
-                for name in stmt.names:
-                    self.locals.add(name)
-                    if name not in self.module_caches:
-                        self._flag_state_write(
-                            stmt, f"global statement for {name!r}"
-                        )
-            elif isinstance(stmt, ast.For):
-                self._check_calls(stmt.iter)
-                self._bind(stmt.target, stmt.iter)
-                self._walk(stmt.body)
-                self._walk(stmt.orelse)
-            elif isinstance(stmt, ast.While):
-                self._check_calls(stmt.test)
-                self._walk(stmt.body)
-                self._walk(stmt.orelse)
-            elif isinstance(stmt, ast.If):
-                self._check_calls(stmt.test)
-                self._walk(stmt.body)
-                self._walk(stmt.orelse)
-            elif isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    self._check_calls(item.context_expr)
-                self._walk(stmt.body)
-            elif isinstance(stmt, ast.Try):
-                self._walk(stmt.body)
-                for handler in stmt.handlers:
-                    self._walk(handler.body)
-                self._walk(stmt.orelse)
-                self._walk(stmt.finalbody)
-            elif isinstance(stmt, ast.FunctionDef):
-                # Nested closures may mutate enclosing names: analyse the
-                # body in the same alias context.
-                self.locals.add(stmt.name)
-                self._walk(stmt.body)
-            elif isinstance(stmt, (ast.Return, ast.Expr, ast.Assert, ast.Raise)):
-                for value in ast.iter_child_nodes(stmt):
-                    if isinstance(value, ast.expr):
-                        self._check_calls(value)
-            elif isinstance(stmt, ast.Delete):
-                for target in stmt.targets:
-                    self._check_store(target)
-
-
-class _Emitter:
-    """diag() wrapper shared by the purity pass (callable protocol)."""
-
-    def __init__(self, relpath: str, report: DiagnosticReport):
-        self.relpath = relpath
-        self.report = report
-
-    def __call__(
-        self, rule_id: str, message: str, node: ast.AST, *, symbol: str = ""
-    ) -> None:
-        line = getattr(node, "lineno", 0)
-        self.report.append(
-            diag(
-                rule_id,
-                message,
-                subject=self.relpath,
-                location=f"line {line}",
-                line=line,
-                symbol=symbol or "<module>",
-            )
-        )
-
-
-def _audit_backend_purity(
-    tree: ast.Module, relpath: str, report: DiagnosticReport
-) -> None:
-    classes = _backend_classes(tree)
-    if not classes:
-        return
-    emit = _Emitter(relpath, report)
-    module_names = _module_level_names(tree)
-    module_caches = _declared_module_caches(tree)
-    for cls in classes:
-        declared = _init_declared_attrs(cls)
-        for stmt in cls.body:
-            if not isinstance(stmt, ast.FunctionDef):
-                continue
-            if stmt.name.startswith("__"):
-                continue  # __init__ and dunders set up declared state
-            _KernelPurity(
-                cls, stmt, declared, module_names, module_caches, emit
-            ).run()
 
 
 # -- whole-tree driver --------------------------------------------------------
@@ -1127,7 +624,6 @@ def audit_source(
     tree = ast.parse(source, filename=relpath)
     facts = FileFacts(path=relpath)
     _ModuleAuditor(relpath, report, facts).visit(tree)
-    _audit_backend_purity(tree, relpath, report)
     return facts
 
 

@@ -1076,12 +1076,11 @@ def explore(
     rispp-verify and records the rules it flags.
     """
     sc = SCOPES[scope] if isinstance(scope, str) else scope
-    mc_rules = {r.rule_id for r in rules_of_family("explore")}
-    checked = set(mc_rules)
+    checked = {r.rule_id for r in rules_of_family("explore")}
     if select is not None:
-        checked &= expand_selectors(select)
+        checked = expand_selectors(select, ("explore",))
     if ignore is not None:
-        checked -= expand_selectors(ignore)
+        checked -= expand_selectors(ignore, ("explore",))
     if not checked:
         raise ValueError("rule selection leaves no MC rule to check")
     if stop_on_violation is None:

@@ -322,14 +322,21 @@ def run_verify_suite(
     )
 
 
-def verify_golden_result(golden: GoldenTrace) -> VerifyResult:
-    """Verify a golden trace and prove its library's feasibility."""
+def verify_golden_result(
+    golden: GoldenTrace, *, survivable_failures: int | None = None
+) -> VerifyResult:
+    """Verify a golden trace and prove its library's feasibility.
+
+    ``survivable_failures`` is passed to :func:`prove_feasibility` as on
+    the suite path, so ``--trace`` runs prove FEA005 too.
+    """
     report = verify_golden(golden)
     feasibility = prove_feasibility(
         golden.library,
         golden.containers,
         core_mhz=golden.core_mhz,
         bytes_per_us=golden.bytes_per_us,
+        survivable_failures=survivable_failures,
         subject=golden.subject,
     )
     return VerifyResult(

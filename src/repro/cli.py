@@ -295,16 +295,24 @@ def _list_rules(families: "tuple[str, ...]") -> int:
 
 
 def _resolve_selectors(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    families: "tuple[str, ...]",
 ) -> "tuple[set[str] | None, set[str] | None]":
+    """Expand ``--select``/``--ignore`` over this tool's own rules.
+
+    A selector matching none of the tool's rules (a typo, or another
+    tool's ID such as ``lint --select TRC002``) is a usage error: it
+    would otherwise select nothing and report a clean run.
+    """
     from .analysis import expand_selectors
 
     select = ignore = None
     try:
         if args.select is not None:
-            select = expand_selectors(args.select.split(","))
+            select = expand_selectors(args.select.split(","), families)
         if args.ignore is not None:
-            ignore = expand_selectors(args.ignore.split(","))
+            ignore = expand_selectors(args.ignore.split(","), families)
     except ValueError as exc:
         parser.error(str(exc))
     return select, ignore
@@ -337,7 +345,7 @@ def _lint(argv: list[str]) -> int:
         return _list_rules(TOOL_FAMILIES["lint"])
     if args.containers is not None and args.containers < 0:
         parser.error(f"--containers must be non-negative, got {args.containers}")
-    select, ignore = _resolve_selectors(parser, args)
+    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["lint"])
     report = lint_builtin(
         args.subject or BUILTIN_SUBJECTS, containers=args.containers
     ).filtered(select=select, ignore=ignore)
@@ -399,7 +407,7 @@ def _verify(argv: list[str]) -> int:
     if args.list_rules:
         return _list_rules(TOOL_FAMILIES["verify"])
     _apply_backend(parser, args)
-    select, ignore = _resolve_selectors(parser, args)
+    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["verify"])
     if args.survivable_failures is not None and args.survivable_failures < 0:
         parser.error("--survivable-failures cannot be negative")
     if args.trace is not None:
@@ -409,7 +417,9 @@ def _verify(argv: list[str]) -> int:
             golden = load_golden(args.trace)
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"cannot load golden trace {args.trace!r}: {exc}")
-        result = verify_golden_result(golden)
+        result = verify_golden_result(
+            golden, survivable_failures=args.survivable_failures
+        )
     else:
         result = run_verify_suite(
             args.suite,
@@ -475,12 +485,10 @@ def _explore(argv: list[str]) -> int:
         return _list_rules(TOOL_FAMILIES["explore"])
     if args.max_states is not None and args.max_states < 1:
         parser.error(f"--max-states must be positive, got {args.max_states}")
+    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["explore"])
     try:
         result = explore(
-            args.scope,
-            select=args.select.split(",") if args.select is not None else None,
-            ignore=args.ignore.split(",") if args.ignore is not None else None,
-            max_states=args.max_states,
+            args.scope, select=select, ignore=ignore, max_states=args.max_states
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -794,7 +802,6 @@ def _metrics(argv: list[str]) -> int:
 
 def _audit(argv: list[str]) -> int:
     from .analysis import run_audit
-    from .analysis.rules import rules_of_family
 
     parser = argparse.ArgumentParser(
         prog="repro audit",
@@ -802,9 +809,9 @@ def _audit(argv: list[str]) -> int:
             "Statically check the repro source tree itself against its "
             "implementation contracts (rispp-audit): seeded determinism "
             "(no stray randomness, wall-clock or environment reads, no "
-            "order-sensitive set iteration), obs-catalogue resolution of "
-            "every instrumentation site, registered rule IDs at every "
-            "diag() call, and compute-backend kernel purity."
+            "order-sensitive set iteration) and no dead catalogue entries "
+            "(every declared metric instrumented, every registered rule "
+            "referenced)."
         ),
         epilog=_rule_epilog(TOOL_FAMILIES["audit"]),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -828,17 +835,7 @@ def _audit(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.list_rules:
         return _list_rules(TOOL_FAMILIES["audit"])
-    select, ignore = _resolve_selectors(parser, args)
-    audit_rules = {
-        rule.rule_id
-        for family in TOOL_FAMILIES["audit"]
-        for rule in rules_of_family(family)
-    }
-    for chosen in sorted((select or set()) | (ignore or set())):
-        if chosen not in audit_rules:
-            parser.error(
-                f"rule {chosen!r} is not an audit rule; see 'repro audit --list-rules'"
-            )
+    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["audit"])
     if args.baseline is None:
         baseline: "str | None" = "auto"
     elif args.baseline.lower() == "none":

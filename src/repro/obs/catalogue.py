@@ -5,7 +5,8 @@ unknown rule IDs), the observability layer refuses to create metrics it
 has not declared: :meth:`repro.obs.MetricRegistry.counter` (etc.) raises
 on names missing from :data:`METRICS`.  That keeps the catalogue in
 ``docs/observability.md``, the exporter schemas and the instrumentation
-sites in sync — the CI docs job cross-checks all three.
+sites in sync — ``python -m repro.analysis.docs_check`` cross-checks
+all three.
 
 Naming follows the Prometheus conventions: ``snake_case`` with the
 ``rispp_`` namespace prepended on export, ``_total`` suffix for

@@ -15,8 +15,9 @@ Design constraints, in order:
    ``deterministic=False`` in the catalogue and excluded from
    deterministic snapshots.
 3. **Declared metrics only.**  Creation validates the name and type
-   against :data:`repro.obs.catalogue.METRICS` — an instrumentation site
-   cannot invent a series the documentation does not know about.
+   against :data:`repro.obs.catalogue.METRICS`, and ``labels()`` the
+   label names and declared values — an instrumentation site cannot
+   invent a series the documentation does not know about.
 
 Label children are pre-resolvable: ``registry.counter("x").labels(mode="hw")``
 returns a bound child whose ``inc()`` is one dict-free method call, so
@@ -129,6 +130,13 @@ class Instrument:
         key = tuple(labels[name] for name in spec.labels)
         child = self._children.get(key)
         if child is None:
+            for name, value in zip(spec.labels, key):
+                allowed = spec.label_values.get(name)
+                if allowed and value not in allowed:
+                    raise ValueError(
+                        f"metric {spec.name!r} label {name!r} declares "
+                        f"values {allowed}, got {value!r}"
+                    )
             child = type(self)(spec, key)
             self._children[key] = child
         return child

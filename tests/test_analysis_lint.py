@@ -14,6 +14,7 @@ from repro.analysis import (
     DiagnosticReport,
     LintError,
     Severity,
+    diag,
     lint_builtin,
     lint_cfg,
     lint_forecast,
@@ -30,6 +31,7 @@ from repro.core import (
     MoleculeImpl,
     Schedule,
     ScheduledOp,
+    SILibrary,
     SpecialInstruction,
     list_schedule,
 )
@@ -118,6 +120,10 @@ class TestRuleCatalogue:
         for family in ("lattice", "library", "cfg", "forecast", "schedule"):
             assert rules_of_family(family), family
 
+    def test_diag_refuses_unregistered_rule_id(self):
+        with pytest.raises(KeyError):
+            diag("TRC999", "a checker emitting an unregistered ID")
+
 
 # ---------------------------------------------------------------------------
 # Clean artifacts produce zero ERRORs
@@ -200,8 +206,6 @@ class TestLatticeViolations:
             "BROKEN", space, 100,
             [MoleculeImpl(space.molecule({"Pack": 1}), 10)],
         )
-        from repro.core import SILibrary
-
         report = lint_library(SILibrary(mini_catalogue, [si]))
         assert "LAT003" in error_ids(report)
 
@@ -235,6 +239,13 @@ class TestLibraryViolations:
         report = lint_library(mini_library)
         assert "LIB003" in ids_of(report)
         assert report.ok()  # dead weight, not an invariant violation
+
+    def test_unused_atom_kind_is_lib008_warning(self, mini_catalogue, mini_library):
+        # HT alone never uses the SATD atom: dead fabric area.
+        report = lint_library(SILibrary(mini_catalogue, [mini_library.get("HT")]))
+        assert [d.context["kind"] for d in report.by_rule("LIB008")] == ["SATD"]
+        assert report.ok()
+        assert not lint_library(mini_library).by_rule("LIB008")
 
     def test_capacity_rules_skipped_without_containers(self, mini_library):
         report = lint_library(mini_library)  # no containers in context

@@ -6,8 +6,10 @@ same float benefits, same tie-breaks, same ``considered`` counters), and
 a runtime driven by either backend must emit identical traces.  These
 properties are the contract the CI backend matrix enforces on fixed
 suites; here hypothesis hunts for libraries and workloads where the two
-disagree.
+disagree, and checks that neither backend's kernels mutate their inputs.
 """
+
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from repro.core import (
     select_greedy,
     upgrade_path,
 )
+from repro.core.backend import get_backend
 
 KINDS = ["A", "B", "C", "D"]
 
@@ -144,6 +147,74 @@ def test_staging_cache_survives_weight_changes(bundle):
         assert select_greedy(
             library, scaled, budget, backend="reference"
         ) == select_greedy(library, scaled, budget, backend="numpy")
+
+
+# Kernel purity: the runtime selects over one shared library for a whole
+# run, so a kernel that mutated its inputs would corrupt every later
+# selection.  Both backends are driven over random libraries and checked
+# for observed non-mutation.
+
+
+def library_fingerprint(library):
+    return tuple(
+        (
+            si.name,
+            si.software_cycles,
+            tuple(
+                (impl.molecule.counts, impl.cycles, impl.label)
+                for impl in si.implementations
+            ),
+        )
+        for si in library
+    )
+
+
+def requests_fingerprint(requests):
+    return tuple((f.si.name, f.expected_executions) for f in requests)
+
+
+def exercise_kernels(backend, library, requests, budget):
+    """Call every ComputeBackend kernel once on the given inputs."""
+    space = library.catalogue.space
+    dim = space.dimension
+    rows = [list(impl.molecule.counts) for si in library for impl in si.implementations]
+    rows_snapshot = copy.deepcopy(rows)
+    available = [1] * dim
+
+    backend.sup(rows, dim)
+    backend.inf(rows)
+    backend.residual(rows, available)
+    backend.determinants(rows)
+    atoms = [sum(r) for r in rows]
+    cycles = list(range(1, len(rows) + 1))
+    backend.pareto_mask(atoms, cycles)
+    backend.greedy_choose(library, requests, budget, space.zero())
+    backend.exhaustive_choose(library, requests, budget)
+
+    assert rows == rows_snapshot, "a lattice kernel mutated its row input"
+    assert available == [1] * dim, "residual mutated its available vector"
+
+
+@settings(max_examples=40, deadline=None)
+@given(library_and_workload())
+def test_reference_kernels_do_not_mutate_inputs(bundle):
+    library, requests, budget = bundle
+    before_lib = library_fingerprint(library)
+    before_req = requests_fingerprint(requests)
+    exercise_kernels(get_backend("reference"), library, requests, budget)
+    assert library_fingerprint(library) == before_lib
+    assert requests_fingerprint(requests) == before_req
+
+
+@settings(max_examples=40, deadline=None)
+@given(library_and_workload())
+def test_numpy_kernels_do_not_mutate_inputs(bundle):
+    library, requests, budget = bundle
+    before_lib = library_fingerprint(library)
+    before_req = requests_fingerprint(requests)
+    exercise_kernels(get_backend("numpy"), library, requests, budget)
+    assert library_fingerprint(library) == before_lib
+    assert requests_fingerprint(requests) == before_req
 
 
 class TestRuntimeTraceEquality:

@@ -111,6 +111,9 @@ class TestToolExitCodes:
             ["audit", "--format", "xml"],
             ["audit", "--root", "/nonexistent/audit/root"],
             ["audit", "--baseline", "/nonexistent/baseline.json"],
+            ["lint", "--select", "TRC002"],
+            ["verify", "--select", "LIB003"],
+            ["explore", "--select", "MC001,TRC002"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

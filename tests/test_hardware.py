@@ -230,6 +230,39 @@ class TestReconfigurationPort:
         with pytest.raises(ValueError):
             port.request(fabric, "SATD", 0, now=0)
 
+    @pytest.mark.parametrize(
+        "atom, prepare, match",
+        [
+            ("Load", lambda port, fabric: None, "static"),
+            ("Nope", lambda port, fabric: None, "unknown atom kind"),
+            (
+                "SATD",
+                lambda port, fabric: port.request(fabric, "Pack", 0, now=0),
+                "already has a rotation scheduled",
+            ),
+            ("SATD", lambda port, fabric: fabric.container(0).mark_failed(), "failed"),
+            ("SATD", lambda port, fabric: fabric.container(0).quarantine(), "quarantined"),
+        ],
+        ids=["static-atom", "unknown-atom", "reserved", "failed", "quarantined"],
+    )
+    def test_request_refusals_leave_port_untouched(
+        self, mini_catalogue, atom, prepare, match
+    ):
+        fabric = Fabric(mini_catalogue, 2)
+        port = ReconfigurationPort(mini_catalogue, core_mhz=100.0)
+        prepare(port, fabric)
+        before = (list(port.jobs), port.busy_until, port.is_reserved(0))
+        with pytest.raises(ValueError, match=match):
+            port.request(fabric, atom, 0, now=0)
+        assert (list(port.jobs), port.busy_until, port.is_reserved(0)) == before
+
+    def test_quarantined_container_accepts_repair(self, mini_catalogue):
+        fabric = Fabric(mini_catalogue, 2)
+        port = ReconfigurationPort(mini_catalogue, core_mhz=100.0)
+        fabric.container(0).quarantine()
+        job = port.request(fabric, "SATD", 0, now=0, repair=True)
+        assert job.repair and port.is_reserved(0)
+
     def test_next_completion(self, mini_catalogue):
         fabric = Fabric(mini_catalogue, 2)
         port = ReconfigurationPort(mini_catalogue, core_mhz=100.0)

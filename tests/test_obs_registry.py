@@ -94,6 +94,12 @@ class TestLabels:
         with pytest.raises(ValueError, match="declares labels"):
             family.labels(kind="hw")
 
+    def test_undeclared_label_value_raises(self):
+        family = MetricRegistry().counter("si_executions_total")
+        with pytest.raises(ValueError, match="declares values"):
+            family.labels(mode="fpga")
+        assert [key for key, _ in family.children()] == [("hw",), ("sw",)]
+
     def test_unbound_parent_refuses_samples(self):
         family = MetricRegistry().counter("si_executions_total")
         with pytest.raises(ValueError, match="bind a child"):

@@ -62,6 +62,17 @@ class TestCleanRuns:
         assert main(["verify", "--trace", str(golden_path)]) == 0
         assert "all checks passed" not in capsys.readouterr().out or True
 
+    def test_trace_run_proves_survivable_failures(self, golden_path, capsys):
+        # --survivable-failures reaches the prover on the --trace path too:
+        # 3 of the synthetic fabric's 5 containers failing degrades every
+        # SI below its largest molecule (FEA005).
+        assert main([
+            "verify", "--trace", str(golden_path),
+            "--survivable-failures", "3", "--format", "json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "FEA005" in payload["summary"]["rule_ids"]
+
     def test_golden_file_schema(self, golden_path):
         data = _load(golden_path)
         assert data["kind"] == "rispp-golden-trace"
