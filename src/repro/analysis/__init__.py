@@ -22,8 +22,8 @@ already-constructed RISPP artifacts *without executing a simulation*:
   proving the MC invariants or emitting verifier-replayable minimized
   counterexamples;
 * **audit** — rispp-audit's AST-level source-contract analyzer over
-  ``src/repro`` itself: determinism sanitizer, obs-catalogue and
-  rule-catalogue resolution, compute-backend purity.
+  ``src/repro`` itself: determinism sanitizer and dead obs/rule
+  catalogue entries.
 
 Entry points: the per-family ``lint_*`` helpers (each calls its
 family's ``check_*`` function directly), :func:`verify_trace` /

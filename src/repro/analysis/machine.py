@@ -284,17 +284,10 @@ class ReferenceMachine:
                 and next_start <= cycle
                 and (next_finish is None or next_start <= next_finish)
             ):
+                # A non-repair job never starts on a quarantined container:
+                # a quarantine adopts every queued job of its container as
+                # the repair, and non-repair requests there are refused.
                 cont = self._containers[start_job.container_id]
-                if cont.quarantined and not start_job.repair:
-                    self._emit(
-                        "TRC015",
-                        f"rotation of {start_job.atom!r} starts on quarantined "
-                        f"container {start_job.container_id} at cycle "
-                        f"{start_job.started_at} without being a repair",
-                        location=f"container {start_job.container_id}",
-                        container=start_job.container_id,
-                        atom=start_job.atom,
-                    )
                 cont.atom = None
                 cont.loading = start_job.atom
                 cont.corrupted = False

@@ -38,7 +38,6 @@ def run_si_stream(
     energy_model=None,
     fault_injector=None,
     metrics=None,
-    backend=None,
     wrap=None,
 ) -> RisppRuntime:
     """Fire the loop-head forecasts, then execute the SI stream.
@@ -52,7 +51,7 @@ def run_si_stream(
     """
     rt = RisppRuntime(
         library, containers, core_mhz=100.0, energy_model=energy_model,
-        faults=fault_injector, metrics=metrics, backend=backend,
+        faults=fault_injector, metrics=metrics,
     )
     if wrap is not None:
         # Recovery hook (repro.recovery): journals the stream so the run

@@ -227,32 +227,6 @@ def _rule_epilog(families: tuple[str, ...]) -> str:
     return "\n".join(lines)
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    from .core.backend import available_backends
-
-    parser.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help=(
-            "compute backend for the selection/Pareto kernels "
-            "(default: $REPRO_BACKEND, else 'reference')"
-        ),
-    )
-
-
-def _apply_backend(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> None:
-    """Pin the process-default backend from ``--backend``, if given."""
-    if args.backend is None:
-        return
-    from .core.backend import BackendUnavailableError, set_default_backend
-
-    try:
-        set_default_backend(args.backend)
-    except BackendUnavailableError as exc:
-        parser.error(str(exc))
-
-
 def _refuse_overwrite(
     parser: argparse.ArgumentParser, path: str | None, *, force: bool
 ) -> None:
@@ -401,12 +375,10 @@ def _verify(argv: list[str]) -> int:
             "SI's largest molecule"
         ),
     )
-    _add_backend_arg(parser)
     _add_selector_args(parser)
     args = parser.parse_args(argv)
     if args.list_rules:
         return _list_rules(TOOL_FAMILIES["verify"])
-    _apply_backend(parser, args)
     select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["verify"])
     if args.survivable_failures is not None and args.survivable_failures < 0:
         parser.error("--survivable-failures cannot be negative")
@@ -622,9 +594,7 @@ def _chaos(argv: list[str]) -> int:
         "--force", action="store_true",
         help="overwrite an existing --json file instead of refusing",
     )
-    _add_backend_arg(parser)
     args = parser.parse_args(argv)
-    _apply_backend(parser, args)
     _refuse_overwrite(parser, args.json, force=args.force)
 
     resume = args.resume is not None
@@ -780,9 +750,7 @@ def _metrics(argv: list[str]) -> int:
         "--force", action="store_true",
         help="overwrite an existing --output file instead of refusing",
     )
-    _add_backend_arg(parser)
     args = parser.parse_args(argv)
-    _apply_backend(parser, args)
     _refuse_overwrite(parser, args.output, force=args.force)
     registry, _runtime = run_metrics_suite(args.suite, quick=args.quick)
     if args.format == "prom":
@@ -862,7 +830,7 @@ def _serve(argv: list[str]) -> int:
         prog="repro serve",
         description=(
             "Run the long-lived scenario daemon: accept chaos scenario "
-            "requests (suite, seed, fault-rate, backend, fault-handling "
+            "requests (suite, seed, fault-rate, fault-handling "
             "config) over a local HTTP/JSON API, shard them across a "
             "worker process pool and answer with byte-deterministic "
             "reports. Serves /healthz, /readyz and a Prometheus /metrics "

@@ -7,17 +7,7 @@ dataflow scheduling of Atom operations, and run-time molecule selection
 """
 
 from .atom import AtomCatalogue, AtomKind
-from .backend import (
-    BackendUnavailableError,
-    ComputeBackend,
-    NumpyBackend,
-    ReferenceBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from .backend import ComputeBackend, NumpyBackend, ReferenceBackend
 from .atomshare import (
     AtomProposal,
     common_subsequence,
@@ -56,15 +46,9 @@ __all__ = [
     "AtomCatalogue",
     "AtomKind",
     "AtomProposal",
-    "BackendUnavailableError",
     "ComputeBackend",
     "NumpyBackend",
     "ReferenceBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "resolve_backend",
-    "set_default_backend",
     "GenerationReport",
     "AtomOp",
     "AtomSpace",

@@ -15,32 +15,27 @@ This module therefore splits *policy* from *kernels*:
   infimum / residual / determinant over stacked count rows, Pareto-mask
   extraction, and the two selection inner loops (greedy candidate scan,
   exhaustive enumeration).
-* :class:`ReferenceBackend` — the pure-python kernels; the executable
-  specification every other backend must match bit-for-bit (identical
-  ``SelectionResult`` objects, not merely equal total benefit).
-* :class:`NumpyBackend` — the vectorized fast path: one
+* :class:`NumpyBackend` — the kernels the runtime runs: one
   ``(candidates x kinds)`` int64 matrix per greedy round and a chunked
-  broadcast over the exhaustive choice matrix.  Benefits are computed
-  with the same float64 operations in the same order as the reference,
-  and every arg-max replicates the reference's first-wins tie-breaking,
-  so results are exactly equal — enforced by the backend-equivalence
-  fuzz tests and the CI backend matrix.
+  broadcast over the exhaustive choice matrix.
+* :class:`ReferenceBackend` — the pure-python kernels; the executable
+  specification the numpy kernels must match bit-for-bit (identical
+  ``SelectionResult`` objects, not merely equal total benefit).  Only
+  tests run it, as the oracle of the equivalence fuzz tests.
 
-Backend choice is resolved lazily through a three-step chain (see
-:func:`resolve_backend`): an explicit ``backend=`` argument wins, then a
-library-pinned preference (``SILibrary(..., backend=...)``), then the
-process default (:func:`set_default_backend`, else the
-``REPRO_BACKEND`` environment variable, else ``"reference"``).
+Selection and Pareto analysis call :func:`kernel` at call time; it
+builds the one shared :class:`NumpyBackend` on first use, so importing
+this module does not import numpy.  Tests swap ``_kernel`` to run the
+same callers on the reference kernels.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
 from .molecule import Molecule, supremum
 
@@ -49,19 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .selection import ForecastedSI
     from .si import MoleculeImpl
 
-#: Environment variable consulted for the process-default backend.
-DEFAULT_BACKEND_ENV = "REPRO_BACKEND"
-
-#: A backend name or an already-constructed backend instance.
-BackendSpec = Union[str, "ComputeBackend"]
-
 #: Stacked count vectors: one row per molecule, ordered like
 #: ``AtomSpace.kinds``.
 Rows = Sequence[Sequence[int]]
-
-
-class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run here (missing dependency)."""
 
 
 # -- shared scoring helpers ---------------------------------------------------
@@ -97,11 +82,8 @@ class ComputeBackend(ABC):
     molecule, components ordered like the owning ``AtomSpace``); the
     selection entry points receive domain objects because their inner
     loops are what the backends specialise.  Implementations must be
-    stateless: one cached instance per name is shared process-wide.
+    stateless: one instance is shared process-wide.
     """
-
-    #: Registry name; also what ``--backend`` and ``$REPRO_BACKEND`` take.
-    name = "abstract"
 
     # -- batched lattice primitives --------------------------------------
 
@@ -179,8 +161,6 @@ class ReferenceBackend(ComputeBackend):
     reference itself exists so the vectorized paths have a small,
     readable specification to be diffed against.
     """
-
-    name = "reference"
 
     def sup(self, rows: Rows, dim: int) -> tuple[int, ...]:
         out = [0] * dim
@@ -323,17 +303,6 @@ class ReferenceBackend(ComputeBackend):
 # -- the vectorized fast path -------------------------------------------------
 
 
-def _require_numpy() -> Any:
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy ships by default
-        raise BackendUnavailableError(
-            "the 'numpy' compute backend requires numpy "
-            "(install the 'repro[numpy]' extra)"
-        ) from exc
-    return numpy
-
-
 class NumpyBackend(ComputeBackend):
     """Vectorized kernels over stacked ``int64`` count matrices.
 
@@ -341,14 +310,13 @@ class NumpyBackend(ComputeBackend):
     approximate: candidate benefits enter the arrays as the same python
     floats the reference computes, scores use the same float64 add /
     divide, enumeration follows the same row-major order, and ties pick
-    the same first-encountered winner.  Construction raises
-    :class:`BackendUnavailableError` when numpy is not importable.
+    the same first-encountered winner.
     """
 
-    name = "numpy"
-
     def __init__(self) -> None:
-        self._np = _require_numpy()
+        import numpy
+
+        self._np = numpy
         #: Per-library staging cache: libraries are immutable after
         #: construction, so their rc mask, baseline vector and candidate
         #: matrices (which depend only on SI structure, never on the
@@ -646,81 +614,15 @@ class NumpyBackend(ComputeBackend):
         return best_choice, best_benefit, total
 
 
-# -- registry and resolution --------------------------------------------------
+# -- the shared instance ------------------------------------------------------
 
 
-_REGISTRY: dict[str, type[ComputeBackend]] = {
-    ReferenceBackend.name: ReferenceBackend,
-    NumpyBackend.name: NumpyBackend,
-}
-_instances: dict[str, ComputeBackend] = {}
-_default_spec: BackendSpec | None = None
+_kernel: ComputeBackend | None = None
 
 
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names (availability is checked on first use)."""
-    return tuple(_REGISTRY)
-
-
-def get_backend(spec: BackendSpec) -> ComputeBackend:
-    """Resolve a backend name to its shared instance.
-
-    Instances pass through unchanged.  Unknown names raise
-    ``ValueError``; a backend whose dependencies are missing raises
-    :class:`BackendUnavailableError` on first construction.
-    """
-    if isinstance(spec, ComputeBackend):
-        return spec
-    try:
-        cls = _REGISTRY[spec]
-    except (KeyError, TypeError):
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown compute backend {spec!r}; choose from {known}"
-        ) from None
-    instance = _instances.get(spec)
-    if instance is None:
-        instance = cls()
-        _instances[spec] = instance
-    return instance
-
-
-def set_default_backend(spec: BackendSpec | None) -> None:
-    """Pin the process-wide default backend (validated eagerly).
-
-    ``None`` resets to the environment chain (``$REPRO_BACKEND``, then
-    ``reference``).  The CLI ``--backend`` flag lands here.
-    """
-    global _default_spec
-    if spec is not None:
-        get_backend(spec)
-    _default_spec = spec
-
-
-def default_backend() -> ComputeBackend:
-    """The process default backend.
-
-    Resolution order: :func:`set_default_backend`, then the
-    ``REPRO_BACKEND`` environment variable (read lazily, so test
-    monkeypatching works), then ``reference``.  An invalid environment
-    value fails loudly at first use rather than being silently ignored.
-    """
-    if _default_spec is not None:
-        return get_backend(_default_spec)
-    env = os.environ.get(DEFAULT_BACKEND_ENV)
-    if env:
-        return get_backend(env)
-    return get_backend(ReferenceBackend.name)
-
-
-def resolve_backend(
-    spec: BackendSpec | None = None, library: "SILibrary | None" = None
-) -> ComputeBackend:
-    """Three-step resolution: explicit spec > library pin > process default."""
-    if spec is not None:
-        return get_backend(spec)
-    if library is not None:
-        pinned = getattr(library, "backend", None)
-        if pinned is not None:
-            return get_backend(pinned)
-    return default_backend()
+def kernel() -> ComputeBackend:
+    """The kernels selection and Pareto analysis run on (built on first use)."""
+    global _kernel
+    if _kernel is None:
+        _kernel = NumpyBackend()
+    return _kernel

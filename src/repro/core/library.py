@@ -17,25 +17,13 @@ from .si import SpecialInstruction
 
 
 class SILibrary:
-    """A named collection of Special Instructions over one atom catalogue.
-
-    ``backend`` optionally pins a compute backend (a name such as
-    ``"numpy"`` or an instance) for the selection/Pareto kernels run over
-    this library; it is stored as given and resolved lazily on each use,
-    so an unavailable backend only fails when actually exercised.  When
-    ``None``, the process default applies (see :mod:`repro.core.backend`).
-    """
+    """A named collection of Special Instructions over one atom catalogue."""
 
     def __init__(
-        self,
-        catalogue: AtomCatalogue,
-        sis: Iterable[SpecialInstruction],
-        *,
-        backend: "str | object | None" = None,
+        self, catalogue: AtomCatalogue, sis: Iterable[SpecialInstruction]
     ):
         self.catalogue = catalogue
         self.space: AtomSpace = catalogue.space
-        self.backend = backend
         self._sis: dict[str, SpecialInstruction] = {}
         for si in sis:
             if si.space != self.space:

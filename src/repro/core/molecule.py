@@ -281,59 +281,29 @@ class Molecule:
             )
 
 
-def _stacked(molecules: list[Molecule]) -> tuple[AtomSpace, list[tuple[int, ...]]]:
-    """Common space and stacked count rows of a non-empty molecule list."""
-    space = molecules[0].space
-    for molecule in molecules[1:]:
-        molecules[0]._check_space(molecule)
-    return space, [m.counts for m in molecules]
-
-
 def supremum(
-    molecules: Iterable[Molecule],
-    *,
-    space: AtomSpace | None = None,
-    backend: object | None = None,
+    molecules: Iterable[Molecule], *, space: AtomSpace | None = None
 ) -> Molecule:
     """``sup(M)``: the Meta-Molecule of Atoms needed for *any* molecule in M.
 
     For an empty iterable a ``space`` is required and the zero molecule
-    (the supremum of the empty set in the lattice) is returned.  With
-    ``backend`` given, the component-wise max runs as one batched kernel
-    on that compute backend (see :mod:`repro.core.backend`) instead of a
-    pairwise reduction — same result, useful for large stacks.
+    (the supremum of the empty set in the lattice) is returned.
     """
     molecules = list(molecules)
     if not molecules:
         if space is None:
             raise ValueError("supremum of an empty set needs an explicit space")
         return space.zero()
-    if backend is not None:
-        from .backend import resolve_backend
-
-        common, rows = _stacked(molecules)
-        return Molecule(
-            common, resolve_backend(backend).sup(rows, common.dimension)
-        )
     return reduce(Molecule.union, molecules)
 
 
-def infimum(
-    molecules: Iterable[Molecule], *, backend: object | None = None
-) -> Molecule:
+def infimum(molecules: Iterable[Molecule]) -> Molecule:
     """``inf(M)``: Atoms collectively needed by *all* molecules of M.
 
     The infimum of an empty set is undefined here (it would be the top
     element, which is unbounded in ``N^n``); raises ``ValueError``.
-    With ``backend`` given, runs as one batched kernel like
-    :func:`supremum`.
     """
     molecules = list(molecules)
     if not molecules:
         raise ValueError("infimum of an empty molecule set is unbounded")
-    if backend is not None:
-        from .backend import resolve_backend
-
-        common, rows = _stacked(molecules)
-        return Molecule(common, resolve_backend(backend).inf(rows))
     return reduce(Molecule.intersection, molecules)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import BackendSpec, resolve_backend
+from . import backend
 from .si import MoleculeImpl, SpecialInstruction
 
 
@@ -43,9 +43,7 @@ def tradeoff_points(
     return points
 
 
-def pareto_front(
-    points: list[ParetoPoint], *, backend: BackendSpec | None = None
-) -> list[ParetoPoint]:
+def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
     """The non-dominated subset, sorted by ``(atoms, cycles)``.
 
     A point is kept iff no other point has ``atoms <=`` and ``cycles <=``
@@ -55,14 +53,12 @@ def pareto_front(
     ``(atoms, cycles)`` points do not dominate each other and therefore
     *all* stay on the front (in their original relative order); callers
     wanting one representative per coordinate must dedupe explicitly.
-
-    The domination scan runs on the resolved compute backend (see
-    :mod:`repro.core.backend`); ``backend`` overrides it per call.
+    The domination scan runs on the shared compute kernels.
     """
     ordered = sorted(points, key=lambda p: (p.atoms, p.cycles))
     if not ordered:
         return []
-    mask = resolve_backend(backend).pareto_mask(
+    mask = backend.kernel().pareto_mask(
         [p.atoms for p in ordered], [p.cycles for p in ordered]
     )
     return [p for p, keep in zip(ordered, mask) if keep]

@@ -17,11 +17,10 @@ Two algorithms are provided:
 * :func:`select_exhaustive` — optimal reference for small libraries,
   used by tests and the selection ablation bench.
 
-Both delegate their inner scoring/enumeration loops to a pluggable
-:class:`~repro.core.backend.ComputeBackend` (``backend=`` argument; see
-:mod:`repro.core.backend` for the resolution chain) — the pure-python
-``reference`` backend is the specification, the ``numpy`` backend the
-vectorized fast path, and they produce identical ``SelectionResult``s.
+Both delegate their inner scoring/enumeration loops to the shared
+:func:`~repro.core.backend.kernel` instance (see :mod:`repro.core.backend`:
+the numpy kernels, bit-identical to the pure-python reference kernels
+the tests diff them against).
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from .backend import BackendSpec, benefit, demand, resolve_backend
+from . import backend
+from .backend import benefit, demand
 from .library import SILibrary
 from .molecule import Molecule
 from .si import MoleculeImpl, SpecialInstruction
@@ -112,7 +112,6 @@ def select_greedy(
     container_budget: int,
     *,
     loaded: Molecule | None = None,
-    backend: BackendSpec | None = None,
 ) -> SelectionResult:
     """Greedy marginal-gain molecule selection.
 
@@ -125,9 +124,6 @@ def select_greedy(
     internally) describes Atoms already sitting in containers, and
     reusing them is free — this minimises the number of rotations, a
     stated goal of the paper.
-
-    ``backend`` overrides the compute backend for this call (name or
-    instance); otherwise the library pin or process default applies.
     """
     if container_budget < 0:
         raise ValueError("container budget cannot be negative")
@@ -137,7 +133,7 @@ def select_greedy(
         if loaded is not None
         else library.space.zero()
     )
-    chosen, considered = resolve_backend(backend, library).greedy_choose(
+    chosen, considered = backend.kernel().greedy_choose(
         library, requests, container_budget, loaded_rc
     )
     return _result(library, requests, chosen, considered)
@@ -149,7 +145,6 @@ def select_exhaustive(
     container_budget: int,
     *,
     loaded: Molecule | None = None,
-    backend: BackendSpec | None = None,
 ) -> SelectionResult:
     """Optimal selection by enumerating all per-SI implementation choices.
 
@@ -159,14 +154,14 @@ def select_exhaustive(
     choice does not depend on it (reuse only affects rotation effort, not
     the achievable benefit).  Equal-benefit combinations prefer fewer
     containers, then the earlier enumeration order, so the reported
-    optimum is deterministic across backends.
+    optimum is deterministic across kernels.
     """
     if container_budget < 0:
         raise ValueError("container budget cannot be negative")
     requests = _checked_requests(requests)
-    chosen, total, considered = resolve_backend(
-        backend, library
-    ).exhaustive_choose(library, requests, container_budget)
+    chosen, total, considered = backend.kernel().exhaustive_choose(
+        library, requests, container_budget
+    )
     return _result(library, requests, chosen, considered, total=total)
 
 
@@ -176,7 +171,6 @@ def upgrade_path(
     max_containers: int,
     *,
     loaded: Molecule | None = None,
-    backend: BackendSpec | None = None,
 ) -> list[SelectionResult]:
     """Selection results for every container budget ``0..max_containers``.
 
@@ -191,9 +185,7 @@ def upgrade_path(
     requests = list(requests)
     path: list[SelectionResult] = []
     for budget in range(max_containers + 1):
-        result = select_greedy(
-            library, requests, budget, loaded=loaded, backend=backend
-        )
+        result = select_greedy(library, requests, budget, loaded=loaded)
         if path and result.total_benefit < path[-1].total_benefit:
             result = path[-1]
         path.append(result)

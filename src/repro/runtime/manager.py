@@ -101,7 +101,6 @@ class RisppRuntime:
         energy_model=None,
         faults: "FaultInjector | None" = None,
         metrics: "MetricRegistry | None" = None,
-        backend: "str | object | None" = None,
     ):
         from ..obs import DISABLED
 
@@ -134,12 +133,6 @@ class RisppRuntime:
         self._bind_metrics()
         self.forecasting = forecasting
         self.selection = selection
-        #: Compute backend for the selection kernels (name or instance;
-        #: ``None`` defers to the library pin / process default — see
-        #: :mod:`repro.core.backend`).  Only forwarded when set, so
-        #: custom ``selection`` callables without a ``backend`` parameter
-        #: keep working.
-        self.backend = backend
         #: Optional :class:`repro.hardware.energy.EnergyModel`; when set,
         #: rotation and execution energies accumulate into the stats.
         self.energy_model = energy_model
@@ -473,12 +466,9 @@ class RisppRuntime:
             ForecastedSI(self.library.get(name), weight)
             for name, weight in sorted(weights.items())
         ]
-        select_kwargs: dict = {"loaded": loaded}
-        if self.backend is not None:
-            select_kwargs["backend"] = self.backend
         with self._m_replan_time.time():
             result = self.selection(
-                self.library, requests, len(self.fabric), **select_kwargs
+                self.library, requests, len(self.fabric), loaded=loaded
             )
             plan = plan_rotations(
                 self.library,

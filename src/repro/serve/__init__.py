@@ -2,7 +2,7 @@
 
 A :class:`RuntimeFacade` shards deterministic chaos scenarios across a
 process pool, and a local HTTP/JSON daemon (:mod:`repro.serve.daemon`)
-exposes it: POST a scenario request (suite, seed, fault-rate, backend,
+exposes it: POST a scenario request (suite, seed, fault-rate,
 fault-handling config) to ``/scenario`` and receive the exact bytes
 ``repro chaos --format json`` would print for the same flags — the
 chaos/verify/recovery determinism contracts carry over to the service

@@ -9,11 +9,9 @@ prints for the same flags (``json.dumps(report, indent=2,
 sort_keys=True)`` plus a trailing newline).
 
 Determinism contract: a scenario's output is a pure function of its
-request fields.  Workers re-pin the process-default compute backend on
-every call (including back to "unpinned" when the request names none),
-so pool reuse cannot leak one request's backend into the next, and two
-facades with different worker counts produce byte-identical responses
-for the same request.
+request fields.  Workers keep no per-request state, so pool reuse
+cannot leak one request into the next, and two facades with different
+worker counts produce byte-identical responses for the same request.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ class FacadeClosed(RuntimeError):
 def _scenario_defaults() -> dict[str, Any]:
     from ..faults.chaos import CHAOS_DEFAULTS
 
-    return {**CHAOS_DEFAULTS, "quick": True, "backend": None}
+    return {**CHAOS_DEFAULTS, "quick": True}
 
 
 def __getattr__(name: str) -> Any:
@@ -65,14 +63,12 @@ class ScenarioRequest:
     max_retries: int
     backoff_cycles: int
     quick: bool
-    backend: str | None
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ScenarioRequest":
         """Validate a JSON payload; raise :class:`ScenarioError` on junk."""
         import math
 
-        from ..core.backend import available_backends
         from ..sim.suites import SUITES
 
         if not isinstance(payload, Mapping):
@@ -116,15 +112,6 @@ class ScenarioRequest:
             raise ScenarioError(
                 f"backoff_cycles must be positive, got {backoff_cycles}"
             )
-        backend = merged["backend"]
-        if backend is not None:
-            if not isinstance(backend, str):
-                raise ScenarioError("backend must be a string or null")
-            if backend not in available_backends():
-                raise ScenarioError(
-                    f"backend {backend!r} is not available here; one of "
-                    f"{list(available_backends())}"
-                )
         quick = merged["quick"]
         if not isinstance(quick, bool):
             raise ScenarioError("quick must be a boolean")
@@ -136,7 +123,6 @@ class ScenarioRequest:
             max_retries=max_retries,
             backoff_cycles=backoff_cycles,
             quick=quick,
-            backend=backend,
         )
 
     def to_payload(self) -> dict[str, Any]:
@@ -148,13 +134,8 @@ def render_scenario(request: ScenarioRequest) -> str:
 
     Byte-identical to ``repro chaos --format json`` with the same flags.
     """
-    from ..core.backend import set_default_backend
     from ..faults import run_chaos_suite
 
-    # Re-pin (or unpin) the process default on every call: worker
-    # processes are reused across requests and must not inherit the
-    # previous request's backend.
-    set_default_backend(request.backend)
     report = run_chaos_suite(
         request.suite,
         seed=request.seed,

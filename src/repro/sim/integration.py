@@ -164,7 +164,6 @@ def compile_and_run(
     energy_model=None,
     fault_injector=None,
     metrics=None,
-    backend=None,
     wrap=None,
 ) -> CompileAndRunResult:
     """The full RISPP flow on one program.
@@ -190,7 +189,7 @@ def compile_and_run(
         _enforce(lint_flow(cfg, library, annotation, fdfs=fdfs, subject="flow"))
     runtime = RisppRuntime(
         library, containers, core_mhz=core_mhz, energy_model=energy_model,
-        faults=fault_injector, metrics=metrics, backend=backend,
+        faults=fault_injector, metrics=metrics,
     )
     if wrap is not None:
         # Recovery hook (repro.recovery): wraps the freshly built runtime

@@ -247,6 +247,17 @@ class TestLibraryViolations:
         assert report.ok()
         assert not lint_library(mini_library).by_rule("LIB008")
 
+    def test_molecule_not_faster_than_software_is_lib006_warning(
+        self, mini_library
+    ):
+        assert not lint_library(mini_library).by_rule("LIB006")
+        # HT's molecule 0 takes 22 cycles: against a 22-cycle software
+        # molecule it saves nothing, so a rotation towards it never pays.
+        mini_library.get("HT").software_cycles = 22
+        report = lint_library(mini_library)
+        assert [d.context["molecule"] for d in report.by_rule("LIB006")] == [0]
+        assert report.ok()  # a wasted molecule, not an invariant violation
+
     def test_capacity_rules_skipped_without_containers(self, mini_library):
         report = lint_library(mini_library)  # no containers in context
         assert not report.by_rule("LIB004")

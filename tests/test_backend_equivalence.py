@@ -1,16 +1,20 @@
-"""Reference/numpy backend equivalence: fuzzed, bit-for-bit.
+"""Reference/numpy kernel equivalence: fuzzed, bit-for-bit.
 
-The numpy backend is only a fast path — it must reproduce the reference
-backend's ``SelectionResult``s *exactly* (same chosen implementations,
-same float benefits, same tie-breaks, same ``considered`` counters), and
-a runtime driven by either backend must emit identical traces.  These
-properties are the contract the CI backend matrix enforces on fixed
-suites; here hypothesis hunts for libraries and workloads where the two
-disagree, and checks that neither backend's kernels mutate their inputs.
+The runtime runs the numpy kernels; the pure-python reference kernels
+are their executable specification.  The numpy kernels must reproduce
+the reference's ``SelectionResult``s *exactly* (same chosen
+implementations, same float benefits, same tie-breaks, same
+``considered`` counters), and a runtime or chaos campaign driven by
+either must emit identical traces and reports.  Hypothesis hunts for
+libraries and workloads where the two disagree, and checks that neither
+kernel set mutates its inputs.
 """
 
+import contextlib
 import copy
+import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,13 +25,40 @@ from repro.core import (
     AtomKind,
     ForecastedSI,
     MoleculeImpl,
+    NumpyBackend,
+    ReferenceBackend,
     SILibrary,
     SpecialInstruction,
     select_exhaustive,
     select_greedy,
     upgrade_path,
 )
-from repro.core.backend import get_backend
+from repro.core import backend as backend_mod
+from repro.faults import run_chaos_suite
+from repro.sim.suites import SUITES
+
+REFERENCE = ReferenceBackend()
+NUMPY = NumpyBackend()
+
+
+@contextlib.contextmanager
+def running_on(kernel):
+    """Swap the shared kernel instance for the duration of the block."""
+    saved = backend_mod._kernel
+    backend_mod._kernel = kernel
+    try:
+        yield
+    finally:
+        backend_mod._kernel = saved
+
+
+def on_both(select, *args, **kwargs):
+    """``select``'s result on the reference and on the numpy kernels."""
+    with running_on(REFERENCE):
+        ref = select(*args, **kwargs)
+    with running_on(NUMPY):
+        fast = select(*args, **kwargs)
+    return ref, fast
 
 KINDS = ["A", "B", "C", "D"]
 
@@ -78,8 +109,7 @@ def loaded_molecule(draw, library):
 @given(library_and_workload())
 def test_greedy_backends_agree_exactly(bundle):
     library, requests, budget = bundle
-    ref = select_greedy(library, requests, budget, backend="reference")
-    fast = select_greedy(library, requests, budget, backend="numpy")
+    ref, fast = on_both(select_greedy, library, requests, budget)
     # Full dataclass equality: chosen impls (identity through ==), float
     # benefit, demand molecule, containers and the considered counter.
     assert ref == fast
@@ -89,8 +119,7 @@ def test_greedy_backends_agree_exactly(bundle):
 @given(library_and_workload())
 def test_exhaustive_backends_agree_exactly(bundle):
     library, requests, budget = bundle
-    ref = select_exhaustive(library, requests, budget, backend="reference")
-    fast = select_exhaustive(library, requests, budget, backend="numpy")
+    ref, fast = on_both(select_exhaustive, library, requests, budget)
     assert ref == fast
 
 
@@ -99,11 +128,8 @@ def test_exhaustive_backends_agree_exactly(bundle):
 def test_greedy_backends_agree_with_loaded_atoms(data):
     library, requests, budget = data.draw(library_and_workload())
     loaded = data.draw(loaded_molecule(library))
-    ref = select_greedy(
-        library, requests, budget, loaded=loaded, backend="reference"
-    )
-    fast = select_greedy(
-        library, requests, budget, loaded=loaded, backend="numpy"
+    ref, fast = on_both(
+        select_greedy, library, requests, budget, loaded=loaded
     )
     assert ref == fast
 
@@ -114,27 +140,24 @@ def test_backends_agree_with_static_kinds(bundle):
     # A non-reconfigurable kind exercises the rc-projection masking in
     # the vectorized candidate staging.
     library, requests, budget = bundle
-    assert select_greedy(
-        library, requests, budget, backend="reference"
-    ) == select_greedy(library, requests, budget, backend="numpy")
-    assert select_exhaustive(
-        library, requests, budget, backend="reference"
-    ) == select_exhaustive(library, requests, budget, backend="numpy")
+    ref, fast = on_both(select_greedy, library, requests, budget)
+    assert ref == fast
+    ref, fast = on_both(select_exhaustive, library, requests, budget)
+    assert ref == fast
 
 
 @settings(max_examples=30, deadline=None)
 @given(library_and_workload())
 def test_upgrade_path_backends_agree(bundle):
     library, requests, budget = bundle
-    ref = upgrade_path(library, requests, budget, backend="reference")
-    fast = upgrade_path(library, requests, budget, backend="numpy")
+    ref, fast = on_both(upgrade_path, library, requests, budget)
     assert ref == fast
 
 
 @settings(max_examples=30, deadline=None)
 @given(library_and_workload())
 def test_staging_cache_survives_weight_changes(bundle):
-    # The numpy backend caches per-library candidate matrices keyed on
+    # The numpy kernels cache per-library candidate matrices keyed on
     # the request-name tuple; benefits depend on weights and must never
     # be cached.  Re-run the same library with scaled weights and check
     # the cached staging still matches the reference.
@@ -144,14 +167,13 @@ def test_staging_cache_survives_weight_changes(bundle):
             ForecastedSI(r.si, r.expected_executions * scale)
             for r in requests
         ]
-        assert select_greedy(
-            library, scaled, budget, backend="reference"
-        ) == select_greedy(library, scaled, budget, backend="numpy")
+        ref, fast = on_both(select_greedy, library, scaled, budget)
+        assert ref == fast
 
 
 # Kernel purity: the runtime selects over one shared library for a whole
 # run, so a kernel that mutated its inputs would corrupt every later
-# selection.  Both backends are driven over random libraries and checked
+# selection.  Both kernel sets are driven over random libraries and checked
 # for observed non-mutation.
 
 
@@ -201,7 +223,7 @@ def test_reference_kernels_do_not_mutate_inputs(bundle):
     library, requests, budget = bundle
     before_lib = library_fingerprint(library)
     before_req = requests_fingerprint(requests)
-    exercise_kernels(get_backend("reference"), library, requests, budget)
+    exercise_kernels(REFERENCE, library, requests, budget)
     assert library_fingerprint(library) == before_lib
     assert requests_fingerprint(requests) == before_req
 
@@ -212,28 +234,28 @@ def test_numpy_kernels_do_not_mutate_inputs(bundle):
     library, requests, budget = bundle
     before_lib = library_fingerprint(library)
     before_req = requests_fingerprint(requests)
-    exercise_kernels(get_backend("numpy"), library, requests, budget)
+    exercise_kernels(NUMPY, library, requests, budget)
     assert library_fingerprint(library) == before_lib
     assert requests_fingerprint(requests) == before_req
 
 
 class TestRuntimeTraceEquality:
-    """A runtime on the numpy backend emits the reference trace, byte for byte."""
+    """A runtime on the numpy kernels emits the reference trace, byte for byte."""
 
-    def run(self, mini_library, backend):
+    def run(self, mini_library, kernel):
         forecasts = [("SATD", 40.0), ("HT", 12.0)]
         blocks = [("SATD", 5), ("HT", 3)]
         # The long inter-block gaps let the requested rotations land, so
         # later rounds really execute in hardware (Fig. 6's SW->HW ramp).
-        return run_si_stream(
-            mini_library, forecasts, blocks,
-            containers=4, block_rounds=3, inter_block_cycles=200_000,
-            backend=backend,
-        )
+        with running_on(kernel):
+            return run_si_stream(
+                mini_library, forecasts, blocks,
+                containers=4, block_rounds=3, inter_block_cycles=200_000,
+            )
 
     def test_traces_identical(self, mini_library):
-        ref = self.run(mini_library, "reference")
-        fast = self.run(mini_library, "numpy")
+        ref = self.run(mini_library, REFERENCE)
+        fast = self.run(mini_library, NUMPY)
         assert trace_signature(ref.trace) == trace_signature(fast.trace)
         # Sanity: the scenario actually upgraded SIs to hardware, so the
         # equality above compares selections that did real work.
@@ -244,11 +266,23 @@ class TestRuntimeTraceEquality:
             for e in ref.trace
         )
 
-    def test_backend_default_matches_explicit(self, mini_library, monkeypatch):
-        from repro.core import backend as backend_mod
 
-        monkeypatch.setattr(backend_mod, "_default_spec", None)
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "numpy")
-        via_env = self.run(mini_library, None)
-        explicit = self.run(mini_library, "numpy")
-        assert trace_signature(via_env.trace) == trace_signature(explicit.trace)
+def chaos_json(kernel, suite, seed, quick):
+    """``repro chaos --format json`` bytes, run on ``kernel``."""
+    with running_on(kernel):
+        report = run_chaos_suite(suite, seed=seed, quick=quick)
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_quick_chaos_reports_identical_on_reference(suite, seed):
+    assert chaos_json(REFERENCE, suite, seed, True) == chaos_json(
+        NUMPY, suite, seed, True
+    )
+
+
+def test_full_size_h264_chaos_report_identical_on_reference():
+    assert chaos_json(REFERENCE, "h264", 1, False) == chaos_json(
+        NUMPY, "h264", 1, False
+    )

@@ -176,10 +176,12 @@ class TestAuditCommand:
         assert all(f["rule_id"].startswith("AUD") for f in payload["findings"])
 
     def test_no_baseline_surfaces_documented_env_read(self, capsys):
-        assert main(["audit", "--baseline", "none"]) == 1
+        # The shipped tree needs no suppression: without the baseline
+        # there is no documented env read (or anything else) to surface.
+        assert main(["audit", "--baseline", "none"]) == 0
         out = capsys.readouterr().out
-        assert "AUD003" in out
-        assert "src/repro/core/backend.py" in out
+        assert "all checks passed" in out
+        assert "AUD003" not in out
 
 
 class TestExploreCommand:

@@ -1,132 +1,68 @@
-"""The pluggable ComputeBackend facade: registry, resolution, kernels."""
+"""The compute kernels: the shared instance and the batched primitives."""
+
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import (
-    AtomSpace,
-    BackendUnavailableError,
-    ComputeBackend,
     ForecastedSI,
     NumpyBackend,
     ReferenceBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    infimum,
-    resolve_backend,
+    pareto_front_of,
     select_exhaustive,
     select_greedy,
-    set_default_backend,
-    supremum,
 )
 from repro.core import backend as backend_mod
 
 
-@pytest.fixture(autouse=True)
-def _isolated_backend_default(monkeypatch):
-    """Pin the process default to the hardcoded fallback for each test.
+class TestSharedKernel:
+    def test_runtime_runs_one_numpy_instance(self):
+        assert isinstance(backend_mod.kernel(), NumpyBackend)
+        assert backend_mod.kernel() is backend_mod.kernel()
 
-    The suite may run under ``REPRO_BACKEND=numpy`` (the CI backend
-    matrix does exactly that); these tests exercise the resolution
-    machinery itself, so they start from a clean slate.
-    """
-    monkeypatch.setattr(backend_mod, "_default_spec", None)
-    monkeypatch.delenv(backend_mod.DEFAULT_BACKEND_ENV, raising=False)
-
-
-class TestRegistry:
-    def test_both_backends_registered(self):
-        assert set(available_backends()) == {"reference", "numpy"}
-
-    def test_instances_are_cached_singletons(self):
-        assert get_backend("reference") is get_backend("reference")
-        assert get_backend("numpy") is get_backend("numpy")
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-
-    def test_instance_specs_pass_through(self):
-        mine = ReferenceBackend()
-        assert get_backend(mine) is mine
-
-    def test_unknown_name_lists_known_backends(self):
-        with pytest.raises(ValueError, match="numpy, reference"):
-            get_backend("cuda")
-
-    def test_non_string_spec_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend(42)
-
-    def test_unavailable_backend_raises_on_construction(self, monkeypatch):
-        def refuse():
-            raise BackendUnavailableError("numpy is not installed")
-
-        monkeypatch.setattr(backend_mod, "_require_numpy", refuse)
-        monkeypatch.setattr(backend_mod, "_instances", {})
-        with pytest.raises(BackendUnavailableError):
-            get_backend("numpy")
-        # set_default_backend validates eagerly, so the failure surfaces
-        # at configuration time, not at the first selection.
-        with pytest.raises(BackendUnavailableError):
-            set_default_backend("numpy")
-
-
-class TestResolution:
-    def test_hardcoded_default_is_reference(self):
-        assert isinstance(default_backend(), ReferenceBackend)
-        assert isinstance(resolve_backend(), ReferenceBackend)
-
-    def test_env_variable_is_read_lazily(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "numpy")
-        assert isinstance(default_backend(), NumpyBackend)
-
-    def test_invalid_env_value_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            default_backend()
-
-    def test_set_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.DEFAULT_BACKEND_ENV, "reference")
-        set_default_backend("numpy")
-        assert isinstance(default_backend(), NumpyBackend)
-        set_default_backend(None)  # reset -> back to the env chain
-        assert isinstance(default_backend(), ReferenceBackend)
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_backend("bogus")
-
-    def test_library_pin_wins_over_default(self, mini_library):
-        mini_library.backend = "numpy"
-        assert isinstance(
-            resolve_backend(None, mini_library), NumpyBackend
+    def test_import_does_not_build_the_kernel(self):
+        # The instance is built on first use, so importing the package
+        # (selection and Pareto analysis included) never imports numpy.
+        probe = (
+            "import sys, repro, repro.core; "
+            "assert 'numpy' not in sys.modules; "
+            "assert repro.core.backend._kernel is None"
         )
+        subprocess.run([sys.executable, "-c", probe], check=True)
 
-    def test_explicit_spec_wins_over_pin(self, mini_library):
-        mini_library.backend = "numpy"
-        assert isinstance(
-            resolve_backend("reference", mini_library), ReferenceBackend
-        )
-
-    def test_pinned_library_steers_selection(self, mini_library):
+    def test_swapped_kernel_steers_selection_and_pareto(
+        self, mini_library, monkeypatch
+    ):
         calls = []
 
-        class Probe(ReferenceBackend):
+        class Recording(ReferenceBackend):
             def greedy_choose(self, *a, **kw):
                 calls.append("greedy")
                 return super().greedy_choose(*a, **kw)
 
-        mini_library.backend = Probe()
+            def exhaustive_choose(self, *a, **kw):
+                calls.append("exhaustive")
+                return super().exhaustive_choose(*a, **kw)
+
+            def pareto_mask(self, *a, **kw):
+                calls.append("pareto")
+                return super().pareto_mask(*a, **kw)
+
+        monkeypatch.setattr(backend_mod, "_kernel", Recording())
         reqs = [ForecastedSI(mini_library.get("HT"), 10)]
         select_greedy(mini_library, reqs, 3)
-        assert calls == ["greedy"]
+        select_exhaustive(mini_library, reqs, 3)
+        pareto_front_of(mini_library.get("HT"))
+        assert calls == ["greedy", "exhaustive", "pareto"]
 
 
-BACKENDS = ["reference", "numpy"]
+KERNELS = {"reference": ReferenceBackend, "numpy": NumpyBackend}
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=list(KERNELS))
 def kernel(request):
-    return get_backend(request.param)
+    return KERNELS[request.param]()
 
 
 class TestBatchedKernels:
@@ -168,65 +104,3 @@ class TestBatchedKernels:
 
     def test_pareto_mask_empty(self, kernel):
         assert kernel.pareto_mask([], []) == []
-
-
-class TestMoleculeBackendRouting:
-    SPACE = AtomSpace(["A", "B", "C"])
-
-    def mols(self):
-        return [
-            self.SPACE.molecule({"A": 2, "B": 1}),
-            self.SPACE.molecule({"B": 3, "C": 1}),
-            self.SPACE.molecule({"A": 1, "C": 2}),
-        ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_supremum_matches_pairwise_reduction(self, backend):
-        mols = self.mols()
-        assert supremum(mols, backend=backend) == supremum(mols)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infimum_matches_pairwise_reduction(self, backend):
-        mols = self.mols()
-        assert infimum(mols, backend=backend) == infimum(mols)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_supremum_needs_space(self, backend):
-        zero = supremum([], space=self.SPACE, backend=backend)
-        assert zero == self.SPACE.molecule({})
-
-
-class TestSelectionBackendArg:
-    def test_greedy_accepts_backend_instances(self, mini_library):
-        reqs = [ForecastedSI(mini_library.get("SATD"), 7)]
-        via_name = select_greedy(mini_library, reqs, 4, backend="numpy")
-        via_instance = select_greedy(
-            mini_library, reqs, 4, backend=NumpyBackend()
-        )
-        assert via_name == via_instance
-
-    def test_exhaustive_accepts_backend(self, mini_library):
-        reqs = [
-            ForecastedSI(mini_library.get("HT"), 5),
-            ForecastedSI(mini_library.get("SATD"), 20),
-        ]
-        ref = select_exhaustive(mini_library, reqs, 6, backend="reference")
-        fast = select_exhaustive(mini_library, reqs, 6, backend="numpy")
-        assert ref == fast
-
-    def test_custom_backend_subclass_is_usable(self, mini_library):
-        class Recording(ReferenceBackend):
-            name = "recording"
-
-            def __init__(self):
-                self.exhaustive_calls = 0
-
-            def exhaustive_choose(self, *a, **kw):
-                self.exhaustive_calls += 1
-                return super().exhaustive_choose(*a, **kw)
-
-        probe = Recording()
-        assert isinstance(probe, ComputeBackend)
-        reqs = [ForecastedSI(mini_library.get("HT"), 5)]
-        select_exhaustive(mini_library, reqs, 3, backend=probe)
-        assert probe.exhaustive_calls == 1

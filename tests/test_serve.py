@@ -68,8 +68,7 @@ class TestScenarioRequest:
             ({"scrub_period": 0}, "scrub_period must be positive"),
             ({"max_retries": -1}, "max_retries cannot be negative"),
             ({"backoff_cycles": 0}, "backoff_cycles must be positive"),
-            ({"backend": 3}, "backend must be a string or null"),
-            ({"backend": "abacus"}, "not available here"),
+            ({"backend": "numpy"}, "unknown scenario field.s.: backend;"),
             ({"quick": "yes"}, "quick must be a boolean"),
             ("not a mapping", "must be a JSON object"),
         ],
