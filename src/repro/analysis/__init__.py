@@ -3,13 +3,13 @@
 A diagnostic framework plus domain checkers that statically analyse
 already-constructed RISPP artifacts *without executing a simulation*:
 
-* **lattice** — the §3.1 Molecule lattice laws and the §3.2 ``Rep(S)``
-  bounds over a library's molecules;
+* **lattice** — the §3.2 ``Rep(S)`` bounds and the §3.1 atom space of
+  a library's molecules;
 * **library** — SI/catalogue coherence (software fallback, shared atom
   space, Pareto-dominated molecules, Atom Container capacity);
 * **cfg** — profile well-formedness of the BB graph feeding the §4
-  forecast pipeline (probability sums, reachability, SCC partition,
-  flow conservation);
+  forecast pipeline (probability sums, reachability, flow
+  conservation);
 * **forecast** — placement soundness of Forecast points (§4.2) against
   their CFG, library and FDFs;
 * **schedule** — feasibility of dataflow schedules (§3);
@@ -33,7 +33,7 @@ verify`` / ``python -m repro explore`` / ``python -m repro audit``.
 The rule catalogue is documented in ``docs/analysis.md``.
 """
 
-from .audit import AuditResult, Baseline, Suppression, run_audit
+from .audit import AuditResult, run_audit
 from .diagnostics import Diagnostic, DiagnosticReport, LintError, Severity
 from .explore import (
     EXPLORE_SCOPES,
@@ -86,7 +86,6 @@ from .verify import (
 __all__ = [
     "AuditResult",
     "BUILTIN_SUBJECTS",
-    "Baseline",
     "Counterexample",
     "Diagnostic",
     "DiagnosticReport",
@@ -102,7 +101,6 @@ __all__ = [
     "Rule",
     "SIRotationBound",
     "Severity",
-    "Suppression",
     "VerifyResult",
     "build_explore_library",
     "diag",

@@ -24,17 +24,12 @@ Rule groups (family ``audit``, catalogued in ``docs/analysis.md``):
   every rule registered in :mod:`repro.analysis.rules` must appear as a
   literal outside the registry.
 
-Intentional exceptions live in a checked-in suppression baseline
-(``audit_baseline.json`` at the repository root): entries match on
-``(rule, path, symbol)`` so they survive line churn, every entry must
-carry a reason, and stale entries are flagged (AUD011) so the baseline
-can only shrink silently, never grow.
+There is no suppression mechanism: a finding is fixed in the code.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,16 +39,10 @@ from .rules import RULES, diag
 
 __all__ = [
     "AuditResult",
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
-    "Suppression",
     "audit_source",
     "package_root",
     "run_audit",
 ]
-
-#: Name of the checked-in suppression baseline at the repository root.
-DEFAULT_BASELINE_NAME = "audit_baseline.json"
 
 #: Path suffixes (posix) allowed to read the host clock — the seam.
 CLOCK_SEAM_SUFFIXES: tuple[str, ...] = ("obs/clock.py",)
@@ -82,84 +71,6 @@ _SET_PRODUCERS = frozenset(
 )
 #: Instrument-factory method names of the obs registry.
 _INSTRUMENT_KINDS = frozenset({"counter", "gauge", "histogram"})
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Suppression:
-    """One intentional, documented exception in the baseline."""
-
-    rule_id: str
-    path: str
-    symbol: str
-    reason: str
-
-    def matches(self, d: Diagnostic) -> bool:
-        return (
-            d.rule_id == self.rule_id
-            and d.subject == self.path
-            and str(d.context.get("symbol", "")) == self.symbol
-        )
-
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "symbol": self.symbol,
-            "reason": self.reason,
-        }
-
-
-@dataclass
-class Baseline:
-    """The checked-in suppression set (``audit_baseline.json``)."""
-
-    entries: list[Suppression] = field(default_factory=list)
-    path: str = ""
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries: list[Suppression] = []
-        for raw in data.get("suppressions", ()):
-            if not isinstance(raw, Mapping):
-                raise ValueError(f"baseline entry is not an object: {raw!r}")
-            missing = {"rule", "path", "symbol", "reason"} - set(raw)
-            if missing:
-                raise ValueError(
-                    f"baseline entry {raw!r} lacks {sorted(missing)} "
-                    "(every suppression must be documented)"
-                )
-            if not str(raw["reason"]).strip():
-                raise ValueError(
-                    f"baseline entry {raw!r} has an empty reason"
-                )
-            entries.append(
-                Suppression(
-                    rule_id=str(raw["rule"]),
-                    path=str(raw["path"]),
-                    symbol=str(raw["symbol"]),
-                    reason=str(raw["reason"]),
-                )
-            )
-        return cls(entries=entries, path=str(path))
-
-    def apply(
-        self, report: DiagnosticReport
-    ) -> tuple[DiagnosticReport, int, list[Suppression]]:
-        """(kept findings, suppressed count, stale entries)."""
-        used: set[Suppression] = set()
-        kept: list[Diagnostic] = []
-        for d in report:
-            hit = next((s for s in self.entries if s.matches(d)), None)
-            if hit is None:
-                kept.append(d)
-            else:
-                used.add(hit)
-        stale = [s for s in self.entries if s not in used]
-        return DiagnosticReport(kept), len(report) - len(kept), stale
 
 
 # -- per-file facts for the cross-file checks ---------------------------------
@@ -309,9 +220,8 @@ class _ModuleAuditor(ast.NodeVisitor):
                 elif module == "os" and name in ("environ", "getenv"):
                     self.emit(
                         "AUD003",
-                        f"'os.{name}' imported directly; environment "
-                        "reads need an allowlisted seam or a baseline "
-                        "suppression",
+                        f"'os.{name}' imported directly; configuration "
+                        "must flow through explicit arguments",
                         node,
                     )
                 elif module == "os" and name == "urandom":
@@ -593,7 +503,7 @@ class _ModuleAuditor(ast.NodeVisitor):
                 self.emit(
                     "AUD003",
                     f"environment read {dotted!r}; configuration must "
-                    "flow through explicit arguments or a baselined seam",
+                    "flow through explicit arguments",
                     node,
                 )
         elif module == "numpy":
@@ -687,21 +597,15 @@ class AuditResult:
 
     report: DiagnosticReport
     files_scanned: int
-    suppressed: int
-    stale_suppressions: list[Suppression]
     root: str
-    baseline_path: str | None
 
     def exit_code(self) -> int:
         return self.report.exit_code()
 
     def summary(self) -> str:
-        tail = ""
-        if self.suppressed:
-            tail = f", {self.suppressed} baseline-suppressed"
         return (
             f"rispp-audit: scanned {self.files_scanned} file(s) "
-            f"under {self.root}{tail}"
+            f"under {self.root}"
         )
 
 
@@ -716,18 +620,8 @@ def _iter_files(root: Path) -> list[Path]:
     return sorted(p for p in root.rglob("*.py") if p.is_file())
 
 
-def run_audit(
-    root: "str | Path | None" = None,
-    *,
-    baseline: "Baseline | str | Path | None" = "auto",
-) -> AuditResult:
-    """Audit a source tree (default: the ``repro`` package itself).
-
-    ``baseline="auto"`` loads ``audit_baseline.json`` from the display
-    root (the repository root for default runs) when present; pass
-    ``None`` to force a baseline-free run or a path/:class:`Baseline`
-    to use a specific one.
-    """
+def run_audit(root: "str | Path | None" = None) -> AuditResult:
+    """Audit a source tree (default: the ``repro`` package itself)."""
     pkg = package_root()
     scan_root = Path(root).resolve() if root is not None else pkg
     if not scan_root.exists():
@@ -750,40 +644,4 @@ def run_audit(
             audit_source(path.read_text(encoding="utf-8"), relpath, report)
         )
     _cross_file_checks(all_facts, report)
-
-    resolved: Baseline | None
-    if baseline == "auto":
-        default = display_base / DEFAULT_BASELINE_NAME
-        resolved = Baseline.load(default) if default.exists() else None
-    elif baseline is None:
-        resolved = None
-    elif isinstance(baseline, Baseline):
-        resolved = baseline
-    else:
-        resolved = Baseline.load(baseline)
-
-    suppressed = 0
-    stale: list[Suppression] = []
-    if resolved is not None:
-        report, suppressed, stale = resolved.apply(report)
-        for entry in stale:
-            report.append(
-                diag(
-                    "AUD011",
-                    f"baseline suppression ({entry.rule_id}, "
-                    f"{entry.path}, {entry.symbol}) matches no finding; "
-                    "remove it",
-                    subject=resolved.path or DEFAULT_BASELINE_NAME,
-                    location=f"{entry.rule_id} {entry.path}",
-                    line=0,
-                    symbol=entry.symbol,
-                )
-            )
-    return AuditResult(
-        report=report,
-        files_scanned=len(files),
-        suppressed=suppressed,
-        stale_suppressions=stale,
-        root=str(scan_root),
-        baseline_path=resolved.path if resolved is not None else None,
-    )
+    return AuditResult(report=report, files_scanned=len(files), root=str(scan_root))

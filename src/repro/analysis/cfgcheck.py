@@ -1,4 +1,4 @@
-"""CFG profile well-formedness checks (rules CFG001..CFG007).
+"""CFG profile well-formedness checks (rules CFG001..CFG004, CFG006, CFG007).
 
 The §4 forecast pipeline consumes a profiled BB graph; its probability
 and distance solvers assume a stochastically well-formed profile.  These
@@ -10,14 +10,16 @@ checks verify that shape statically:
 * CFG003 — every edge probability lies in [0, 1];
 * CFG004 — blocks unreachable from the entry (their forecast stats are
   vacuous: probability 0, distance ∞);
-* CFG005 — the SCC segmentation is a partition of the block set (the
-  paper's "tree of strongly connected components" precondition);
 * CFG006 — profile counts (block executions, edge traversals) are
   non-negative;
 * CFG007 — flow conservation of a profiled graph: a non-entry block's
   execution count matches its incoming traversals, a non-exit block's
   its outgoing ones (trace-derived profiles always satisfy this; a
   violation means the counts were edited or merged inconsistently).
+
+That the SCC condensation partitions the block set is a property of
+:func:`repro.cfg.scc.condense` itself, proven on random graphs by
+``tests/test_cfg_properties.py``, so it is not re-checked here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..cfg.graph import ControlFlowGraph
-from ..cfg.scc import condense
 from .diagnostics import Diagnostic
 from .rules import TOLERANCE, diag
 
@@ -106,49 +107,7 @@ def check_cfg(cfg: ControlFlowGraph, subject: str) -> Iterator[Diagnostic]:
                 block=block_id, total=total,
             )
 
-    yield from _check_scc_partition(cfg, subject)
     yield from _check_flow_conservation(cfg, subject)
-
-
-def _check_scc_partition(cfg: ControlFlowGraph, subject: str) -> Iterator[Diagnostic]:
-    """CFG005: the condensation's SCCs must partition the block set."""
-    condensation = condense(cfg)
-    block_ids = set(cfg.block_ids())
-    seen: dict[str, int] = {}
-    for node in condensation.nodes:
-        for member in node.members:
-            if member not in block_ids:
-                yield diag(
-                    "CFG005",
-                    f"SCC {node.scc_id} contains unknown block {member!r}",
-                    subject=subject, location=f"scc {node.scc_id}",
-                    scc=node.scc_id, block=member,
-                )
-            elif member in seen:
-                yield diag(
-                    "CFG005",
-                    f"block {member!r} appears in SCC {seen[member]} and "
-                    f"SCC {node.scc_id}",
-                    subject=subject, location=f"block {member}",
-                    block=member, sccs=[seen[member], node.scc_id],
-                )
-            else:
-                seen[member] = node.scc_id
-            if condensation.scc_of.get(member) != node.scc_id and member in block_ids:
-                yield diag(
-                    "CFG005",
-                    f"block {member!r} is mapped to SCC "
-                    f"{condensation.scc_of.get(member)} but listed in SCC "
-                    f"{node.scc_id}",
-                    subject=subject, location=f"block {member}",
-                    block=member, scc=node.scc_id,
-                )
-    for missing in sorted(block_ids - set(seen)):
-        yield diag(
-            "CFG005",
-            f"block {missing!r} is covered by no SCC",
-            subject=subject, location=f"block {missing}", block=missing,
-        )
 
 
 def _check_flow_conservation(

@@ -1,7 +1,7 @@
 """Diagnostic primitives of the RISPP invariant checker ("rispp-lint").
 
 A :class:`Diagnostic` is one finding of a static check: a stable rule ID
-(``LAT002``, ``CFG004``, ...), a severity, a human-readable message, and
+(``LAT003``, ``CFG004``, ...), a severity, a human-readable message, and
 enough location/context information to find the offending artifact
 without re-running the check.  :class:`DiagnosticReport` is an ordered
 collection with the aggregation helpers the CLI, the integration layer

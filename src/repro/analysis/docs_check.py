@@ -5,7 +5,7 @@ references drift from the code:
 
 * ``src/repro/...`` file paths that do not exist in the repository;
 * relative markdown links (``[text](path)``) whose target is missing;
-* analysis rule IDs (``LAT001`` .. ``AUD011``) absent from the
+* analysis rule IDs (``LAT003``, ``TRC008``, ...) absent from the
   :data:`repro.analysis.rules.RULES` catalogue;
 * ``rispp_*`` metric names absent from the :mod:`repro.obs` catalogue;
 * catalogue metrics *not documented* in ``docs/observability.md`` — the

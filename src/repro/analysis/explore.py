@@ -9,19 +9,15 @@ action interleaving of a small-scope configuration (2–4 Atom Containers,
 hashing on a frontier/visited BFS core.  Every reachable state is judged
 against the MC rule family declared in :mod:`.rules`:
 
-* MC001/MC002/MC003 — port serialization, reservation/queue coherence and
-  container lifecycle coherence (TRC002/TRC004 over all states);
+* MC001 — port serialization (TRC002 over all states);
 * MC004 — quarantine safety (TRC015 over all states, plus the repair
   flag actually reaching the trace);
 * MC005/MC006 — deadlock/livelock freedom, replan convergence and
   replan-skip soundness, probed by forking the state and draining /
   re-replanning it;
-* MC007/MC008 — rotation latency ≤ the FEA004-style static bound and
-  repair latency ≤ the ``static_repair_bound`` formula (FEA005
-  cross-validation), both rate-aware via
+* MC008 — repair latency ≤ the ``static_repair_bound`` formula (FEA005
+  cross-validation), rate-aware via
   :func:`~repro.analysis.feasibility.rotation_cycle_table`;
-* MC009 — terminal-state traces replay cleanly through the rispp-verify
-  reference machine;
 * MC010 — SI dispatch matches the best available molecule (TRC013).
 
 A violated rule yields a **minimized counterexample**: the action path is
@@ -39,9 +35,10 @@ action budgets so merging two states never loses a distinct suffix.
 from __future__ import annotations
 
 import copy
+import json
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..core.atom import AtomCatalogue, AtomKind
@@ -54,7 +51,7 @@ from ..sim.trace import EventKind
 from .diagnostics import DiagnosticReport
 from .feasibility import rotation_cycle_table
 from .rules import diag, expand_selectors, rules_of_family
-from .verify import golden_from_dict, golden_from_runtime, verify_golden, verify_trace
+from .verify import golden_from_dict, golden_from_runtime, verify_golden
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hardware.reconfig import RotationJob
@@ -535,12 +532,8 @@ def _state_key(world: _World, counts: dict[Action, int]) -> StateKey:
 
 @dataclass(frozen=True)
 class _Bounds:
-    """Rate-aware static bounds the MC007/MC008/MC005 checks prove."""
+    """Rate-aware static bounds the MC008/MC005 checks prove."""
 
-    rotation_cycles: dict[str, int]
-    max_rotation: int
-    #: FEA004-style request-to-finish bound: own write + a full queue.
-    queue_bound: int
     #: ``static_repair_bound`` formula at the scope's port rate.
     repair_bound: int
     #: Cycles a fork may advance before it must have gone quiescent.
@@ -551,8 +544,8 @@ def _bounds_of(scope: ExploreScope, library: SILibrary) -> _Bounds:
     table = rotation_cycle_table(
         library, core_mhz=scope.core_mhz, bytes_per_us=scope.bytes_per_us
     )
-    max_rotation = max(table.values(), default=1)
-    queue_bound = scope.containers * max_rotation
+    # FEA004-style request-to-finish bound: own write + a full queue.
+    queue_bound = scope.containers * max(table.values(), default=1)
     backoff_total = sum(
         scope.backoff_cycles * 2**i for i in range(scope.max_retries)
     )
@@ -560,9 +553,6 @@ def _bounds_of(scope: ExploreScope, library: SILibrary) -> _Bounds:
         scope.scrub_period + (1 + scope.max_retries) * queue_bound + backoff_total
     )
     return _Bounds(
-        rotation_cycles=table,
-        max_rotation=max_rotation,
-        queue_bound=queue_bound,
         repair_bound=repair_bound,
         drain_bound=scope.scrub_period + repair_bound + queue_bound + 4,
     )
@@ -590,56 +580,6 @@ def _check_mc001(world: _World) -> list[str]:
                 f"overlaps write of {prev[3]!r} into AC{prev[2]} "
                 f"at [{prev[0]}, {prev[1]})"
             )
-    return problems
-
-
-def _check_mc002(world: _World) -> list[str]:
-    rt = world.runtime
-    reserved = set(rt.port._reserved)
-    pending = {j.container_id for j in rt.port.pending_jobs()}
-    problems = []
-    if reserved != pending:
-        problems.append(
-            f"reservations {sorted(reserved)} != pending queue targets "
-            f"{sorted(pending)} (phantom or leaked reservation)"
-        )
-    for cid in sorted(reserved):
-        if rt.fabric.container(cid).failed:
-            problems.append(f"failed AC{cid} still reserved on the port")
-    return problems
-
-
-def _check_mc003(world: _World) -> list[str]:
-    rt = world.runtime
-    started = {
-        j.container_id: j for j in rt.port.pending_jobs() if j.started
-    }
-    problems = []
-    for c in rt.fabric.containers:
-        where = f"AC{c.container_id}"
-        if c.failed:
-            if c.atom is not None or c.quarantined or c.corrupted or c.ready_at is not None:
-                problems.append(f"{where} failed but still carries state")
-            continue
-        if c.state.value == "loaded":
-            if c.atom is None or c.ready_at is not None:
-                problems.append(f"{where} LOADED without an atom (or still pending)")
-        elif c.state.value == "empty":
-            if c.atom is not None or c.ready_at is not None:
-                problems.append(f"{where} EMPTY but carries an atom or ready_at")
-        elif c.state.value == "loading":
-            job = started.get(c.container_id)
-            if c.atom is None or c.ready_at is None:
-                problems.append(f"{where} LOADING without atom/ready_at")
-            elif job is None:
-                problems.append(f"{where} LOADING with no started port job")
-            elif job.finish_at != c.ready_at or job.atom != c.atom:
-                problems.append(
-                    f"{where} LOADING ({c.atom} ready at {c.ready_at}) does not "
-                    f"match its port job ({job.atom} finishing {job.finish_at})"
-                )
-        if c.corrupted and c.state.value != "loaded":
-            problems.append(f"{where} corrupted but not LOADED (silent-fault model)")
     return problems
 
 
@@ -769,21 +709,6 @@ def _check_mc006(world: _World) -> list[str]:
     return []
 
 
-def _check_mc007(world: _World, bounds: _Bounds) -> list[str]:
-    problems = []
-    for j in _serialized_jobs(world.runtime):
-        own = bounds.rotation_cycles.get(j.atom, bounds.max_rotation)
-        bound = own + bounds.queue_bound
-        latency = j.finish_at - j.requested_at
-        if latency > bound:
-            problems.append(
-                f"rotation of {j.atom!r} into AC{j.container_id} takes "
-                f"{latency} cycles (requested {j.requested_at}, finishes "
-                f"{j.finish_at}) > static bound {bound}"
-            )
-    return problems
-
-
 def _check_mc008(world: _World, bounds: _Bounds) -> list[str]:
     inj = world.runtime._faults
     if inj is None:
@@ -806,33 +731,6 @@ def _check_mc008(world: _World, bounds: _Bounds) -> list[str]:
             f"> static repair bound {bounds.repair_bound}"
         )
     return problems
-
-
-def _check_mc009(world: _World) -> list[str]:
-    """Terminal states with no open fault episode must replay cleanly
-    through the rispp-verify reference machine (golden traces describe
-    finished runs, so states mid-quarantine are out of its contract)."""
-    rt = world.runtime
-    if rt._faults is not None and rt._faults.open_episodes():
-        return []
-    report = verify_trace(
-        rt.trace.events,
-        rt.library,
-        containers=len(rt.fabric),
-        core_mhz=rt.port.core_mhz,
-        bytes_per_us=rt.port.bytes_per_us,
-        static_multiplicity=rt.fabric.static_multiplicity,
-        totals=asdict(rt.stats),
-        subject="explore-terminal",
-    )
-    errors = report.errors()
-    if errors:
-        first = errors[0]
-        return [
-            f"reference machine flags {len(errors)} error(s), first: "
-            f"{first.rule_id}: {first.message}"
-        ]
-    return []
 
 
 def _check_mc010(world: _World) -> list[str]:
@@ -871,7 +769,6 @@ def _check_state(
     bounds: _Bounds,
     checked: set[str],
     *,
-    terminal: bool,
     machine_key: StateKey | None = None,
     probe_memo: dict[StateKey, list[str]] | None = None,
 ) -> list[tuple[str, str]]:
@@ -898,22 +795,14 @@ def _check_state(
 
     if "MC001" in checked:
         run("MC001", _check_mc001(world))
-    if "MC002" in checked:
-        run("MC002", _check_mc002(world))
-    if "MC003" in checked:
-        run("MC003", _check_mc003(world))
     if "MC004" in checked:
         run("MC004", _check_mc004(world))
     if "MC005" in checked and not _quiescent(world):
         run("MC005", probe("MC005", lambda w: _check_mc005(w, bounds)))
     if "MC006" in checked and world.runtime._active:
         run("MC006", probe("MC006", _check_mc006))
-    if "MC007" in checked:
-        run("MC007", _check_mc007(world, bounds))
     if "MC008" in checked:
         run("MC008", _check_mc008(world, bounds))
-    if "MC009" in checked and terminal:
-        run("MC009", _check_mc009(world))
     if "MC010" in checked:
         run("MC010", _check_mc010(world))
     return findings
@@ -939,12 +828,8 @@ def _violating_prefix(
     done: list[Action] = []
 
     def violated() -> bool:
-        enabled = _enabled_actions(world, scope, counts)
         return bool(
-            _check_state(
-                world, tuple(done), scope, mutator, bounds, {rule_id},
-                terminal=not enabled,
-            )
+            _check_state(world, tuple(done), scope, mutator, bounds, {rule_id})
         )
 
     if violated():
@@ -1023,6 +908,24 @@ class ExploreResult:
 
     def exit_code(self) -> int:
         return self.report.exit_code()
+
+    def render_text(self, *, tool: str = "rispp-explore") -> str:
+        status = "complete" if self.complete else "INCOMPLETE (max-states cap hit)"
+        return "\n".join(
+            [
+                f"{tool}: scope {self.scope!r} — {status}",
+                f"  states explored:  {self.states_explored}"
+                f"  (transitions {self.transitions}, "
+                f"dedupe ratio {self.dedupe_ratio():.3f})",
+                f"  terminal states:  {self.terminal_states}",
+                f"  rules checked:    {', '.join(self.rules_checked)}",
+                f"  rules proven:     {', '.join(self.rules_proven) or 'none'}",
+                self.report.render_text(tool=tool),
+            ]
+        )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -1118,7 +1021,6 @@ def explore(
         actions = _enabled_actions(world, sc, counts)
         findings = _check_state(
             world, path, sc, mutator, bounds, checked,
-            terminal=not actions,
             machine_key=key[:-1],  # drop the budget component
             probe_memo=probe_memo,
         )

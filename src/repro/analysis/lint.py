@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .cfgcheck import check_cfg
 from .diagnostics import DiagnosticReport
 from .forecastcheck import check_forecast
-from .lattice import check_lattice_laws
+from .lattice import check_lattice
 from .library import check_library
 from .schedcheck import check_schedule
 
@@ -45,7 +45,7 @@ def lint_library(
     given.
     """
     subject = subject or f"library:{len(library)}-SIs"
-    report = DiagnosticReport(list(check_lattice_laws(library, subject)))
+    report = DiagnosticReport(list(check_lattice(library, subject)))
     report.extend(check_library(library, containers, subject))
     return report
 

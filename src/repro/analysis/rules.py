@@ -3,10 +3,11 @@
 rispp-lint (LAT/LIB/CFG/FC/SCH), rispp-verify (TRC/FEA) and
 rispp-explore (MC) all judge artifacts against rules declared *here* —
 one :class:`Rule` per invariant, with a stable ID, a default severity and
-the paper section it formalises.  The CLIs' ``--select``/``--ignore``/
-``--list-rules`` flags, the ``--help`` epilogs and the docs cross-checker
+the paper section it formalises.  The CLIs' ``--select``/``--ignore``
+flags, the ``--help`` epilogs and the docs cross-checker
 (:mod:`.docs_check`) read this single catalogue, so a rule cannot exist
-in one surface and be missing from another.
+in one surface and be missing from another.  Gaps in a family's
+numbering are retired rules; their IDs are never reused.
 
 Checker *functions* live elsewhere (one ``check_*`` per artifact kind,
 called by its ``lint_*`` helper in :mod:`.lint`; :mod:`.explore` holds
@@ -48,10 +49,6 @@ def _rule(rule_id: str, family: str, severity: Severity, title: str, paper_ref: 
 
 
 # -- lattice family (§3.1 / §3.2): the Molecule vector algebra --------------
-_rule("LAT001", "lattice", Severity.ERROR,
-      "union/intersection absorption law violated", "§3.1")
-_rule("LAT002", "lattice", Severity.ERROR,
-      "residual operator violates its bounding laws", "§3.1")
 _rule("LAT003", "lattice", Severity.ERROR,
       "Rep(S) outside its lattice bounds [inf(S), sup(S)]", "§3.2")
 _rule("LAT004", "lattice", Severity.ERROR,
@@ -84,8 +81,6 @@ _rule("CFG003", "cfg", Severity.ERROR,
       "edge probability outside [0, 1]", "§4.1")
 _rule("CFG004", "cfg", Severity.WARNING,
       "block unreachable from the entry", "§4")
-_rule("CFG005", "cfg", Severity.ERROR,
-      "SCC segmentation is not a partition of the blocks", "§4.1")
 _rule("CFG006", "cfg", Severity.ERROR,
       "negative profile count", "§4.1")
 _rule("CFG007", "cfg", Severity.WARNING,
@@ -171,22 +166,14 @@ _rule("FEA005", "feasibility", Severity.WARNING,
 # the TRC/FEA rule it generalises where one exists.
 _rule("MC001", "explore", Severity.ERROR,
       "two bitstream writes overlap on the single SelectMap port", "§5")
-_rule("MC002", "explore", Severity.ERROR,
-      "port reservations out of sync with the pending rotation queue", "§5")
-_rule("MC003", "explore", Severity.ERROR,
-      "Atom Container lifecycle state incoherent", "§3/§5")
 _rule("MC004", "explore", Severity.ERROR,
       "quarantined Atom Container targeted or served without repair", "§5")
 _rule("MC005", "explore", Severity.ERROR,
       "state cannot drain to an idle quiescent state (deadlock/livelock)", "§5")
 _rule("MC006", "explore", Severity.ERROR,
       "replanning does not converge (re-replan issues new rotations)", "§5")
-_rule("MC007", "explore", Severity.ERROR,
-      "rotation latency exceeds the FEA004 static bound", "§5")
 _rule("MC008", "explore", Severity.ERROR,
       "repair latency exceeds the static repair bound", "§5")
-_rule("MC009", "explore", Severity.ERROR,
-      "terminal-state trace fails reference-machine replay", "§3/§5")
 _rule("MC010", "explore", Severity.ERROR,
       "SI dispatch deviates from the best available molecule", "§5")
 
@@ -201,15 +188,13 @@ _rule("AUD001", "audit", Severity.ERROR,
 _rule("AUD002", "audit", Severity.ERROR,
       "wall-clock read outside the repro.obs.clock seam", "§5")
 _rule("AUD003", "audit", Severity.ERROR,
-      "environment read outside an allowlisted seam", "§5")
+      "environment read in platform code", "§5")
 _rule("AUD004", "audit", Severity.ERROR,
       "order-sensitive iteration over an unordered set", "§5")
 _rule("AUD006", "audit", Severity.ERROR,
       "declared metric is never instrumented (dead catalogue entry)", "§5")
 _rule("AUD008", "audit", Severity.ERROR,
       "registered rule is never emitted by any checker", "§5")
-_rule("AUD011", "audit", Severity.WARNING,
-      "stale baseline suppression matches no finding", "§5")
 
 
 def rule(rule_id: str) -> Rule:
@@ -257,7 +242,7 @@ def expand_selectors(
 
 
 def render_rule_list(wanted_families: "tuple[str, ...] | None" = None) -> str:
-    """The ``--list-rules`` table: one line per rule of the given families."""
+    """The ``--help`` epilog table: one line per rule of the given families."""
     lines = []
     for rule_id, r in sorted(RULES.items()):
         if wanted_families is not None and r.family not in wanted_families:

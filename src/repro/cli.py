@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import sys
-from typing import Callable
+from typing import Any, Callable
 
 
 def _fig1() -> str:
@@ -201,7 +201,7 @@ EXPERIMENTS = {
 
 
 #: Rule families each diagnostic tool reports on — the single map the
-#: ``--help`` epilogs, ``--list-rules`` and the sync test consume.  The
+#: ``--help`` epilogs, the selector check and the sync test consume.  The
 #: union over all tools must equal ``repro.analysis.rules.families()``:
 #: a family declared in the catalogue but reachable from no CLI (or vice
 #: versa) is a wiring bug, and tests/test_cli.py asserts it.
@@ -213,40 +213,68 @@ TOOL_FAMILIES: dict[str, tuple[str, ...]] = {
 }
 
 
-def _rule_epilog(families: tuple[str, ...]) -> str:
-    """The rule catalogue of the given families, for ``--help`` epilogs."""
-    from .analysis import RULES
-
-    lines = [
-        "rule IDs (--select/--ignore take comma-separated IDs or prefixes,",
-        "e.g. --ignore TRC008 or --select TRC):",
-    ]
-    for rule_id, rule in sorted(RULES.items()):
-        if rule.family in families:
-            lines.append(f"  {rule_id}  [{rule.severity}] {rule.title}")
-    return "\n".join(lines)
-
-
-def _refuse_overwrite(
-    parser: argparse.ArgumentParser, path: str | None, *, force: bool
+def _check_output(
+    parser: argparse.ArgumentParser, path: str | None, *, overwrite: bool
 ) -> None:
-    """Refuse an existing report target before any work starts.
+    """Refuse an output path that cannot be written, before any work starts.
 
-    Silent overwrites destroy evidence (a baseline report, a previous
-    campaign); without ``--force`` an existing target is a usage error
-    (exit 2), like any other bad flag combination.  The check runs
-    before the scenario, so a refused command leaves nothing behind.
+    A missing parent directory would only fail when the file is written,
+    after the whole run, and surface as a traceback.  Without ``overwrite`` an existing file is refused too:
+    silent overwrites destroy evidence (a baseline report, a previous
+    campaign).  Either is a usage error (exit 2), like any other bad flag
+    combination, and a refused command leaves nothing behind.
     """
     import os
 
-    if path and not force and os.path.exists(path):
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        parser.error(f"cannot write {path}: directory {parent} does not exist")
+    if not overwrite and os.path.exists(path):
         parser.error(
             f"refusing to overwrite existing file {path}; pass --force "
             "to replace it"
         )
 
 
-def _add_selector_args(parser: argparse.ArgumentParser) -> None:
+def _run_rule_tool(
+    tool: str,
+    argv: list[str],
+    description: str,
+    add_args: "Callable[[argparse.ArgumentParser], None]",
+    run: "Callable[..., Any]",
+) -> int:
+    """The one driver of the four rule CLIs (lint, verify, explore, audit).
+
+    It owns the parser (the tool's rule catalogue is the ``--help``
+    epilog), ``--format text|json``, ``--select``/``--ignore`` expanded
+    over the tool's own families, the print and the exit code.  Each
+    tool adds its own flags and supplies its run step, which receives
+    the expanded selectors and returns what to print: an object with
+    ``to_json()``, ``render_text(tool=)`` and ``exit_code()``.
+
+    A selector matching none of the tool's rules (a typo, or another
+    tool's ID such as ``lint --select TRC002``) is a usage error: it
+    would otherwise select nothing and report a clean run.
+    """
+    from .analysis import expand_selectors, render_rule_list
+
+    families = TOOL_FAMILIES[tool]
+    parser = argparse.ArgumentParser(
+        prog=f"repro {tool}",
+        description=description,
+        epilog=(
+            "rule IDs (--select/--ignore take comma-separated IDs or "
+            "prefixes):\n" + render_rule_list(families)
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    add_args(parser)
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="output format (default: text)",
+    )
     parser.add_argument(
         "--select", metavar="RULE[,RULE]", default=None,
         help="report only these rule IDs/prefixes (default: all)",
@@ -255,163 +283,120 @@ def _add_selector_args(parser: argparse.ArgumentParser) -> None:
         "--ignore", metavar="RULE[,RULE]", default=None,
         help="drop these rule IDs/prefixes (applied after --select)",
     )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print this tool's rule catalogue and exit",
-    )
-
-
-def _list_rules(families: "tuple[str, ...]") -> int:
-    from .analysis import render_rule_list
-
-    print(render_rule_list(families))
-    return 0
-
-
-def _resolve_selectors(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    families: "tuple[str, ...]",
-) -> "tuple[set[str] | None, set[str] | None]":
-    """Expand ``--select``/``--ignore`` over this tool's own rules.
-
-    A selector matching none of the tool's rules (a typo, or another
-    tool's ID such as ``lint --select TRC002``) is a usage error: it
-    would otherwise select nothing and report a clean run.
-    """
-    from .analysis import expand_selectors
-
-    select = ignore = None
+    args = parser.parse_args(argv)
     try:
-        if args.select is not None:
-            select = expand_selectors(args.select.split(","), families)
-        if args.ignore is not None:
-            ignore = expand_selectors(args.ignore.split(","), families)
+        select, ignore = [
+            None if raw is None else expand_selectors(raw.split(","), families)
+            for raw in (args.select, args.ignore)
+        ]
     except ValueError as exc:
         parser.error(str(exc))
-    return select, ignore
+    output = run(parser, args, select, ignore)
+    if args.format == "json":
+        print(output.to_json())
+    else:
+        print(output.render_text(tool=f"rispp-{tool}"))
+    return output.exit_code()
 
 
 def _lint(argv: list[str]) -> int:
     from .analysis import BUILTIN_SUBJECTS, lint_builtin
 
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Statically check the shipped RISPP artifacts (rispp-lint).",
-        epilog=_rule_epilog(TOOL_FAMILIES["lint"]),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    def add_args(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--containers", type=int, default=None, metavar="N",
+            help="also run Atom Container capacity rules against N containers",
+        )
+        parser.add_argument(
+            "--subject", action="append", choices=BUILTIN_SUBJECTS, default=None,
+            help="restrict to one case study (repeatable; default: all)",
+        )
+
+    def run(parser, args, select, ignore):
+        if args.containers is not None and args.containers < 0:
+            parser.error(
+                f"--containers must be non-negative, got {args.containers}"
+            )
+        return lint_builtin(
+            args.subject or BUILTIN_SUBJECTS, containers=args.containers
+        ).filtered(select=select, ignore=ignore)
+
+    return _run_rule_tool(
+        "lint", argv,
+        "Statically check the shipped RISPP artifacts (rispp-lint).",
+        add_args, run,
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="diagnostic output format (default: text)",
-    )
-    parser.add_argument(
-        "--containers", type=int, default=None, metavar="N",
-        help="also run Atom Container capacity rules against N containers",
-    )
-    parser.add_argument(
-        "--subject", action="append", choices=BUILTIN_SUBJECTS, default=None,
-        help="restrict to one case study (repeatable; default: all)",
-    )
-    _add_selector_args(parser)
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        return _list_rules(TOOL_FAMILIES["lint"])
-    if args.containers is not None and args.containers < 0:
-        parser.error(f"--containers must be non-negative, got {args.containers}")
-    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["lint"])
-    report = lint_builtin(
-        args.subject or BUILTIN_SUBJECTS, containers=args.containers
-    ).filtered(select=select, ignore=ignore)
-    print(report.to_json() if args.format == "json" else report.render_text())
-    return report.exit_code()
 
 
 def _verify(argv: list[str]) -> int:
-    from .analysis import (
-        load_golden,
-        run_verify_suite,
-        verify_golden_result,
-    )
+    from .analysis import load_golden, run_verify_suite, verify_golden_result
     from .analysis.verify import golden_from_runtime, write_golden
     from .sim.suites import SUITES
 
-    parser = argparse.ArgumentParser(
-        prog="repro verify",
-        description=(
-            "Replay a simulation trace against the formal RISPP reference "
-            "machine and statically prove worst-case rotation-latency "
-            "bounds (rispp-verify)."
-        ),
-        epilog=_rule_epilog(TOOL_FAMILIES["verify"]),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="verify a golden-trace JSON file instead of running a suite",
-    )
-    source.add_argument(
-        "--suite", choices=sorted(SUITES), default="synthetic",
-        help="run + verify one shipped scenario (default: synthetic)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="diagnostic output format (default: text)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced scenario sizes (CI mode)",
-    )
-    parser.add_argument(
-        "--emit-golden", metavar="PATH", default=None,
-        help="write the verified suite run as a golden-trace JSON file",
-    )
-    parser.add_argument(
-        "--survivable-failures", type=int, metavar="K", default=None,
-        help=(
-            "also prove degraded-mode feasibility (FEA005): the fabric "
-            "minus K failed containers must still hold every forecast "
-            "SI's largest molecule"
-        ),
-    )
-    _add_selector_args(parser)
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        return _list_rules(TOOL_FAMILIES["verify"])
-    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["verify"])
-    if args.survivable_failures is not None and args.survivable_failures < 0:
-        parser.error("--survivable-failures cannot be negative")
-    if args.trace is not None:
-        if args.emit_golden:
-            parser.error("--emit-golden requires a --suite run")
-        try:
-            golden = load_golden(args.trace)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load golden trace {args.trace!r}: {exc}")
-        result = verify_golden_result(
-            golden, survivable_failures=args.survivable_failures
+    def add_args(parser: argparse.ArgumentParser) -> None:
+        source = parser.add_mutually_exclusive_group()
+        source.add_argument(
+            "--trace", metavar="PATH", default=None,
+            help="verify a golden-trace JSON file instead of running a suite",
         )
-    else:
-        result = run_verify_suite(
-            args.suite,
-            quick=args.quick,
-            survivable_failures=args.survivable_failures,
+        source.add_argument(
+            "--suite", choices=sorted(SUITES), default="synthetic",
+            help="run + verify one shipped scenario (default: synthetic)",
         )
-    report = result.report.merge(result.feasibility.report).filtered(
-        select=select, ignore=ignore
+        parser.add_argument(
+            "--quick", action="store_true",
+            help="reduced scenario sizes (CI mode)",
+        )
+        parser.add_argument(
+            "--emit-golden", metavar="PATH", default=None,
+            help="write the verified suite run as a golden-trace JSON file",
+        )
+        parser.add_argument(
+            "--survivable-failures", type=int, metavar="K", default=None,
+            help=(
+                "also prove degraded-mode feasibility (FEA005): the fabric "
+                "minus K failed containers must still hold every forecast "
+                "SI's largest molecule"
+            ),
+        )
+
+    def run(parser, args, select, ignore):
+        if args.survivable_failures is not None and args.survivable_failures < 0:
+            parser.error("--survivable-failures cannot be negative")
+        if args.trace is not None:
+            if args.emit_golden:
+                parser.error("--emit-golden requires a --suite run")
+            try:
+                golden = load_golden(args.trace)
+            except (OSError, ValueError, KeyError) as exc:
+                parser.error(f"cannot load golden trace {args.trace!r}: {exc}")
+            result = verify_golden_result(
+                golden, survivable_failures=args.survivable_failures
+            )
+        else:
+            _check_output(parser, args.emit_golden, overwrite=True)
+            result = run_verify_suite(
+                args.suite,
+                quick=args.quick,
+                survivable_failures=args.survivable_failures,
+            )
+        if args.emit_golden and result.runtime is not None:
+            write_golden(
+                golden_from_runtime(result.runtime, suite=result.suite),
+                args.emit_golden,
+            )
+            print(f"golden trace written to {args.emit_golden}", file=sys.stderr)
+        return result.report.merge(result.feasibility.report).filtered(
+            select=select, ignore=ignore
+        )
+
+    return _run_rule_tool(
+        "verify", argv,
+        "Replay a simulation trace against the formal RISPP reference "
+        "machine and statically prove worst-case rotation-latency "
+        "bounds (rispp-verify).",
+        add_args, run,
     )
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text(tool="rispp-verify"))
-    if args.emit_golden and result.runtime is not None:
-        write_golden(
-            golden_from_runtime(result.runtime, suite=result.suite),
-            args.emit_golden,
-        )
-        print(f"golden trace written to {args.emit_golden}", file=sys.stderr)
-    return report.exit_code()
 
 
 def _explore(argv: list[str]) -> int:
@@ -419,84 +404,63 @@ def _explore(argv: list[str]) -> int:
 
     from .analysis import EXPLORE_SCOPES, explore
 
-    parser = argparse.ArgumentParser(
-        prog="repro explore",
-        description=(
-            "Exhaustively model-check the rotation runtime over a small "
-            "scope (rispp-explore): every interleaving of forecasts, SI "
-            "executions, clock ticks and fault injections within the "
-            "scope's budgets, with the MC invariants checked in every "
-            "reachable state. Violations yield minimized counterexamples "
-            "replayable with 'repro verify --trace'."
-        ),
-        epilog=_rule_epilog(TOOL_FAMILIES["explore"]),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--scope", choices=sorted(EXPLORE_SCOPES), default="small",
-        help="platform scope to exhaust (default: small)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="result output format (default: text)",
-    )
-    parser.add_argument(
-        "--max-states", type=int, default=None, metavar="N",
-        help="override the scope's state-count safety valve",
-    )
-    parser.add_argument(
-        "--emit-counterexample", metavar="PATH", default=None,
-        help=(
-            "write the first counterexample as golden-trace JSON "
-            "(replayable with 'repro verify --trace PATH')"
-        ),
-    )
-    _add_selector_args(parser)
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        return _list_rules(TOOL_FAMILIES["explore"])
-    if args.max_states is not None and args.max_states < 1:
-        parser.error(f"--max-states must be positive, got {args.max_states}")
-    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["explore"])
-    try:
-        result = explore(
-            args.scope, select=select, ignore=ignore, max_states=args.max_states
+    def add_args(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--scope", choices=sorted(EXPLORE_SCOPES), default="small",
+            help="platform scope to exhaust (default: small)",
         )
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        status = "complete" if result.complete else "INCOMPLETE (max-states cap hit)"
-        proven = ", ".join(result.rules_proven) or "none"
-        print(f"rispp-explore: scope {result.scope!r} — {status}")
-        print(
-            f"  states explored:  {result.states_explored}"
-            f"  (transitions {result.transitions}, "
-            f"dedupe ratio {result.dedupe_ratio():.3f})"
+        parser.add_argument(
+            "--max-states", type=int, default=None, metavar="N",
+            help="override the scope's state-count safety valve",
         )
-        print(f"  terminal states:  {result.terminal_states}")
-        print(f"  rules checked:    {', '.join(result.rules_checked)}")
-        print(f"  rules proven:     {proven}")
-        print(result.report.render_text(tool="rispp-explore"))
-    if args.emit_counterexample:
-        if not result.counterexamples:
-            print(
-                "no counterexample to emit (no MC violation found)",
-                file=sys.stderr,
+        parser.add_argument(
+            "--emit-counterexample", metavar="PATH", default=None,
+            help=(
+                "write the first counterexample as golden-trace JSON "
+                "(replayable with 'repro verify --trace PATH')"
+            ),
+        )
+
+    def run(parser, args, select, ignore):
+        if args.max_states is not None and args.max_states < 1:
+            parser.error(f"--max-states must be positive, got {args.max_states}")
+        _check_output(parser, args.emit_counterexample, overwrite=True)
+        try:
+            result = explore(
+                args.scope, select=select, ignore=ignore,
+                max_states=args.max_states,
             )
-        else:
-            with open(args.emit_counterexample, "w", encoding="utf-8") as fh:
-                json.dump(
-                    result.counterexamples[0].golden, fh,
-                    indent=2, sort_keys=True,
+        except ValueError as exc:
+            parser.error(str(exc))
+        if args.emit_counterexample:
+            if not result.counterexamples:
+                print(
+                    "no counterexample to emit (no MC violation found)",
+                    file=sys.stderr,
                 )
-                fh.write("\n")
-            print(
-                f"counterexample written to {args.emit_counterexample}",
-                file=sys.stderr,
-            )
-    return result.exit_code()
+            else:
+                with open(args.emit_counterexample, "w", encoding="utf-8") as fh:
+                    json.dump(
+                        result.counterexamples[0].golden, fh,
+                        indent=2, sort_keys=True,
+                    )
+                    fh.write("\n")
+                print(
+                    f"counterexample written to {args.emit_counterexample}",
+                    file=sys.stderr,
+                )
+        return result
+
+    return _run_rule_tool(
+        "explore", argv,
+        "Exhaustively model-check the rotation runtime over a small "
+        "scope (rispp-explore): every interleaving of forecasts, SI "
+        "executions, clock ticks and fault injections within the "
+        "scope's budgets, with the MC invariants checked in every "
+        "reachable state. Violations yield minimized counterexamples "
+        "replayable with 'repro verify --trace'.",
+        add_args, run,
+    )
 
 
 #: Metadata file a checkpointed chaos run writes into its store, so
@@ -595,7 +559,7 @@ def _chaos(argv: list[str]) -> int:
         help="overwrite an existing --json file instead of refusing",
     )
     args = parser.parse_args(argv)
-    _refuse_overwrite(parser, args.json, force=args.force)
+    _check_output(parser, args.json, overwrite=args.force)
 
     resume = args.resume is not None
     if resume and args.checkpoint_dir is not None:
@@ -751,7 +715,7 @@ def _metrics(argv: list[str]) -> int:
         help="overwrite an existing --output file instead of refusing",
     )
     args = parser.parse_args(argv)
-    _refuse_overwrite(parser, args.output, force=args.force)
+    _check_output(parser, args.output, overwrite=args.force)
     registry, _runtime = run_metrics_suite(args.suite, quick=args.quick)
     if args.format == "prom":
         # The scrape view: everything recorded, span timers included.
@@ -771,56 +735,22 @@ def _metrics(argv: list[str]) -> int:
 def _audit(argv: list[str]) -> int:
     from .analysis import run_audit
 
-    parser = argparse.ArgumentParser(
-        prog="repro audit",
-        description=(
-            "Statically check the repro source tree itself against its "
-            "implementation contracts (rispp-audit): seeded determinism "
-            "(no stray randomness, wall-clock or environment reads, no "
-            "order-sensitive set iteration) and no dead catalogue entries "
-            "(every declared metric instrumented, every registered rule "
-            "referenced)."
-        ),
-        epilog=_rule_epilog(TOOL_FAMILIES["audit"]),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    def run(parser, args, select, ignore):
+        result = run_audit()
+        if args.format == "text":
+            print(result.summary(), file=sys.stderr)
+        return result.report.filtered(select=select, ignore=ignore)
+
+    return _run_rule_tool(
+        "audit", argv,
+        "Statically check the repro source tree itself against its "
+        "implementation contracts (rispp-audit): seeded determinism "
+        "(no stray randomness, wall-clock or environment reads, no "
+        "order-sensitive set iteration) and no dead catalogue entries "
+        "(every declared metric instrumented, every registered rule "
+        "referenced).",
+        lambda parser: None, run,
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="diagnostic output format (default: text)",
-    )
-    parser.add_argument(
-        "--root", metavar="PATH", default=None,
-        help="source tree to audit (default: the installed repro package)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help=(
-            "suppression baseline (default: audit_baseline.json at the "
-            "repository root when present; pass 'none' to disable)"
-        ),
-    )
-    _add_selector_args(parser)
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        return _list_rules(TOOL_FAMILIES["audit"])
-    select, ignore = _resolve_selectors(parser, args, TOOL_FAMILIES["audit"])
-    if args.baseline is None:
-        baseline: "str | None" = "auto"
-    elif args.baseline.lower() == "none":
-        baseline = None
-    else:
-        baseline = args.baseline
-    try:
-        result = run_audit(args.root, baseline=baseline)
-    except (OSError, SyntaxError, ValueError) as exc:
-        parser.error(str(exc))
-    report = result.report.filtered(select=select, ignore=ignore)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text(tool="rispp-audit"))
-        print(result.summary(), file=sys.stderr)
-    return report.exit_code()
 
 
 def _serve(argv: list[str]) -> int:

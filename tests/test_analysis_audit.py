@@ -4,29 +4,23 @@ Every AUD rule gets at least one positive (planted violation caught)
 and one negative (conforming code stays clean) case over synthetic
 source trees, plus the acceptance-critical planted violations that must
 each be caught by *exactly* the intended rule.  The real ``src/repro``
-tree must audit clean modulo the checked-in baseline.
+tree must audit clean; there is no suppression mechanism.
 """
 
-import json
 import textwrap
 
 import pytest
 
-from repro.analysis.audit import (
-    Baseline,
-    Suppression,
-    package_root,
-    run_audit,
-)
+from repro.analysis.audit import package_root, run_audit
 
 
-def audit_tree(tmp_path, files, baseline=None):
+def audit_tree(tmp_path, files):
     """Write a synthetic tree and audit it."""
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_audit(tmp_path, baseline=baseline)
+    return run_audit(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -258,111 +252,19 @@ class TestAUD008DeadRules:
         )
         assert set(result.report.rule_ids()) == {"AUD008"}
         flagged = {d.context["rule"] for d in result.report.by_rule("AUD008")}
-        assert "LAT001" in flagged
+        assert "LAT003" in flagged
 
     def test_referenced_rules_not_flagged(self, tmp_path):
         result = audit_tree(
             tmp_path,
             {
                 "analysis/rules.py": "RULES = {}\n",
-                "checker.py": "IDS = ['LAT001']\n",
+                "checker.py": "IDS = ['LAT003']\n",
             },
         )
-        assert "LAT001" not in {
+        assert "LAT003" not in {
             d.context["rule"] for d in result.report.by_rule("AUD008")
         }
-
-
-# ---------------------------------------------------------------------------
-# Baseline handling (incl. AUD011)
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def _tree(self):
-        return {"mod.py": "import os\nv = os.getenv('X')\n"}
-
-    def test_matching_suppression_hides_finding(self, tmp_path):
-        baseline = Baseline(
-            entries=[Suppression("AUD003", "mod.py", "<module>", "documented")]
-        )
-        result = audit_tree(tmp_path, self._tree(), baseline=baseline)
-        assert result.report.clean(), result.report.render_text()
-        assert result.suppressed == 1
-
-    def test_stale_suppression_warns_aud011(self, tmp_path):
-        baseline = Baseline(
-            entries=[Suppression("AUD001", "gone.py", "nope", "stale entry")]
-        )
-        result = audit_tree(tmp_path, self._tree(), baseline=baseline)
-        assert set(result.report.rule_ids()) == {"AUD003", "AUD011"}
-        assert result.stale_suppressions == baseline.entries
-        # AUD011 is a warning: it must not flip a clean run to exit 1.
-        assert result.report.by_rule("AUD011")[0].severity.name == "WARNING"
-
-    def test_baseline_file_round_trip(self, tmp_path):
-        path = tmp_path / "audit_baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "suppressions": [
-                        {
-                            "rule": "AUD003",
-                            "path": "mod.py",
-                            "symbol": "<module>",
-                            "reason": "documented exception",
-                        }
-                    ],
-                }
-            )
-        )
-        result = audit_tree(tmp_path, self._tree(), baseline=path)
-        assert result.report.clean()
-        assert result.baseline_path == str(path)
-
-    def test_auto_baseline_discovered_at_root(self, tmp_path):
-        (tmp_path / "audit_baseline.json").write_text(
-            json.dumps(
-                {
-                    "suppressions": [
-                        {
-                            "rule": "AUD003",
-                            "path": "mod.py",
-                            "symbol": "<module>",
-                            "reason": "documented exception",
-                        }
-                    ]
-                }
-            )
-        )
-        result = audit_tree(tmp_path, self._tree(), baseline="auto")
-        assert result.report.clean()
-        assert result.suppressed == 1
-
-    def test_baseline_without_reason_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {"suppressions": [{"rule": "AUD003", "path": "m", "symbol": "s"}]}
-            )
-        )
-        with pytest.raises(ValueError, match="documented"):
-            Baseline.load(path)
-
-    def test_baseline_empty_reason_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "suppressions": [
-                        {"rule": "AUD003", "path": "m", "symbol": "s", "reason": "  "}
-                    ]
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="empty reason"):
-            Baseline.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +273,11 @@ class TestBaseline:
 
 
 class TestRealTree:
-    def test_src_repro_audits_clean_with_baseline(self):
+    def test_src_repro_audits_clean(self):
         result = run_audit()
         assert result.report.clean(), result.report.render_text()
         assert result.exit_code() == 0
         assert result.files_scanned > 50
-
-    def test_baseline_suppressions_are_minimal_and_live(self):
-        result = run_audit()
-        # The shipped baseline is empty: nothing is suppressed.
-        assert result.suppressed == 0
-        assert result.stale_suppressions == []
-
-    def test_without_baseline_only_documented_findings_remain(self):
-        result = run_audit(baseline=None)
-        assert result.report.rule_ids() == []
-        assert result.exit_code() == 0
 
     def test_display_paths_are_repo_relative(self, monkeypatch):
         # The real tree has no findings, so observe the display path every
@@ -401,7 +292,7 @@ class TestRealTree:
 
         original = audit.audit_source
         monkeypatch.setattr(audit, "audit_source", recording)
-        result = run_audit(baseline=None)
+        result = run_audit()
         assert package_root().name == "repro"
         assert len(seen) == result.files_scanned
         assert all(path.startswith("src/repro/") for path in seen)

@@ -171,7 +171,7 @@ class TestTinyProof:
         assert tiny.report.exit_code() == 0
         assert not tiny.counterexamples
         assert tiny.rules_proven == tiny.rules_checked
-        assert len(tiny.rules_proven) == 10
+        assert len(tiny.rules_proven) == 6
 
     def test_reports_dedupe_statistics(self, tiny):
         assert tiny.deduplicated > 0
@@ -190,13 +190,13 @@ class TestTinyProof:
 
 class TestSelection:
     def test_select_narrows_the_checked_set(self):
-        result = explore(REPAIR_SCOPE, select=["MC001", "MC002"])
-        assert result.rules_checked == ("MC001", "MC002")
-        assert result.rules_proven == ("MC001", "MC002")
+        result = explore(REPAIR_SCOPE, select=["MC001", "MC004"])
+        assert result.rules_checked == ("MC001", "MC004")
+        assert result.rules_proven == ("MC001", "MC004")
 
     def test_ignore_drops_rules(self):
-        result = explore(REPAIR_SCOPE, select=["MC001", "MC002"],
-                         ignore=["MC002"])
+        result = explore(REPAIR_SCOPE, select=["MC001", "MC004"],
+                         ignore=["MC004"])
         assert result.rules_checked == ("MC001",)
 
     def test_empty_selection_raises(self):

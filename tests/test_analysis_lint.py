@@ -87,7 +87,7 @@ class TestDiagnostics:
     def test_json_round_trip(self):
         report = DiagnosticReport(
             [
-                Diagnostic("LAT001", Severity.ERROR, "a", subject="s",
+                Diagnostic("LAT003", Severity.ERROR, "a", subject="s",
                            location="l", context={"pair": ["x", "y"]}),
                 Diagnostic("LIB008", Severity.WARNING, "b"),
             ]

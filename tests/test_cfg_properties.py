@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cfg import (
     ControlFlowGraph,
+    condense,
     expected_distance,
     max_distance,
     min_distance,
@@ -53,6 +54,18 @@ def random_cfg(draw):
     target = draw(st.integers(1, n - 1))
     cfg.get(f"b{target}").si_usages["S"] = 1
     return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cfg())
+def test_condensation_partitions_the_blocks(cfg):
+    """Every block lies in exactly one SCC, the one ``scc_of`` names."""
+    condensation = condense(cfg)
+    listed = [m for node in condensation.nodes for m in node.members]
+    assert sorted(listed) == sorted(cfg.block_ids())
+    for node in condensation.nodes:
+        for member in node.members:
+            assert condensation.scc_of[member] == node.scc_id
 
 
 @settings(max_examples=60, deadline=None)

@@ -169,9 +169,9 @@ class TestRuleCoverage:
         )
 
     def test_undocumented_mc_rule_is_flagged(self, repo):
-        stub = _analysis_stub().replace("MC007", "MCxxx")
+        stub = _analysis_stub().replace("MC008", "MCxxx")
         (repo / "docs" / "analysis.md").write_text(stub)
-        assert any("MC007" in f for f in _findings(repo))
+        assert any("MC008" in f for f in _findings(repo))
 
     @pytest.mark.parametrize("rule_id", ["TRC005", "FEA004", "AUD006"])
     def test_undocumented_rule_of_each_family_is_flagged(self, repo, rule_id):
