@@ -153,7 +153,7 @@ def golden_from_runtime(
 
 def write_golden(golden: "dict[str, object]", path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=None, separators=(",", ":"))
+        fh.write(json.dumps(golden, indent=None, separators=(",", ":")))
         fh.write("\n")
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..runtime import events
+from ..state import Ref, counter, state, wiring
 from .model import FaultEvent, FaultKind, FaultSchedule
 from .stats import ResilienceStats
 
@@ -72,6 +73,27 @@ class _Retry:
 
 class FaultInjector:
     """Deliver a :class:`FaultSchedule` and recover from it."""
+
+    #: The state declaration (roles: :mod:`repro.state`).
+    STATE_ROLES = {
+        "_corrupted": state(dict[int, _Episode]),
+        "_quarantined": state(dict[int, _Episode]),
+        "_retries": state(list[_Retry]),
+        "_attempts": state(dict[tuple[int, str], int]),
+        # The repair job *is* a port job (repair release compares by identity).
+        "_repair_of": state(dict[int, Ref("_runtime.port.jobs")]),  # type: ignore[valid-type, misc]
+        # Delivery history: every action drains the due events first.
+        "_events": counter(list[FaultEvent]),
+        "_cursor": counter(int),
+        # Degraded-time integral and tallies: reports read them, recovery does not.
+        "_last_mark": counter(int),
+        "stats": counter(ResilienceStats),
+        **wiring(
+            "schedule", "scrub_period", "max_retries", "backoff_cycles", "backoff_ladder",
+            "_runtime", "_obs_on", "_m_injected", "_m_repair_cycles", "_m_quarantine",
+            "_m_degraded",
+        ),
+    }
 
     def __init__(
         self,

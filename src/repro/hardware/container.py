@@ -25,7 +25,7 @@ class ContainerState(enum.Enum):
 
 @dataclass
 class AtomContainer:
-    """One partially reconfigurable Atom slot."""
+    """One partially reconfigurable Atom slot (fields: :mod:`repro.state` roles)."""
 
     container_id: int
     state: ContainerState = ContainerState.EMPTY
@@ -35,12 +35,12 @@ class AtomContainer:
     ready_at: int | None = None
     #: Cycle of the last event touching this container (for LRU policies).
     last_used: int = 0
-    #: Number of rotations this container has undergone.
-    rotations: int = field(default=0)
+    #: Number of rotations this container has undergone (read by reports).
+    rotations: int = field(default=0, metadata={"role": "counter"})
     #: Number of evictions (content dropped without a rotation landing);
     #: ``rotations + evictions`` is the container's churn, summed by the
     #: fabric's ``container_churn_total`` telemetry.
-    evictions: int = field(default=0)
+    evictions: int = field(default=0, metadata={"role": "counter"})
     #: Permanently out of service (fabric defect); never holds Atoms again.
     failed: bool = False
     #: A transient SEU flipped configuration bits of the loaded Atom: the
@@ -55,8 +55,8 @@ class AtomContainer:
     #: completion, eviction, failure).  The fabric sums these into its
     #: state generation so derived views can be memoized between
     #: mutations; ``last_used`` touches do not count — they never change
-    #: which Atoms are usable.
-    generation: int = field(default=0, compare=False, repr=False)
+    #: which Atoms are usable.  It only keys caches: a counter.
+    generation: int = field(default=0, compare=False, repr=False, metadata={"role": "counter"})
 
     def is_available(self) -> bool:
         """True when the container holds a usable Atom.

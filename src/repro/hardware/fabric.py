@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from ..core.atom import AtomCatalogue
 from ..core.molecule import Molecule
+from ..state import cache, state, wiring
 from .container import AtomContainer, ContainerState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,6 +33,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class Fabric:
     """Atom Containers + static atoms of one RISPP platform instance."""
+
+    #: The state declaration (roles: :mod:`repro.state`).
+    STATE_ROLES = {
+        "containers": state(list[AtomContainer]),
+        "_available_cache": cache(None),
+        "_loaded_cache": cache(None),
+        **wiring(
+            "catalogue", "space", "static_multiplicity", "_static", "_reconfigurable", "_m_failures"
+        ),
+    }
 
     def __init__(
         self,
@@ -202,9 +213,6 @@ class Fabric:
         return [
             c for c in self.containers if c.is_available() and c.atom == atom
         ]
-
-    def containers_owned_by(self, owner: str) -> list[AtomContainer]:
-        return [c for c in self.containers if c.owner == owner]
 
     # -- validation ----------------------------------------------------------------
 

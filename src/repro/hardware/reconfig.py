@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core.atom import AtomCatalogue
+from ..state import Ref, counter, state, wiring
 from .atom_specs import SELECTMAP_BYTES_PER_US
 from .fabric import Fabric
 
@@ -38,8 +39,9 @@ class RotationJob:
     requested_at: int
     started_at: int
     finish_at: int
-    #: Atom the container held at request time (evicted when the job starts).
-    evicted: str | None = None
+    #: Atom the container held at request time (evicted when the job starts);
+    #: only the request's trace event reads it.
+    evicted: str | None = field(default=None, metadata={"role": "counter"})
     started: bool = field(default=False, compare=False)
     completed: bool = field(default=False, compare=False)
     owner: str | None = None
@@ -61,6 +63,18 @@ class RotationJob:
 class ReconfigurationPort:
     """Single configuration port; one rotation in flight at a time."""
 
+    #: The state declaration (roles: :mod:`repro.state`).
+    STATE_ROLES = {
+        "busy_until": state(int),
+        # Retired history; the jobs still pending are state via _pending.
+        "jobs": counter(list[RotationJob]),
+        "_pending": state(list[Ref("jobs")]),  # type: ignore[valid-type, misc]
+        **wiring(
+            "catalogue", "core_mhz", "bytes_per_us", "_runtime", "_ev_completed", "_obs_on",
+            "_m_queue_depth", "_m_latency", "_m_queue_delay", "_m_busy",
+        ),
+    }
+
     def __init__(
         self,
         catalogue: AtomCatalogue,
@@ -79,7 +93,6 @@ class ReconfigurationPort:
         self.busy_until = 0
         self.jobs: list[RotationJob] = []
         self._pending: list[RotationJob] = []
-        self._reserved: set[int] = set()
         #: Set by :meth:`attach`: the owning runtime, which is published
         #: a ``RotationCompleted`` per retired job.  Standalone
         #: ports (unit tests, planners) stay unattached and communicate
@@ -125,7 +138,7 @@ class ReconfigurationPort:
 
     def is_reserved(self, container_id: int) -> bool:
         """True while a scheduled or in-flight rotation targets the container."""
-        return container_id in self._reserved
+        return any(j.container_id == container_id for j in self._pending)
 
     def request(
         self,
@@ -145,7 +158,7 @@ class ReconfigurationPort:
         accepts ``repair=True`` requests.
         """
         fabric.check_rotatable(atom)
-        if container_id in self._reserved:
+        if self.is_reserved(container_id):
             raise ValueError(
                 f"container {container_id} already has a rotation scheduled"
             )
@@ -178,7 +191,6 @@ class ReconfigurationPort:
         self.busy_until = finish
         self.jobs.append(job)
         self._pending.append(job)
-        self._reserved.add(container_id)
         if self._obs_on:
             self._m_queue_depth.set(len(self._pending))
         return job
@@ -214,7 +226,6 @@ class ReconfigurationPort:
                 completed.append(job)
         for job in completed:
             self._pending.remove(job)
-            self._reserved.discard(job.container_id)
         if self._obs_on and completed:
             for job in completed:
                 self._m_latency.observe(job.finish_at - job.requested_at)
@@ -243,7 +254,6 @@ class ReconfigurationPort:
             if fabric.container(job.container_id).failed:
                 dropped = True
                 self._pending.remove(job)
-                self._reserved.discard(job.container_id)
         if not dropped:
             return
         if self._obs_on:
@@ -290,7 +300,6 @@ class ReconfigurationPort:
                 fabric.container(job.container_id).abort_rotation()
                 job.aborted = True
                 self._pending.remove(job)
-                self._reserved.discard(job.container_id)
                 if self._obs_on:
                     self._m_queue_depth.set(len(self._pending))
                 self._resequence(now)

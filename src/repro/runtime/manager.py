@@ -36,6 +36,7 @@ from ..core.si import MoleculeImpl
 from ..hardware.fabric import Fabric
 from ..hardware.reconfig import ReconfigurationPort, RotationJob
 from ..sim.trace import Trace
+from ..state import Component, Section, cache, counter, state, wiring
 from . import events
 from .events import BUS
 from .monitor import ForecastMonitor
@@ -84,6 +85,33 @@ class _ActiveForecast:
 
 class RisppRuntime:
     """The run-time phase: rotate instructions per forecasts and demand."""
+
+    #: The state declaration (roles: :mod:`repro.state`).  ``port``
+    #: precedes ``_faults``: the injector's repair jobs refer into it.
+    STATE_ROLES = {
+        "fabric": state(Fabric),
+        "port": state(ReconfigurationPort),
+        "monitor": state(ForecastMonitor),
+        "_active": state(dict[tuple[str, str], _ActiveForecast]),
+        "_last_mode": state(dict[tuple[str, str], str]),
+        "_unplaced_for": state(str | None),
+        "_faults": state(Component | None),  # the FaultInjector
+        "stats": counter(RuntimeStats),
+        "task_stats": counter(dict[str, RuntimeStats]),
+        # The event log; snapshots persist it in their own section.
+        "trace": counter(Section),
+        # Skip memo of a proven no-op replan: MC006 proves the skip sound
+        # by clearing it, so states differing only here behave alike.
+        "_plan_key": counter(tuple[tuple[tuple[str, float], ...], tuple[int, ...]] | None),
+        "_impl_cache": cache(dict),
+        "_impl_cache_gen": cache(-1),
+        **wiring(
+            "library", "metrics", "policy", "forecasting", "selection", "energy_model",
+            "_obs_on", "_m_exec_sw", "_m_exec_hw", "_m_cycles_sw", "_m_cycles_hw",
+            "_m_si_latency", "_m_replans_planned", "_m_replans_skipped", "_m_replan_time",
+            "_m_rot_planned", "_m_rot_repair", "_m_mode_switches", "_m_fc_fired", "_m_fc_ended",
+        ),
+    }
 
     def __init__(
         self,
@@ -450,7 +478,7 @@ class RisppRuntime:
                 max(f.weight, 0.0) * f.priority
             )
         loaded = future_population(self.fabric, self.port)
-        plan_key = (tuple(sorted(weights.items())), loaded)
+        plan_key = (tuple(sorted(weights.items())), loaded.counts)
         if plan_key == self._plan_key:
             # Identical inputs to a replan that provably issued nothing:
             # selection and planning are deterministic in (weights,
@@ -549,7 +577,3 @@ class RisppRuntime:
                     if kind not in order:
                         order.append(kind)
         return order
-
-    def loaded_molecule(self) -> Molecule:
-        """Currently usable container-resident atoms."""
-        return self.fabric.loaded_reconfigurable()

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..state import counter, state, wiring
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import MetricRegistry
 
@@ -61,6 +63,16 @@ class SIForecastStats:
 
 class ForecastMonitor:
     """Observes SI executions and fine-tunes forecast expectations."""
+
+    #: The state declaration (roles: :mod:`repro.state`).
+    STATE_ROLES = {
+        "_stats": state(dict[tuple[str, str], SIForecastStats]),
+        "_open": state(dict[tuple[str, str], ForecastWindow]),
+        # Telemetry tallies behind the drift gauge; selection never reads them.
+        "_windows_seen": counter(int),
+        "_abs_error_sum": counter(float),
+        **wiring("smoothing", "_obs_on", "_m_error", "_m_hit", "_m_miss", "_m_drift"),
+    }
 
     def __init__(
         self,
@@ -153,6 +165,3 @@ class ForecastMonitor:
 
     def stats(self, task: str, si_name: str) -> SIForecastStats | None:
         return self._stats.get((task, si_name))
-
-    def open_windows(self) -> list[ForecastWindow]:
-        return list(self._open.values())

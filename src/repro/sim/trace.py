@@ -199,6 +199,12 @@ class Trace:
         self._last_cycle = 0
         self._shared: dict[tuple, tuple] = {}
 
+    def __copy__(self) -> "Trace":
+        """A trace with its own event list (events and ``_shared`` are shared)."""
+        twin = object.__new__(type(self))
+        twin.__dict__ = {**self.__dict__, "events": list(self.events)}
+        return twin
+
     def record(
         self,
         cycle: int,

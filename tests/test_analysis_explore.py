@@ -18,13 +18,13 @@ from repro.analysis.explore import (
     ExploreScope,
     _apply,
     _build_world,
-    _copy_world,
     _next_interesting,
-    _state_key,
+    _World,
     build_explore_library,
     explore,
 )
 from repro.faults.model import FaultKind
+from repro.state import clone, fingerprint
 
 # ---------------------------------------------------------------------------
 # Micro scopes: smallest configurations that reach each seeded bug fast.
@@ -306,12 +306,12 @@ class TestExplorerRegressions:
         scope = SCOPES["tiny"]
         world = _build_world(scope, None)
         _apply(world, ("forecast", "SI_A"), scope)
-        clone = _copy_world(world)
-        assert _state_key(world, {}) == _state_key(clone, {})
-        _apply(clone, ("tick",), scope)
-        assert _state_key(world, {}) != _state_key(clone, {})
+        twin = _World(runtime=clone(world.runtime), now=world.now)
+        assert fingerprint(world.runtime) == fingerprint(twin.runtime)
+        _apply(twin, ("tick",), scope)
+        assert fingerprint(world.runtime) != fingerprint(twin.runtime)
         # The original world did not advance with the clone.
-        assert world.now < clone.now
+        assert world.now < twin.now
 
     def test_clone_preserves_repair_job_identity(self):
         # injector._repair_of must point at the SAME job objects as
@@ -321,9 +321,9 @@ class TestExplorerRegressions:
         for action in (("forecast", "SI_A"), ("tick",),
                        ("fault", FaultKind.TRANSIENT.value, 0), ("tick",)):
             _apply(world, action, scope)
-        clone = _copy_world(world)
-        inj = clone.runtime._faults
-        pending = clone.runtime.port.pending_jobs()
+        twin = clone(world.runtime)
+        inj = twin._faults
+        pending = twin.port.pending_jobs()
         for job in inj._repair_of.values():
             assert any(j is job for j in pending)
 

@@ -181,6 +181,22 @@ class TestAuditCommand:
 
 
 class TestExploreCommand:
+    def test_selection_leaving_no_rule_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--select", "MC001", "--ignore", "MC001"])
+        assert excinfo.value.code == 2
+        assert "no MC rule" in capsys.readouterr().err
+
+    def test_runtime_value_error_is_not_a_usage_error(self, monkeypatch):
+        # An invariant break inside the explored runtime is a crash, not a
+        # bad flag: it must not exit 2.
+        def broken(*args, **kwargs):
+            raise ValueError("container 0 is rotating")
+
+        monkeypatch.setattr("repro.analysis.explore", broken)
+        with pytest.raises(ValueError, match="rotating"):
+            main(["explore", "--scope", "tiny"])
+
     def test_capped_tiny_run_exits_zero(self, capsys):
         assert main(["explore", "--scope", "tiny", "--max-states", "50"]) == 0
         out = capsys.readouterr().out

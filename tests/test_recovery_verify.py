@@ -111,10 +111,10 @@ class TestIncoherentStores:
         flagged = False
         for _seq, path in list_snapshots(tmp_path):
             data = json.loads(path.read_text())
-            if not data["state"]["port"]["pending"]:
+            if not data["state"]["runtime"]["port"]["pending"]:
                 continue
-            index = data["state"]["port"]["pending"][0]
-            data["state"]["port"]["jobs"][index]["requested_at"] += 7
+            index = data["state"]["runtime"]["port"]["pending"][0]
+            data["state"]["runtime"]["port"]["jobs"][index]["requested_at"] += 7
             path.write_text(json.dumps(data) + "\n")
             flagged = True
             break
