@@ -139,14 +139,8 @@ def golden_from_runtime(
         "totals": asdict(runtime.stats),
         "energy_model": asdict(energy) if energy is not None else None,
         "events": [
-            {
-                "cycle": e.cycle,
-                "kind": e.kind.value,
-                "task": e.task,
-                "si": e.si,
-                "detail": dict(e.detail),
-            }
-            for e in runtime.trace.events
+            {"cycle": cycle, "kind": kind.value, "task": task, "si": si, "detail": detail}
+            for cycle, kind, task, si, detail in runtime.trace.rows()
         ],
     }
 

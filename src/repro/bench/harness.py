@@ -9,10 +9,10 @@ def trace_signature(trace: Trace) -> list[tuple]:
     """A trace as comparable tuples (cycle, kind, task, si, detail).
 
     Each detail is read out as a plain dict, whether the trace stores it
-    compactly (a shared items tuple), as the event's own dict or as a
-    lazy factory, so two runtimes are equivalent iff their signatures
-    are equal — the regression tests and the ``perf/`` workloads use
-    this to prove the hot-path caches never change event semantics.
+    in a shared shape, as the event's own dict or as a lazy factory, so
+    two runtimes are equivalent iff their signatures are equal — the
+    regression tests and the ``perf/`` workloads use this to prove the
+    hot-path caches never change event semantics.
     """
     return [
         (e.cycle, e.kind.value, e.task, e.si, dict(e.detail))

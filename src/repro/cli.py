@@ -641,13 +641,24 @@ def _chaos(argv: list[str]) -> int:
             for key, default in defaults.items()
         }
 
-    fault_rate, seed = scenario["fault_rate"], scenario["seed"]
+    # Every scenario value is checked here, before the run: a ValueError
+    # raised during the run is a runtime invariant break, not a bad flag.
+    if scenario["suite"] not in SUITES:  # a --resume store's run.json
+        parser.error(f"unknown suite {scenario['suite']!r}")
+    fault_rate = scenario["fault_rate"]
     if not math.isfinite(fault_rate) or fault_rate < 0:
         parser.error(
             f"--fault-rate must be finite and non-negative, got {fault_rate}"
         )
-    if seed < 1:
-        parser.error(f"--seed must be positive, got {seed}")
+    for key, least, condition in (
+        ("seed", 1, "positive"),
+        ("scrub_period", 1, "positive"),
+        ("max_retries", 0, "non-negative"),
+        ("backoff_cycles", 1, "positive"),
+    ):
+        if scenario[key] < least:
+            flag = "--" + key.replace("_", "-")
+            parser.error(f"{flag} must be {condition}, got {scenario[key]}")
 
     recovery = None
     if store is not None:
@@ -680,8 +691,6 @@ def _chaos(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 3
-    except ValueError as exc:
-        parser.error(str(exc))
     rendered_json = json.dumps(report, indent=2, sort_keys=True)
     if args.format == "json":
         print(rendered_json)

@@ -28,7 +28,7 @@ from typing import Any
 from ..obs.catalogue import NAMESPACE, spec_of
 from ..obs.exporters import snapshot as metrics_snapshot
 from ..runtime.manager import RisppRuntime
-from ..sim.trace import Event, EventKind
+from ..sim.trace import EventKind
 from ..state import dump, load
 from .journal import RecoveryError
 
@@ -47,13 +47,13 @@ def snapshot_name(seq: int) -> str:
 
 
 def _trace_state(runtime: RisppRuntime) -> dict[str, Any]:
-    # Reading ``e.detail`` resolves (and caches) a lazy detail and builds
-    # a fresh dict from a compact one; neither the live run nor the
-    # restored one observes a difference.
+    # Each row carries a fresh detail dict (a lazy one resolved once, for
+    # good), so neither the live run nor the restored one observes a
+    # difference.
     return {
         "events": [
-            [e.cycle, e.kind.value, e.task, e.si, dict(e.detail)]
-            for e in runtime.trace.events
+            [cycle, kind.value, task, si, detail]
+            for cycle, kind, task, si, detail in runtime.trace.rows()
         ],
         "last_cycle": runtime.trace.last_cycle,
     }
@@ -212,15 +212,13 @@ def _check_config(runtime: RisppRuntime, config: dict[str, Any]) -> None:
 
 
 def _restore_trace(runtime: RisppRuntime, data: dict[str, Any]) -> None:
-    trace = runtime.trace
-    # Through the trace's shared-detail table, so a resumed trace is
-    # stored as compactly as an uninterrupted one.
-    compact = trace.compact
-    trace.events = [
-        Event(cycle, EventKind(kind), task, si, compact(detail))
-        for cycle, kind, task, si, detail in data["events"]
-    ]
-    trace._last_cycle = data["last_cycle"]
+    runtime.trace.load(
+        (
+            (cycle, EventKind(kind), task, si, detail)
+            for cycle, kind, task, si, detail in data["events"]
+        ),
+        data["last_cycle"],
+    )
 
 
 def _restore_metrics(runtime: RisppRuntime, data: dict[str, Any] | None) -> None:

@@ -36,8 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import Diagnostic, DiagnosticReport
 
 
-def _event_tuple(event: Any) -> tuple[int, str, str, str, dict[str, Any]]:
-    return (event.cycle, event.kind.value, event.task, event.si, dict(event.detail))
+def _row_tuple(row: Any) -> tuple[int, str, str, str, dict[str, Any]]:
+    cycle, kind, task, si, detail = row
+    return (cycle, kind.value, task, si, detail)
 
 
 def _stored_tuple(entry: list[Any]) -> tuple[int, str, str, str, dict[str, Any]]:
@@ -69,14 +70,14 @@ def _check_trace_prefix(
             )
         )
         return None
-    for index, entry in enumerate(stored):
-        if _stored_tuple(entry) != _event_tuple(final[index]):
+    for index, (entry, row) in enumerate(zip(stored, runtime.trace.rows())):
+        if _stored_tuple(entry) != _row_tuple(row):
             findings.append(
                 diag(
                     "TRC016",
                     f"trace event {index} differs from the snapshot at "
                     f"{boundary}: recorded {_stored_tuple(entry)!r}, final "
-                    f"{_event_tuple(final[index])!r} — the resume boundary "
+                    f"{_row_tuple(row)!r} — the resume boundary "
                     "duplicated or rewrote events",
                     subject=subject,
                     location=boundary,

@@ -286,7 +286,7 @@ def _replan_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
 
 def _trace_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
     # A runtime has only a handful of distinct (mode, cycles) pairs, so
-    # the trace stores each once and the event holds a shared reference.
+    # the trace stores each event as its cycle and a shared shape id.
     rt.trace.record(
         ev.cycle,
         EventKind.SI_EXECUTED,

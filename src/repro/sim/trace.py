@@ -2,8 +2,8 @@
 
 Every interesting run-time event — forecasts, container reallocations,
 rotation starts/completions, SI executions and their SW/HW mode switches
-— is recorded as an :class:`Event`.  Benches and tests assert directly on
-the event sequence; :meth:`Trace.render_timeline` prints the
+— is recorded into a :class:`Trace`.  Benches and tests assert directly
+on the event sequence; :meth:`Trace.render_timeline` prints the
 human-readable scenario view.
 
 The trace enforces its contract at append time: event cycles are
@@ -13,26 +13,30 @@ task), so a cycle smaller than the previous event's is a scheduling bug
 upstream, not a legal relaxation — :meth:`Trace.record` raises rather
 than silently distorting the timeline benches measure.
 
-Event details are stored *compactly*: a run-time manager records one
-``SI_EXECUTED`` event per SI execution, and nearly all of them carry one
-of a handful of ``(mode, cycles)`` details.  :meth:`Trace.record` keeps
-a detail as a tuple of its items, and equal tuples share one object
-through a per-trace table (keyed on each value's exact type, so ``1``,
-``True`` and ``1.0`` never merge).  Details holding anything but
-``str``/``int``/``bool``/``None`` values — floats, containers,
-unhashable objects — are kept as a plain dict, unshared.  Reading
-:attr:`Event.detail` builds a fresh dict from the tuple; the first edit
-of that dict (``[k]=``, ``del``, ``update``, ``pop``, ``popitem``,
-``setdefault``, ``clear``, ``|=``) makes it that event's own detail, so
-edits stick to the edited event and never reach the events it shared
-storage with.  :meth:`Trace.record_lazy` still accepts a zero-argument
-factory, resolved (once) on first access to :attr:`Event.detail`.
+The trace is stored *column-wise*.  A run-time manager records one
+``SI_EXECUTED`` event per SI execution, and nearly all of them take one
+of a handful of ``(kind, task, si, detail)`` shapes, so an append stores
+only the event's cycle in one typed array and the id of its interned
+shape in another: 12 bytes per event.  The intern key holds each detail
+value's exact type, so ``1``, ``True`` and ``1.0`` never merge, and
+neither do ``0.0`` and ``-0.0``.  A detail holding anything but
+``str``/``int``/``bool``/``None`` values (floats, containers, unhashable
+objects), or the factory given to :meth:`Trace.record_lazy`, is kept
+apart for its one event.
+
+Reading the trace (indexing, iteration, the queries) builds
+:class:`Event` values on demand.  An event read from a trace is detached
+from it: editing its detail changes that :class:`Event` object only,
+never the trace or a later read of the same event.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Any, Callable, overload
 
 
 class EventKind(enum.Enum):
@@ -56,77 +60,20 @@ class EventKind(enum.Enum):
 
 
 #: Value types whose equal values always print alike — a detail made of
-#: these alone may share storage with an equal one.  Exact types only:
-#: ``bool`` is listed apart from ``int`` and the table key carries each
+#: these alone may share a shape with an equal one.  Exact types only:
+#: ``bool`` is listed apart from ``int`` and the intern key carries each
 #: value's type, so ``x=1`` and ``x=True`` never merge; floats are not
 #: listed because ``0.0 == -0.0``.
 _SHAREABLE = frozenset({str, int, bool, type(None)})
 
 
-class _Detail(dict):
-    """A dict read from a shared detail; its first edit makes it the
-    event's own.
-
-    A view read before another view of the same event was edited no
-    longer belongs to the event: its edits stay private to it.
-    """
-
-    __slots__ = ("_event",)
-    _event: Event | None
-
-    def _own(self) -> None:
-        event = self._event
-        if event is not None:
-            self._event = None
-            if event._detail.__class__ is tuple:
-                event._detail = self
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._own()
-        dict.__setitem__(self, key, value)
-
-    def __delitem__(self, key: str) -> None:
-        self._own()
-        dict.__delitem__(self, key)
-
-    def __ior__(self, other: Any) -> "_Detail":
-        self._own()
-        dict.update(self, other)
-        return self
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        self._own()
-        dict.update(self, *args, **kwargs)
-
-    def pop(self, *args: Any) -> Any:
-        self._own()
-        return dict.pop(self, *args)
-
-    def popitem(self) -> tuple[str, Any]:
-        self._own()
-        return dict.popitem(self)
-
-    def setdefault(self, key: str, default: Any = None) -> Any:
-        self._own()
-        return dict.setdefault(self, key, default)
-
-    def clear(self) -> None:
-        self._own()
-        dict.clear(self)
-
-    def __reduce__(self) -> tuple:
-        # Copies and pickles are plain dicts, detached from the event.
-        return (dict, (dict(self),))
-
-
 class Event:
     """One timestamped run-time event.
 
-    ``detail`` is stored as a tuple of items (possibly shared with other
-    events of the same trace), as the event's own dict, or as a
-    zero-argument factory that is resolved and cached the first time it
-    is read.  Reading a tuple-stored detail returns a fresh dict each
-    time; editing that dict makes it the event's own.
+    ``detail`` may be given as a dict, as a tuple of its items or as a
+    zero-argument factory; the last two become the event's own dict the
+    first time :attr:`detail` is read, so an edit of that dict sticks to
+    this event.
     """
 
     __slots__ = ("cycle", "kind", "task", "si", "_detail")
@@ -148,11 +95,9 @@ class Event:
     @property
     def detail(self) -> dict:
         d = self._detail
-        if d.__class__ is tuple:
-            view = _Detail(d)
-            view._event = self
-            return view
-        if callable(d):
+        if isinstance(d, tuple):
+            d = self._detail = dict(d)
+        elif callable(d):
             d = self._detail = d()
         return d
 
@@ -181,28 +126,38 @@ class Event:
         return f"Event({', '.join(bits)})"
 
 
-class Trace:
-    """An append-only, time-ordered event log.
+class Trace(Sequence[Event]):
+    """An append-only, time-ordered event log, stored column-wise.
 
     Appends must carry non-negative, non-decreasing cycles; equal cycles
     are fine (many events legitimately share one cycle — a forecast and
     the rotations it requests, a mode switch and the execution it
     annotates).
 
-    ``_shared`` maps each shareable detail (its items plus their exact
-    types) to the one items tuple every equal detail stores.  Entries
-    never change, so shallow copies of a trace may share the table.
+    Event ``i`` is ``_cycles[i]`` plus the ``(kind, task, si, items)``
+    entry ``_shapes[i]`` of ``_table``; ``_ids`` maps each intern key to
+    its entry.  ``items`` is ``None`` when the event's detail is kept in
+    ``_own[i]`` instead: a dict, or a factory until it is first read.
+    Entries never change, so copies of a trace share the table.
     """
 
     def __init__(self) -> None:
-        self.events: list[Event] = []
+        self._cycles = array("q")
+        self._shapes = array("I")
+        self._own: dict[int, dict | Callable[[], dict]] = {}
+        self._table: list[tuple[EventKind, str, str, tuple | None]] = []
+        self._ids: dict[tuple, int] = {}
         self._last_cycle = 0
-        self._shared: dict[tuple, tuple] = {}
 
     def __copy__(self) -> "Trace":
-        """A trace with its own event list (events and ``_shared`` are shared)."""
+        """A trace with its own columns and ``_own`` (the table is shared)."""
         twin = object.__new__(type(self))
-        twin.__dict__ = {**self.__dict__, "events": list(self.events)}
+        twin.__dict__ = {
+            **self.__dict__,
+            "_cycles": self._cycles[:],
+            "_shapes": self._shapes[:],
+            "_own": dict(self._own),
+        }
         return twin
 
     def record(
@@ -213,8 +168,8 @@ class Trace:
         task: str = "",
         si: str = "",
         **detail: Any,
-    ) -> Event:
-        return self._append(Event(cycle, kind, task, si, self.compact(detail)))
+    ) -> None:
+        self._add(cycle, kind, task, si, detail)
 
     def record_lazy(
         self,
@@ -224,35 +179,82 @@ class Trace:
         *,
         task: str = "",
         si: str = "",
-    ) -> Event:
-        """Like :meth:`record`, but the detail dict is built on demand."""
-        return self._append(Event(cycle, kind, task, si, detail_factory))
+    ) -> None:
+        """Like :meth:`record`, but the detail dict is built on first read."""
+        self._add(cycle, kind, task, si, detail_factory)
 
-    def compact(self, detail: dict) -> tuple | dict:
-        """The stored form of ``detail``: a shared items tuple, or a copy.
+    def load(
+        self, rows: Iterable[tuple[int, EventKind, str, str, dict]], last_cycle: int
+    ) -> None:
+        """Replace every event with ``rows`` of ``(cycle, kind, task, si,
+        detail)``, interned as :meth:`record` interns them, so a restored
+        trace is stored as compactly as a recorded one."""
+        self._cycles, self._shapes, self._own = array("q"), array("I"), {}
+        self._last_cycle = 0
+        for row in rows:
+            self._add(*row)
+        self._last_cycle = last_cycle
 
-        A detail whose values are all of a :data:`_SHAREABLE` type is
-        stored as the one items tuple this trace keeps for it; any other
-        detail (floats, containers, unhashable values) as a plain dict.
-        """
-        types = tuple(map(type, detail.values()))
-        if not _SHAREABLE.issuperset(types):
-            return dict(detail)
-        items = tuple(detail.items())
-        return self._shared.setdefault((items, types), items)
+    def rows(self) -> Iterator[tuple[int, EventKind, str, str, dict]]:
+        """Every event as a ``(cycle, kind, task, si, detail)`` row, its
+        detail a fresh dict: :meth:`load`'s input, read without building
+        :class:`Event` objects (snapshot capture reads the whole trace)."""
+        table, own_detail = self._table, self._own_detail
+        for index, (cycle, shape) in enumerate(zip(self._cycles, self._shapes)):
+            kind, task, si, items = table[shape]
+            yield cycle, kind, task, si, own_detail(index) if items is None else dict(items)
 
-    def _append(self, event: Event) -> Event:
-        cycle = event.cycle
+    def _add(self, cycle: int, kind: EventKind, task: str, si: str, detail: Any) -> None:
         if cycle < 0:
             raise ValueError("event cycle cannot be negative")
         if cycle < self._last_cycle:
             raise ValueError(
                 f"out-of-order event: cycle {cycle} after {self._last_cycle} "
-                f"({event.kind.value})"
+                f"({kind.value})"
             )
+        # The key names the kind by its value: a str hashes from its
+        # cache, an enum member through a Python-level ``__hash__``.
+        items: tuple | None
+        if detail.__class__ is dict and _SHAREABLE.issuperset(
+            types := tuple(map(type, detail.values()))
+        ):
+            items = tuple(detail.items())
+            key: tuple = (kind._value_, task, si, items, types)
+        else:
+            items = None
+            key = (kind._value_, task, si)
+            self._own[len(self._cycles)] = (
+                dict(detail) if detail.__class__ is dict else detail
+            )
+        shape = self._ids.get(key)
+        if shape is None:
+            shape = self._ids[key] = len(self._table)
+            self._table.append((kind, task, si, items))
+        self._cycles.append(cycle)
+        self._shapes.append(shape)
         self._last_cycle = cycle
-        self.events.append(event)
-        return event
+
+    def _event(self, index: int) -> Event:
+        kind, task, si, items = self._table[self._shapes[index]]
+        return Event(
+            self._cycles[index],
+            kind,
+            task,
+            si,
+            partial(self._own_detail, index) if items is None else items,
+        )
+
+    def _own_detail(self, index: int) -> dict:
+        """A copy of event ``index``'s own detail, its factory run once."""
+        detail = self._own[index]
+        if callable(detail):
+            detail = self._own[index] = detail()
+        return dict(detail)
+
+    @property
+    def events(self) -> Sequence[Event]:
+        """The recorded events, read-only: the trace itself."""
+        return self
 
     @property
     def last_cycle(self) -> int:
@@ -260,46 +262,57 @@ class Trace:
         return self._last_cycle
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._cycles)
 
-    def __iter__(self):
-        return iter(self.events)
+    @overload
+    def __getitem__(self, index: int) -> Event: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Event]: ...
+
+    def __getitem__(self, index: int | slice) -> Event | list[Event]:
+        if isinstance(index, slice):
+            return [self._event(i) for i in range(*index.indices(len(self)))]
+        return self._event(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(self._event, range(len(self)))
+
+    def _where(self, match: Callable[[tuple], bool]) -> Iterator[int]:
+        """Indices, in order, of the events whose shape ``match``es."""
+        wanted = {shape for shape, entry in enumerate(self._table) if match(entry)}
+        return (i for i, shape in enumerate(self._shapes) if shape in wanted)
+
+    # The queries below match on the shape column only: they build just
+    # the events they return, and never resolve a lazy detail.
 
     def of_kind(self, kind: EventKind) -> list[Event]:
-        # Matches on the slot attributes only — never touches (and thus
-        # never materializes) a lazy ``Event.detail``.
-        return [e for e in self.events if e.kind is kind]
+        return list(map(self._event, self._where(lambda entry: entry[0] is kind)))
 
     def for_task(self, task: str) -> list[Event]:
-        return [e for e in self.events if e.task == task]
+        return list(map(self._event, self._where(lambda entry: entry[1] == task)))
 
     def for_si(self, si: str) -> list[Event]:
-        return [e for e in self.events if e.si == si]
+        return list(map(self._event, self._where(lambda entry: entry[2] == si)))
 
-    def first(self, kind: EventKind, **detail_filter) -> Event | None:
+    def first(self, kind: EventKind, **detail_filter: Any) -> Event | None:
         """Earliest event of ``kind`` whose detail matches the filter.
 
-        Without a detail filter the scan stays on the slot attributes,
-        so no lazy detail factory is ever resolved; with one, only the
-        details of same-kind events up to the first match materialize.
+        Without a detail filter no detail is read, so no lazy factory is
+        ever resolved; with one, only the details of same-kind events up
+        to the first match are.
         """
-        if not detail_filter:
-            for e in self.events:
-                if e.kind is kind:
-                    return e
-            return None
-        items = tuple(detail_filter.items())
-        for e in self.events:
-            if e.kind is not kind:
-                continue
-            if all(e.detail.get(k) == v for k, v in items):
-                return e
+        items = detail_filter.items()
+        for index in self._where(lambda entry: entry[0] is kind):
+            event = self._event(index)
+            if all(event.detail.get(k) == v for k, v in items):
+                return event
         return None
 
     def render_timeline(self, *, max_events: int | None = None) -> str:
         """A readable cycle-ordered log (the Fig. 6 presentation)."""
         lines = []
-        events = self.events if max_events is None else self.events[:max_events]
+        events = self if max_events is None else self[:max_events]
         for e in events:
             parts = [f"{e.cycle:>10}", f"{e.kind.value:<20}"]
             if e.task:

@@ -12,7 +12,7 @@ rule (no cascades: one corruption, one finding family).
 
 import dataclasses
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import verify_runtime, verify_trace
@@ -60,11 +60,19 @@ def _fuzz_library() -> SILibrary:
     return SILibrary(catalogue, [ht, satd])
 
 
+#: Weighted so that a real share of interleavings reach a loaded fabric:
+#: two ops in seven forecast and only one fails a container (failures
+#: are permanent), and half the time deltas are long enough for a
+#: rotation (~95k cycles here) to land.  ``tests/test_state.py`` asserts
+#: the reach: loaded containers, and corrupted ones quarantined.
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["forecast", "execute", "fail", "advance"]),
+        st.sampled_from(
+            ["forecast", "advance", "execute", "forecast", "advance", "execute", "fail"]
+        ),
         st.sampled_from(["HT", "SATD"]),
-        st.integers(min_value=0, max_value=200_000),  # time delta
+        st.integers(min_value=0, max_value=200_000)  # time delta
+        | st.integers(min_value=100_000, max_value=200_000),
         st.integers(min_value=0, max_value=2),  # container / expected scale
     ),
     min_size=1,
@@ -100,6 +108,8 @@ class TestFuzzedInterleavings:
                 assert rt._best_available(each) == each.best_available(
                     available
                 )
+        if rt.trace.first(EventKind.ROTATION_COMPLETED) is not None:
+            event("loaded a container")
         report = verify_runtime(rt, subject="fuzz")
         assert report.clean(), report.render_text()
 

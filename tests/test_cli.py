@@ -166,6 +166,56 @@ class TestToolFamilySync:
         assert epilog_rule_ids(tool) == expected
 
 
+class TestChaosCommand:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scrub-period", "0"], "--scrub-period must be positive"),
+            (["--max-retries", "-1"], "--max-retries must be non-negative"),
+            (["--backoff-cycles", "0"], "--backoff-cycles must be positive"),
+        ],
+    )
+    def test_bad_knob_exits_two_before_the_run(
+        self, argv, message, capsys, monkeypatch
+    ):
+        import repro.faults
+
+        monkeypatch.setattr(repro.faults, "run_chaos_suite", TestOverwriteGuard._must_not_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--quick", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_resume_store_naming_an_unknown_suite_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.faults
+        from repro.cli import CHAOS_RUN_KIND, CHAOS_RUN_META
+        from repro.faults import CHAOS_DEFAULTS
+        from repro.recovery import JOURNAL_NAME
+
+        monkeypatch.setattr(repro.faults, "run_chaos_suite", TestOverwriteGuard._must_not_run)
+        (tmp_path / JOURNAL_NAME).write_text("")
+        meta = {"kind": CHAOS_RUN_KIND, **CHAOS_DEFAULTS, "suite": "nope"}
+        (tmp_path / CHAOS_RUN_META).write_text(json.dumps(meta))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--resume", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unknown suite 'nope'" in capsys.readouterr().err
+
+    def test_runtime_value_error_is_not_a_usage_error(self, monkeypatch):
+        # An invariant break inside the campaign is a crash, not a bad
+        # flag: it must not exit 2.
+        import repro.faults
+
+        def broken(*args, **kwargs):
+            raise ValueError("container 1 is rotating")
+
+        monkeypatch.setattr(repro.faults, "run_chaos_suite", broken)
+        with pytest.raises(ValueError, match="rotating"):
+            main(["chaos", "--suite", "synthetic", "--seed", "5", "--quick"])
+
+
 class TestAuditCommand:
     def test_shipped_tree_is_clean(self, capsys):
         assert main(["audit"]) == 0
@@ -312,7 +362,7 @@ class TestOverwriteGuard:
 
     @staticmethod
     def _must_not_run(*args, **kwargs):
-        raise AssertionError("the scenario ran before the overwrite check")
+        raise AssertionError("the scenario ran before the pre-flight checks")
 
     def test_chaos_refuses_before_any_work(
         self, tmp_path, capsys, monkeypatch

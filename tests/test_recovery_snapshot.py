@@ -94,13 +94,14 @@ class TestRoundTrip:
         restored = fresh_runtime(library)
         restore_runtime(restored, load_snapshot(write_snapshot(tmp_path, snap)))
 
-        def stored(rt):
-            return [id(e._detail) for e in rt.trace if e.si == "SI0"]
-
-        # Equal details come back as one shared object each, just as
-        # the uninterrupted run stores them.
-        assert len(set(stored(restored))) == len(set(stored(original)))
-        assert len(set(stored(restored))) < len(stored(restored))
+        # The restored trace reads back the same events, and equal
+        # details come back as one shared table entry each, just as the
+        # uninterrupted run stores them.
+        assert trace_signature(restored.trace) == trace_signature(original.trace)
+        assert restored.trace._shapes == original.trace._shapes
+        assert len(restored.trace._table) == len(original.trace._table)
+        assert len(restored.trace._table) < len(restored.trace)
+        assert restored.trace._own.keys() == original.trace._own.keys()
 
     def test_snapshot_carrying_the_retired_optimize_key_restores(
         self, library, tmp_path

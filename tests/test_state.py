@@ -10,13 +10,15 @@ either with the same suffix records the original's trace.
 
 import json
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.obs import MetricRegistry
 from repro.recovery import restore_runtime, snapshot_runtime
 from repro.runtime import RisppRuntime
+from repro.runtime.events import ReplanRequested
+from repro.sim import EventKind
 from repro.state import clone, dump, fingerprint, load, roles
 from tests.test_analysis_verify_fuzz import _OPS, _fuzz_library
 
@@ -122,13 +124,80 @@ def test_every_live_attribute_is_declared(ops, faults):
         assert set(vars(obj)) == set(roles(type(obj))), type(obj).__name__
 
 
+def test_interleavings_reach_loaded_and_quarantined_fabrics():
+    # The properties here and in test_analysis_verify_fuzz are only as
+    # strong as the fabrics their interleavings reach: a fixed-seed draw
+    # must load a container during the ops in a real share of runs, and
+    # quarantine a corrupted one (by the end of the tail) in some.
+    reached = {"runs": 0, "loaded": 0, "quarantined": 0}
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(ops=_OPS, faults=_FAULTS)
+    def drive(ops, faults):
+        rt = build()
+        end = run(rt, ops, faults, 0, 0, len(ops))
+        reached["runs"] += 1
+        if rt.trace.first(EventKind.ROTATION_COMPLETED) is not None:
+            event("loaded a container")
+            reached["loaded"] += 1
+        rt.advance(end + TAIL)
+        if rt.trace.first(EventKind.CONTAINER_QUARANTINED) is not None:
+            event("quarantined a container")
+            reached["quarantined"] += 1
+
+    drive()
+    assert reached["loaded"] * 5 >= reached["runs"], reached
+    assert reached["quarantined"] >= 3, reached
+
+
 def test_wiring_is_shared_and_back_references_follow_the_clone():
     rt = build()
+    rt.forecast("HT", 0, expected=100.0)
     twin = clone(rt)
     assert twin.library is rt.library and twin.metrics is rt.metrics
     assert twin.port._runtime is twin and twin._faults._runtime is twin
     assert twin.fabric is not rt.fabric
-    assert twin.trace.events is not rt.trace.events
+    # The trace is a section of its own: the clone appends to its copy.
+    before = events(rt)
+    twin.execute_si("HT", 1_000)
+    assert len(twin.trace) == len(before) + 1
+    assert events(rt) == before
+
+
+def test_pending_unplaced_replan_is_state(monkeypatch):
+    # ``_unplaced_for`` alone decides whether the next rotation
+    # completion replans, so two runtimes that differ only there are two
+    # states: they fingerprint apart and their futures diverge.
+    published = []
+    publish = RisppRuntime.publish
+
+    def spy(rt, event):
+        published.append((rt, event))
+        publish(rt, event)
+
+    monkeypatch.setattr(RisppRuntime, "publish", spy)
+    rt = build()
+    rt.forecast("HT", 0, expected=100.0)
+    assert rt._active and rt.port.pending_jobs() and rt._unplaced_for is None
+    twin = clone(rt)
+    twin._unplaced_for = "main"
+    assert fingerprint(twin) != fingerprint(rt)
+
+    first_completion = min(job.finish_at for job in rt.port.pending_jobs())
+    del published[:]
+    for runtime in (rt, twin):
+        runtime.advance(first_completion)
+
+    def replans(runtime):
+        return [
+            event.reason
+            for who, event in published
+            if who is runtime and isinstance(event, ReplanRequested)
+        ]
+
+    assert replans(rt) == []
+    assert replans(twin) == ["unplaced"]
+    assert twin._unplaced_for is None
 
 
 @settings(max_examples=15, deadline=None)

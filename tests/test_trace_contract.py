@@ -2,11 +2,12 @@
 
 The trace is the ground truth every benchmark and figure reads, so its
 invariants are enforced at append time: cycles are non-negative and
-non-decreasing.  Details are stored compactly (equal details share one
-items tuple, an edit copies) or built lazily; both must read back
-exactly what was recorded, and the compact form must keep a recorded
-h264 event small.  The last part fuzzes the run-time manager with
-arbitrary interleavings of ``forecast`` / ``execute_si`` /
+non-decreasing.  Events are stored column-wise (a cycle and the id of
+an interned shape, so equal details share one table entry) or with a
+lazy detail; both must read back exactly what was recorded, an edit of
+an event read back must never reach the trace, and the columns must
+keep a recorded h264 event small.  The last part fuzzes the run-time
+manager with arbitrary interleavings of ``forecast`` / ``execute_si`` /
 ``fail_container`` and asserts the recorded trace always honours the
 contract — and that the runtime's cached fabric views and dispatch
 memo still equal a fresh recomputation afterwards.
@@ -24,10 +25,10 @@ from hypothesis import strategies as st
 from repro.apps.h264 import build_h264_library
 from repro.bench import trace_signature
 from repro.bench.suites import H264_MACROBLOCK_CALLS
-from repro.core import AtomCatalogue, AtomKind, MoleculeImpl, SILibrary, SpecialInstruction
 from repro.obs import MetricRegistry
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind, Trace
+from tests.test_analysis_verify_fuzz import _OPS, _fuzz_library
 
 
 class TestTraceContract:
@@ -69,11 +70,33 @@ class TestTraceContract:
             calls.append(1)
             return {"mode": "HW", "cycles": 12}
 
-        event = trace.record_lazy(5, EventKind.SI_EXECUTED, factory, si="HT")
+        trace.record_lazy(5, EventKind.SI_EXECUTED, factory, si="HT")
+        event = trace.events[-1]
         assert calls == []  # nothing resolved yet
         assert event.detail == {"mode": "HW", "cycles": 12}
         assert event.detail is event.detail  # cached, not rebuilt
         assert calls == [1]
+        # The trace keeps the resolved detail: a second read of the
+        # event does not run the factory again.
+        assert trace.events[-1].detail == {"mode": "HW", "cycles": 12}
+        assert calls == [1]
+
+    def test_rows_read_back_what_the_events_read(self):
+        trace = Trace()
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return {"atoms": ["Pack"]}
+
+        trace.record(1, EventKind.SI_EXECUTED, task="t", si="HT", mode="HW")
+        trace.record(2, EventKind.FORECAST, si="HT", expected=2.5)
+        trace.record_lazy(3, EventKind.TASK_STEP, factory, task="t")
+        rows = list(trace.rows())
+        assert rows == [(e.cycle, e.kind, e.task, e.si, e.detail) for e in trace]
+        assert calls == [1]  # resolved once, for rows and events alike
+        rows[0][4]["mode"] = "SW"  # a row's detail is a fresh dict
+        assert trace.events[0].detail == {"mode": "HW"}
 
     def test_lazy_event_equals_eager_event(self):
         eager = Event(5, EventKind.SI_EXECUTED, "t", "HT", {"cycles": 12})
@@ -160,24 +183,31 @@ _EDITS = {
 
 def _shared_pair() -> tuple[Trace, Event, Event]:
     trace = Trace()
-    first = trace.record(1, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
-    second = trace.record(2, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+    trace.record(1, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+    trace.record(2, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+    first, second = trace.events
     return trace, first, second
 
 
 class TestCompactDetails:
     def test_equal_details_share_storage(self):
-        _trace, first, second = _shared_pair()
+        trace, first, second = _shared_pair()
         assert first._detail is second._detail
+        assert trace._shapes[0] == trace._shapes[1]
+        assert len(trace._table) == 1
         assert first.detail == second.detail == _ORIGINAL
-        # Each read is a fresh dict, never the shared storage itself.
-        assert first.detail is not first.detail
+        # Each read of the trace is a fresh dict, never the shared
+        # storage itself; an event read keeps its own.
+        assert trace.events[0].detail is not trace.events[0].detail
+        assert first.detail is first.detail
 
     def test_different_details_do_not_share(self):
         trace = Trace()
-        hw = trace.record(1, EventKind.SI_EXECUTED, mode="HW", cycles=12)
-        sw = trace.record(2, EventKind.SI_EXECUTED, mode="SW", cycles=12)
+        trace.record(1, EventKind.SI_EXECUTED, mode="HW", cycles=12)
+        trace.record(2, EventKind.SI_EXECUTED, mode="SW", cycles=12)
+        hw, sw = trace.events
         assert hw._detail is not sw._detail
+        assert trace._shapes[0] != trace._shapes[1]
         assert hw.detail == {"mode": "HW", "cycles": 12}
         assert sw.detail == {"mode": "SW", "cycles": 12}
 
@@ -195,18 +225,23 @@ class TestCompactDetails:
         assert first.detail is first.detail
         first.detail["later"] = True
         assert first.detail == {**expected, "later": True}
-        # The sibling still reads (and shares) the original.
+        # The edit is detached from the trace: the sibling and a fresh
+        # read of the edited event still see (and share) the original.
         assert second.detail == _ORIGINAL
-        third = trace.record(3, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
-        assert third._detail is second._detail
+        assert trace.events[0].detail == _ORIGINAL
+        trace.record(3, EventKind.SI_EXECUTED, si="HT", **_ORIGINAL)
+        assert trace._shapes[2] == trace._shapes[0]
+        assert trace.events[2]._detail is trace.events[0]._detail
 
     def test_edit_of_an_empty_detail_sticks(self):
         trace = Trace()
-        first = trace.record(1, EventKind.FORECAST_END, si="HT")
-        second = trace.record(2, EventKind.FORECAST_END, si="HT")
+        trace.record(1, EventKind.FORECAST_END, si="HT")
+        trace.record(2, EventKind.FORECAST_END, si="HT")
+        first, second = trace.events
         first.detail["note"] = "x"
         assert first.detail == {"note": "x"}
         assert second.detail == {}
+        assert trace.events[0].detail == {}
 
     def test_copies_are_plain_detached_dicts(self):
         _trace, first, _second = _shared_pair()
@@ -228,10 +263,9 @@ class TestCompactDetails:
         # 1 == True == 1.0 and 0.0 == -0.0 hash alike; sharing must
         # never hand one event another's value.
         trace = Trace()
-        events = [
+        for i, value in enumerate(order):
             trace.record(i, EventKind.TASK_STEP, x=value)
-            for i, value in enumerate(order)
-        ]
+        events = list(trace)
         signature = trace_signature(trace)
         for value, event, row in zip(order, events, signature):
             assert repr(event.detail["x"]) == repr(value)
@@ -241,7 +275,8 @@ class TestCompactDetails:
     def test_unhashable_detail_records_and_reads_back(self):
         trace = Trace()
         atoms = ["Load", "Pack"]
-        event = trace.record(3, EventKind.TASK_STEP, atoms=atoms, nested=(1, []))
+        trace.record(3, EventKind.TASK_STEP, atoms=atoms, nested=(1, []))
+        event = trace.events[0]
         assert event.detail == {"atoms": ["Load", "Pack"], "nested": (1, [])}
         assert event.detail["atoms"] is atoms
         event.detail["atoms"].append("SATD")
@@ -263,10 +298,12 @@ def _h264_runtime_stream(runtime: RisppRuntime, macroblocks: int, now: int) -> i
 
 
 class TestTraceMemory:
-    #: Measured ~115 bytes per event on 64-bit CPython 3.11 (an
-    #: ``Event``, its cycle int and a list slot); a per-event dict or
-    #: detail factory costs ~310.
-    MAX_BYTES_PER_EVENT = 160
+    #: Measured ~17 bytes per event on 64-bit CPython 3.11: an 8-byte
+    #: cycle and a 4-byte shape id, the arrays' over-allocation, and the
+    #: own details of the loop-head forecasts (their ``expected`` is a
+    #: float).  Keeping an ``Event`` per recorded event costs ~115; a
+    #: per-event dict or detail factory ~310.
+    MAX_BYTES_PER_EVENT = 24
 
     def test_h264_stream_events_stay_compact(self):
         runtime = RisppRuntime(
@@ -293,51 +330,6 @@ class TestTraceMemory:
         assert grown / recorded <= self.MAX_BYTES_PER_EVENT, (
             f"{grown / recorded:.0f} bytes per recorded event"
         )
-
-
-def _fuzz_library() -> SILibrary:
-    """Two-SI library with overlapping atom demand (competition included)."""
-    catalogue = AtomCatalogue.of(
-        [
-            AtomKind("Load", reconfigurable=False),
-            AtomKind("Pack", bitstream_bytes=65_713),
-            AtomKind("Transform", bitstream_bytes=59_353),
-            AtomKind("SATD", bitstream_bytes=58_141),
-        ]
-    )
-    space = catalogue.space
-    ht = SpecialInstruction(
-        "HT",
-        space,
-        298,
-        [
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 1}), 22),
-            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 2}), 17),
-        ],
-    )
-    satd = SpecialInstruction(
-        "SATD",
-        space,
-        544,
-        [
-            MoleculeImpl(
-                space.molecule({"Load": 1, "Pack": 1, "Transform": 1, "SATD": 1}), 24
-            ),
-        ],
-    )
-    return SILibrary(catalogue, [ht, satd])
-
-
-_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["forecast", "execute", "fail", "advance"]),
-        st.sampled_from(["HT", "SATD"]),
-        st.integers(min_value=0, max_value=200_000),  # time delta
-        st.integers(min_value=0, max_value=2),  # container / expected scale
-    ),
-    min_size=1,
-    max_size=25,
-)
 
 
 class TestRuntimeInterleavings:
