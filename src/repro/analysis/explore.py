@@ -15,9 +15,8 @@ against the MC rule family declared in :mod:`.rules`:
 * MC005/MC006 — deadlock/livelock freedom, replan convergence and
   replan-skip soundness, probed by forking the state and draining /
   re-replanning it;
-* MC008 — repair latency ≤ the ``static_repair_bound`` formula (FEA005
-  cross-validation), rate-aware via
-  :func:`~repro.analysis.feasibility.rotation_cycle_table`;
+* MC008 — repair latency ≤ :func:`~repro.faults.static_repair_bound`
+  at the scope's port rate (FEA005 cross-validation);
 * MC010 — SI dispatch matches the best available molecule (TRC013).
 
 A violated rule yields a **minimized counterexample**: the action path is
@@ -43,13 +42,14 @@ from typing import TYPE_CHECKING, Any
 from ..core.atom import AtomCatalogue, AtomKind
 from ..core.library import SILibrary
 from ..core.si import MoleculeImpl, SpecialInstruction
+from ..faults import chaos
 from ..faults.injector import FaultInjector
 from ..faults.model import FaultEvent, FaultKind, FaultSchedule
 from ..runtime.manager import RisppRuntime
 from ..sim.trace import EventKind
 from ..state import clone, fingerprint
 from .diagnostics import DiagnosticReport
-from .feasibility import rotation_cycle_table
+from .feasibility import port_backlog_bound
 from .rules import diag, expand_selectors, rules_of_family
 from .verify import golden_from_dict, golden_from_runtime, verify_golden
 
@@ -388,23 +388,23 @@ def _count(counts: dict[Action, int], action: Action) -> dict[Action, int]:
 class _Bounds:
     """Rate-aware static bounds the MC008/MC005 checks prove."""
 
-    #: ``static_repair_bound`` formula at the scope's port rate.
+    #: ``static_repair_bound`` at the scope's port rate.
     repair_bound: int
     #: Cycles a fork may advance before it must have gone quiescent.
     drain_bound: int
 
 
 def _bounds_of(scope: ExploreScope, library: SILibrary) -> _Bounds:
-    table = rotation_cycle_table(
-        library, core_mhz=scope.core_mhz, bytes_per_us=scope.bytes_per_us
-    )
+    rate = {"core_mhz": scope.core_mhz, "bytes_per_us": scope.bytes_per_us}
     # FEA004-style request-to-finish bound: own write + a full queue.
-    queue_bound = scope.containers * max(table.values(), default=1)
-    backoff_total = sum(
-        scope.backoff_cycles * 2**i for i in range(scope.max_retries)
-    )
-    repair_bound = (
-        scope.scrub_period + (1 + scope.max_retries) * queue_bound + backoff_total
+    queue_bound = port_backlog_bound(library, scope.containers, **rate)
+    repair_bound = chaos.static_repair_bound(
+        library,
+        scope.containers,
+        scrub_period=scope.scrub_period,
+        max_retries=scope.max_retries,
+        backoff_cycles=scope.backoff_cycles,
+        **rate,
     )
     return _Bounds(
         repair_bound=repair_bound,
@@ -493,7 +493,13 @@ def _quiescent(world: _World) -> bool:
 def _check_mc005(world: _World, bounds: _Bounds) -> list[str]:
     """Drain a fork of the state: every state must reach quiescence by
     only letting scheduled work finish (no new actions), within the
-    static drain bound."""
+    static drain bound.
+
+    Run on an MC005 counterexample witness, the drain also advances it
+    up to the stuck state, so the recorded trace *shows* what the probe
+    detected (e.g. a quarantine left open forever) instead of ending
+    just before it — rispp-verify judges the trace, not the probe.
+    """
     deadline = world.now + bounds.drain_bound
     steps = 0
     while not _quiescent(world):
@@ -510,22 +516,6 @@ def _check_mc005(world: _World, bounds: _Bounds) -> list[str]:
         world.runtime.advance(nxt)
         steps += 1
     return []
-
-
-def _drain_witness(world: _World, bounds: _Bounds) -> None:
-    """Advance an MC005 counterexample witness through its scheduled
-    events so the recorded trace *shows* the stuck state the drain probe
-    detected (e.g. a quarantine left open forever) instead of ending just
-    before it — rispp-verify judges the trace, not the probe."""
-    deadline = world.now + bounds.drain_bound
-    steps = 0
-    while not _quiescent(world):
-        nxt = _next_interesting(world)
-        if nxt is None or nxt > deadline or steps > 10_000:
-            return
-        world.now = nxt
-        world.runtime.advance(nxt)
-        steps += 1
 
 
 def _check_mc006(world: _World) -> list[str]:
@@ -927,7 +917,7 @@ def explore(
         )
         witness = _replay(sc, mutator, actions)
         if rule_id == "MC005":
-            _drain_witness(witness, bounds)
+            _check_mc005(witness, bounds)
         elif rule_id == "MC010":
             _record_bad_dispatch(witness)
         golden = golden_from_runtime(

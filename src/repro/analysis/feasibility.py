@@ -360,14 +360,22 @@ def prove_feasibility(
     )
 
 
-def port_backlog_bound(library: SILibrary, containers: int) -> int:
+def port_backlog_bound(
+    library: SILibrary,
+    containers: int,
+    *,
+    core_mhz: float = 100.0,
+    bytes_per_us: float | None = None,
+) -> int:
     """Sound bound on any single rotation's request-to-finish latency.
 
     Every pending job reserves a distinct container, so at most
     ``containers`` jobs (this one included) ever sit on the serial port,
-    each writing for at most the worst bitstream latency.  Container
-    failures only *pull jobs forward* (the queue gap closes), so the
-    bound survives fault injection.
+    each writing for at most the worst bitstream latency at the port
+    rate.  Container failures only *pull jobs forward* (the queue gap
+    closes), so the bound survives fault injection.
     """
-    table = rotation_cycle_table(library)
+    table = rotation_cycle_table(
+        library, core_mhz=core_mhz, bytes_per_us=bytes_per_us
+    )
     return containers * max(table.values(), default=0)

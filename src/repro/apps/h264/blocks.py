@@ -9,14 +9,6 @@ SUBBLOCK_SIZE = 4
 CHROMA_SIZE = 8
 
 
-def as_pixels(block) -> np.ndarray:
-    """Validate a pixel block: integer values in [0, 255]."""
-    arr = np.asarray(block, dtype=np.int64)
-    if ((arr < 0) | (arr > 255)).any():
-        raise ValueError("pixel values must be within [0, 255]")
-    return arr
-
-
 def split_into_4x4(block) -> list[list[np.ndarray]]:
     """Split an NxN block (N multiple of 4) into a grid of 4x4 sub-blocks."""
     arr = np.asarray(block, dtype=np.int64)

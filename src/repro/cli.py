@@ -473,16 +473,10 @@ CHAOS_RUN_KIND = "rispp-chaos-run"
 
 def _chaos(argv: list[str]) -> int:
     import json
-    import math
     import os
+    from dataclasses import fields
     from pathlib import Path
 
-    from .faults import (
-        CHAOS_DEFAULTS,
-        chaos_ok,
-        render_chaos_report,
-        run_chaos_suite,
-    )
     from .recovery import (
         JOURNAL_NAME,
         RecoveryError,
@@ -491,9 +485,9 @@ def _chaos(argv: list[str]) -> int:
         latest_snapshot,
         load_snapshot,
     )
+    from .scenario import Scenario, ScenarioError
     from .sim.suites import SUITES
 
-    defaults = CHAOS_DEFAULTS
     # The scenario knobs besides --suite/--quick: (key, metavar, help).
     knobs = (
         ("seed", "N", "fault-schedule seed, positive"),
@@ -517,16 +511,17 @@ def _chaos(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--suite", choices=sorted(SUITES), default=None,
-        help=f"workload to fuzz (default: {defaults['suite']})",
+        help=f"workload to fuzz (default: {Scenario.suite})",
     )
     for key, metavar, text in knobs:
+        default = getattr(Scenario, key)
         parser.add_argument(
-            "--" + key.replace("_", "-"), type=type(defaults[key]),
+            "--" + key.replace("_", "-"), type=type(default),
             default=None, metavar=metavar,
-            help=f"{text} (default: {defaults[key]})",
+            help=f"{text} (default: {default})",
         )
     parser.add_argument(
-        "--quick", action="store_true",
+        "--quick", action="store_true", default=None,
         help="reduced scenario sizes (CI mode)",
     )
     parser.add_argument(
@@ -593,18 +588,18 @@ def _chaos(argv: list[str]) -> int:
             if value is not None:
                 parser.error(f"{flag} needs --checkpoint-dir or --resume")
 
+    # The flags left unset take the scenario defaults.
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(Scenario)
+        if getattr(args, f.name) is not None
+    }
     if resume:
-        conflicting = [
-            "--" + key.replace("_", "-")
-            for key in ("suite", *(key for key, _, _ in knobs))
-            if getattr(args, key) is not None
-        ]
-        if args.quick:
-            conflicting.append("--quick")
-        if conflicting:
+        if flags:
             parser.error(
                 "scenario flags conflict with --resume (the scenario comes "
-                "from the store's run.json): " + ", ".join(conflicting)
+                "from the store's run.json): "
+                + ", ".join("--" + key.replace("_", "-") for key in flags)
             )
         assert store is not None
         if not store.is_dir():
@@ -625,40 +620,21 @@ def _chaos(argv: list[str]) -> int:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read run metadata {meta_path}: {exc}")
-        if not isinstance(meta, dict) or meta.get("kind") != CHAOS_RUN_KIND:
+        if not isinstance(meta, dict) or meta.pop("kind", None) != CHAOS_RUN_KIND:
             parser.error(f"{meta_path} is not a chaos run-metadata file")
+        meta.pop("schema_version", None)
         try:
-            scenario = {
-                key: type(default)(meta[key])
-                for key, default in defaults.items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            parser.error(f"run metadata {meta_path} is incomplete: {exc!r}")
+            scenario = Scenario.from_payload(meta)
+        except ScenarioError as exc:
+            parser.error(f"run metadata {meta_path} is invalid: {exc}")
     else:
-        # Unset flags fall back to the one chaos defaults table.
-        scenario = {
-            key: default if getattr(args, key) is None else getattr(args, key)
-            for key, default in defaults.items()
-        }
-
-    # Every scenario value is checked here, before the run: a ValueError
-    # raised during the run is a runtime invariant break, not a bad flag.
-    if scenario["suite"] not in SUITES:  # a --resume store's run.json
-        parser.error(f"unknown suite {scenario['suite']!r}")
-    fault_rate = scenario["fault_rate"]
-    if not math.isfinite(fault_rate) or fault_rate < 0:
-        parser.error(
-            f"--fault-rate must be finite and non-negative, got {fault_rate}"
-        )
-    for key, least, condition in (
-        ("seed", 1, "positive"),
-        ("scrub_period", 1, "positive"),
-        ("max_retries", 0, "non-negative"),
-        ("backoff_cycles", 1, "positive"),
-    ):
-        if scenario[key] < least:
-            flag = "--" + key.replace("_", "-")
-            parser.error(f"{flag} must be {condition}, got {scenario[key]}")
+        try:
+            scenario = Scenario.from_payload(flags)
+        except ScenarioError as exc:
+            # argparse has checked the types and the suite, so a range
+            # check failed: its message starts with the field name.
+            name, _, problem = str(exc).partition(" ")
+            parser.error(f"--{name.replace('_', '-')} {problem}")
 
     recovery = None
     if store is not None:
@@ -674,16 +650,17 @@ def _chaos(argv: list[str]) -> int:
         )
         if not resume:
             store.mkdir(parents=True, exist_ok=True)
-            meta = {"kind": CHAOS_RUN_KIND, "schema_version": 1, **scenario}
+            meta = {"kind": CHAOS_RUN_KIND, "schema_version": 1, **scenario.to_payload()}
             (store / CHAOS_RUN_META).write_text(
                 json.dumps(meta, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",
             )
 
+    from .faults import chaos_ok, render_chaos_report, run_chaos_suite
+
+    knobs = scenario.to_payload()
     try:
-        report = run_chaos_suite(
-            scenario.pop("suite"), **scenario, recovery=recovery
-        )
+        report = run_chaos_suite(knobs.pop("suite"), **knobs, recovery=recovery)
     except SimulatedCrash as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         print(

@@ -58,9 +58,6 @@ class SelectionResult:
     considered: int = 0
     rejected_over_budget: dict[str, bool] = field(default_factory=dict)
 
-    def molecule_for(self, si_name: str) -> MoleculeImpl | None:
-        return self.chosen.get(si_name)
-
 
 def _checked_requests(
     requests: Iterable[ForecastedSI],

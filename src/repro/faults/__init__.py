@@ -26,7 +26,6 @@ documented in ``docs/faults.md``.
 """
 
 from .chaos import (
-    CHAOS_DEFAULTS,
     chaos_ok,
     render_chaos_report,
     run_chaos_suite,
@@ -37,7 +36,6 @@ from .model import FaultEvent, FaultKind, FaultSchedule
 from .stats import ResilienceStats
 
 __all__ = [
-    "CHAOS_DEFAULTS",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",

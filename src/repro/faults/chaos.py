@@ -12,7 +12,7 @@ campaign horizon and the functional baseline, once under a
   execution count — every call completes);
 * every observed repair landed within :func:`static_repair_bound`, the
   static worst case derived from the scrub period, the port backlog
-  bound and the retry backoff ladder.
+  bound and the doubling retry backoff.
 
 Reports are plain dicts of JSON-safe deterministic values (no
 timestamps), so ``python -m repro chaos --seed N --format json`` is
@@ -21,11 +21,11 @@ byte-identical across runs — the acceptance gate of the fault work.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from ..core.library import SILibrary
+from ..scenario import Scenario
 from .injector import FaultInjector
 from .model import FaultSchedule
 
@@ -36,18 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 CHAOS_SCHEMA_VERSION = 1
 CHAOS_KIND = "rispp-chaos-report"
 
-#: Scenario defaults of one chaos campaign: the ``run_chaos_suite``
-#: keyword defaults, the ``repro chaos`` flag defaults and, with
-#: ``quick`` flipped on, ``repro.serve.SCENARIO_DEFAULTS``.
-CHAOS_DEFAULTS: dict[str, Any] = {
-    "suite": "synthetic",
-    "seed": 1,
-    "fault_rate": 5.0,
-    "scrub_period": 10_000,
-    "max_retries": 3,
-    "backoff_cycles": 1_000,
-    "quick": False,
-}
+#: FEA005's failure budget: one container lost, echoed in the report.
+SURVIVABLE_FAILURES = 1
 
 
 def static_repair_bound(
@@ -57,7 +47,8 @@ def static_repair_bound(
     scrub_period: int,
     max_retries: int,
     backoff_cycles: int,
-    backoff_ladder: "Sequence[int] | None" = None,
+    core_mhz: float = 100.0,
+    bytes_per_us: float | None = None,
 ) -> int:
     """Sound worst-case injection-to-repair latency, in cycles.
 
@@ -65,19 +56,18 @@ def static_repair_bound(
     injection (the next readback pass).  The repair rotation then rides
     the normal serial port: one attempt costs at most the port backlog
     bound (``containers`` worst-case writes), and every mid-write fault
-    costs one more attempt plus its backoff (the explicit ladder when
-    configured, exponential doubling of ``backoff_cycles`` otherwise),
-    up to ``max_retries`` extra attempts.  Summing the three terms bounds
-    the MTTR of every *repaired* container; retired containers never
-    count.
+    costs one more attempt plus its backoff (``backoff_cycles``, doubling
+    per attempt), up to ``max_retries`` extra attempts.  Summing the
+    three terms bounds the MTTR of every *repaired* container; retired
+    containers never count.  The port rate defaults to the shipped
+    100 MHz SelectMap port.
     """
     from ..analysis.feasibility import port_backlog_bound
 
-    backlog = port_backlog_bound(library, containers)
-    if backoff_ladder is not None:
-        backoff_total = sum(backoff_ladder)
-    else:
-        backoff_total = sum(backoff_cycles * 2**i for i in range(max_retries))
+    backlog = port_backlog_bound(
+        library, containers, core_mhz=core_mhz, bytes_per_us=bytes_per_us
+    )
+    backoff_total = sum(backoff_cycles * 2**i for i in range(max_retries))
     return scrub_period + (1 + max_retries) * backlog + backoff_total
 
 
@@ -120,12 +110,11 @@ def run_chaos_suite(
     name: str,
     *,
     seed: int,
-    fault_rate: float = CHAOS_DEFAULTS["fault_rate"],
-    quick: bool = CHAOS_DEFAULTS["quick"],
-    scrub_period: int = CHAOS_DEFAULTS["scrub_period"],
-    max_retries: int = CHAOS_DEFAULTS["max_retries"],
-    backoff_cycles: int = CHAOS_DEFAULTS["backoff_cycles"],
-    survivable_failures: int = 1,
+    fault_rate: float = Scenario.fault_rate,
+    quick: bool = Scenario.quick,
+    scrub_period: int = Scenario.scrub_period,
+    max_retries: int = Scenario.max_retries,
+    backoff_cycles: int = Scenario.backoff_cycles,
     recovery: "RecoveryPlan | None" = None,
 ) -> dict[str, Any]:
     """One seeded chaos campaign over a shipped suite; returns the report.
@@ -140,15 +129,10 @@ def run_chaos_suite(
     """
     from ..analysis.feasibility import prove_feasibility
     from ..analysis.verify import verify_runtime
-    from ..sim.suites import SUITES, run_suite
+    from ..sim.suites import run_suite
 
-    if name not in SUITES:
-        raise ValueError(
-            f"unknown chaos suite {name!r}; choose from {sorted(SUITES)}"
-        )
-
-    # Fault-free reference run: fixes the campaign horizon and the
-    # functional baseline the chaos run must match.
+    # Fault-free reference run (it refuses an unknown suite): fixes the
+    # campaign horizon and the functional baseline the chaos run must match.
     baseline = run_suite(name, quick=quick)
     baseline_rt = baseline.runtime
     library = baseline_rt.library
@@ -205,7 +189,7 @@ def run_chaos_suite(
     feasibility = prove_feasibility(
         library,
         containers,
-        survivable_failures=survivable_failures,
+        survivable_failures=SURVIVABLE_FAILURES,
         subject=f"chaos:{name}",
     )
     stats = injector.stats
@@ -222,7 +206,7 @@ def run_chaos_suite(
             "scrub_period": scrub_period,
             "max_retries": max_retries,
             "backoff_cycles": backoff_cycles,
-            "survivable_failures": survivable_failures,
+            "survivable_failures": SURVIVABLE_FAILURES,
         },
         "horizon_cycles": horizon,
         "settled_cycle": settled_at,

@@ -34,7 +34,6 @@ is traced (``FAULT_INJECTED`` / ``FAULT_DETECTED`` /
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -89,7 +88,7 @@ class FaultInjector:
         "_last_mark": counter(int),
         "stats": counter(ResilienceStats),
         **wiring(
-            "schedule", "scrub_period", "max_retries", "backoff_cycles", "backoff_ladder",
+            "schedule", "scrub_period", "max_retries", "backoff_cycles",
             "_runtime", "_obs_on", "_m_injected", "_m_repair_cycles", "_m_quarantine",
             "_m_degraded",
         ),
@@ -102,7 +101,6 @@ class FaultInjector:
         scrub_period: int = 10_000,
         max_retries: int = 3,
         backoff_cycles: int = 1_000,
-        backoff_ladder: Sequence[int] | None = None,
     ):
         if scrub_period < 1:
             raise ValueError("scrub period must be positive")
@@ -110,28 +108,10 @@ class FaultInjector:
             raise ValueError("retry budget cannot be negative")
         if backoff_cycles < 1:
             raise ValueError("backoff must be positive")
-        ladder: tuple[int, ...] | None = None
-        if backoff_ladder is not None:
-            ladder = tuple(int(step) for step in backoff_ladder)
-            if max_retries < 1:
-                raise ValueError("a backoff ladder needs a positive retry budget")
-            if len(ladder) != max_retries:
-                raise ValueError(
-                    f"backoff ladder has {len(ladder)} steps for "
-                    f"{max_retries} retries; one delay per retry"
-                )
-            if any(step < 1 for step in ladder):
-                raise ValueError("backoff ladder steps must be positive")
-            if any(b < a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError(
-                    "backoff ladder steps must be non-decreasing, got "
-                    f"{list(ladder)}"
-                )
         self.schedule = schedule
         self.scrub_period = scrub_period
         self.max_retries = max_retries
         self.backoff_cycles = backoff_cycles
-        self.backoff_ladder = ladder
         self.stats = ResilienceStats()
         self._events: list[FaultEvent] = list(schedule)
         self._cursor = 0
@@ -351,10 +331,8 @@ class FaultInjector:
         )
 
     def _backoff_for(self, attempts: int) -> int:
-        """Backoff delay before retry ``attempts + 1`` (explicit ladder
-        when configured, exponential doubling otherwise)."""
-        if self.backoff_ladder is not None:
-            return self.backoff_ladder[attempts]
+        """Backoff delay before retry ``attempts + 1``: exponential
+        doubling of ``backoff_cycles``."""
         return self.backoff_cycles * (2**attempts)
 
     def _inject_permanent(

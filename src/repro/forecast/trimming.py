@@ -114,9 +114,6 @@ class BlockTrim:
     def kept_candidates(self) -> list[FCCandidate]:
         return [c for r in self.results.values() for c in r.kept]
 
-    def removed_candidates(self) -> list[FCCandidate]:
-        return [c for r in self.results.values() for c in r.removed]
-
 
 def trim_all_blocks(
     library: SILibrary,

@@ -63,12 +63,10 @@ def _config_of(runtime: RisppRuntime) -> dict[str, Any]:
     injector = runtime._faults
     injector_config: dict[str, Any] | None = None
     if injector is not None:
-        ladder = injector.backoff_ladder
         injector_config = {
             "scrub_period": injector.scrub_period,
             "max_retries": injector.max_retries,
             "backoff_cycles": injector.backoff_cycles,
-            "backoff_ladder": list(ladder) if ladder is not None else None,
         }
     energy = runtime.energy_model
     return {

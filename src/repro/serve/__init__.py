@@ -11,10 +11,9 @@ exposition; ``/healthz`` and ``/readyz`` answer liveness and readiness.
 The full API schema and endpoint contracts live in ``docs/serving.md``.
 """
 
-from typing import Any
-
 from .daemon import DEFAULT_HOST, DEFAULT_PORT, ENDPOINTS, ScenarioServer, serve
 from .facade import (
+    SCENARIO_DEFAULTS,
     RuntimeFacade,
     ScenarioError,
     ScenarioRequest,
@@ -33,12 +32,3 @@ __all__ = [
     "render_scenario",
     "serve",
 ]
-
-
-def __getattr__(name: str) -> Any:
-    # SCENARIO_DEFAULTS is built on first access (see repro.serve.facade).
-    if name == "SCENARIO_DEFAULTS":
-        from .facade import SCENARIO_DEFAULTS
-
-        return SCENARIO_DEFAULTS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,7 +2,8 @@
 
 :class:`RuntimeFacade` is the programmatic service surface the HTTP
 daemon sits on: it validates scenario payloads into
-:class:`ScenarioRequest` objects, runs each one through
+:class:`ScenarioRequest` objects (:class:`repro.scenario.Scenario`
+with ``quick`` on by default), runs each one through
 :func:`repro.faults.run_chaos_suite` in a worker process, and returns
 the rendered report — the exact bytes ``repro chaos --format json``
 prints for the same flags (``json.dumps(report, indent=2,
@@ -19,138 +20,42 @@ from __future__ import annotations
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
+
+from ..scenario import Scenario, ScenarioError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricRegistry
-
-
-class ScenarioError(ValueError):
-    """A scenario payload failed validation (HTTP 400 at the daemon)."""
 
 
 class FacadeClosed(RuntimeError):
     """The facade was shut down and takes no work (HTTP 503 at the daemon)."""
 
 
-def _scenario_defaults() -> dict[str, Any]:
-    from ..faults.chaos import CHAOS_DEFAULTS
+@dataclass(frozen=True)
+class ScenarioRequest(Scenario):
+    """A scenario as the service takes it: a service answers
+    interactively, so reduced sizes are the default (``"quick": false``
+    opts in to full size)."""
 
-    return {**CHAOS_DEFAULTS, "quick": True}
-
-
-def __getattr__(name: str) -> Any:
-    """``SCENARIO_DEFAULTS``: the ``repro chaos`` defaults, served quick.
-
-    A service answers interactively, so reduced sizes are the default
-    (``"quick": false`` opts in to full size).  Built on first access, so
-    ``import repro.serve`` stays free of the simulator.
-    """
-    if name == "SCENARIO_DEFAULTS":
-        return _scenario_defaults()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    quick: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioRequest:
-    """One validated scenario: the chaos campaign a worker will run."""
-
-    suite: str
-    seed: int
-    fault_rate: float
-    scrub_period: int
-    max_retries: int
-    backoff_cycles: int
-    quick: bool
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ScenarioRequest":
-        """Validate a JSON payload; raise :class:`ScenarioError` on junk."""
-        import math
-
-        from ..sim.suites import SUITES
-
-        if not isinstance(payload, Mapping):
-            raise ScenarioError("scenario request must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ScenarioError(
-                f"unknown scenario field(s): {', '.join(unknown)}; "
-                f"accepted: {', '.join(sorted(known))}"
-            )
-        merged = {**_scenario_defaults(), **dict(payload)}
-        suite = merged["suite"]
-        if suite not in SUITES:
-            raise ScenarioError(
-                f"unknown suite {suite!r}; one of {sorted(SUITES)}"
-            )
-        try:
-            seed = int(merged["seed"])
-            fault_rate = float(merged["fault_rate"])
-            scrub_period = int(merged["scrub_period"])
-            max_retries = int(merged["max_retries"])
-            backoff_cycles = int(merged["backoff_cycles"])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed scenario field: {exc}") from None
-        if seed < 1:
-            raise ScenarioError(f"seed must be positive, got {seed}")
-        if not math.isfinite(fault_rate) or fault_rate < 0:
-            raise ScenarioError(
-                f"fault_rate must be finite and non-negative, got {fault_rate}"
-            )
-        if scrub_period < 1:
-            raise ScenarioError(
-                f"scrub_period must be positive, got {scrub_period}"
-            )
-        if max_retries < 0:
-            raise ScenarioError(
-                f"max_retries cannot be negative, got {max_retries}"
-            )
-        if backoff_cycles < 1:
-            raise ScenarioError(
-                f"backoff_cycles must be positive, got {backoff_cycles}"
-            )
-        quick = merged["quick"]
-        if not isinstance(quick, bool):
-            raise ScenarioError("quick must be a boolean")
-        return cls(
-            suite=suite,
-            seed=seed,
-            fault_rate=fault_rate,
-            scrub_period=scrub_period,
-            max_retries=max_retries,
-            backoff_cycles=backoff_cycles,
-            quick=quick,
-        )
-
-    def to_payload(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+#: The ``repro chaos`` defaults, served quick.
+SCENARIO_DEFAULTS: dict[str, Any] = ScenarioRequest().to_payload()
 
 
-def render_scenario(request: ScenarioRequest) -> str:
+def render_scenario(request: Scenario) -> str:
     """Run one scenario and render the report — the service's unit of work.
 
     Byte-identical to ``repro chaos --format json`` with the same flags.
     """
     from ..faults import run_chaos_suite
 
-    report = run_chaos_suite(
-        request.suite,
-        seed=request.seed,
-        fault_rate=request.fault_rate,
-        quick=request.quick,
-        scrub_period=request.scrub_period,
-        max_retries=request.max_retries,
-        backoff_cycles=request.backoff_cycles,
-    )
+    knobs = request.to_payload()
+    report = run_chaos_suite(knobs.pop("suite"), **knobs)
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _pool_run(payload: dict[str, Any]) -> str:
-    """Worker entry point (module-level so the pool can pickle it)."""
-    return render_scenario(ScenarioRequest.from_payload(payload))
 
 
 class RuntimeFacade:
@@ -214,7 +119,7 @@ class RuntimeFacade:
         pool = self._pool
         if pool is not None:
             try:
-                return pool.submit(_pool_run, request.to_payload())
+                return pool.submit(render_scenario, request)
             except RuntimeError:
                 if self._pool is not None:
                     raise  # a broken pool, not a concurrent shutdown

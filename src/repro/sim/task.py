@@ -75,9 +75,6 @@ class ScriptedTask:
     def done(self) -> bool:
         return self.index >= len(self.actions)
 
-    def peek(self) -> Action:
-        return self.actions[self.index]
-
 
 @dataclass
 class MultiTaskSimulator:

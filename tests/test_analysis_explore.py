@@ -243,6 +243,23 @@ class TestCounterexamples:
         cx = self._one(REPAIR_SCOPE, _slow_repair_mutator, "MC008")
         assert "TRC008" in cx.verified_rule_ids
 
+    def test_mc008_proves_the_shipped_repair_bound(self, monkeypatch):
+        # A repair bound that drops the port-backlog term (every repair
+        # writes a bitstream) is unsound; MC008 must check the shipped
+        # formula itself, so the broken one is caught on tiny.
+        import repro.faults.chaos as chaos
+
+        def no_backlog(library, containers, *, scrub_period, max_retries,
+                       backoff_cycles, **port_rate):
+            return scrub_period + sum(
+                backoff_cycles * 2**i for i in range(max_retries)
+            )
+
+        monkeypatch.setattr(chaos, "static_repair_bound", no_backlog)
+        result = explore("tiny", select=["MC008"], stop_on_violation=True)
+        assert [c.rule_id for c in result.counterexamples] == ["MC008"]
+        assert "static repair bound" in result.counterexamples[0].message
+
     def test_unreleased_quarantine_deadlocks(self):
         cx = self._one(REPAIR_SCOPE, _no_release_mutator, "MC005")
         assert "TRC014" in cx.verified_rule_ids

@@ -191,17 +191,39 @@ class TestChaosCommand:
     ):
         import repro.faults
         from repro.cli import CHAOS_RUN_KIND, CHAOS_RUN_META
-        from repro.faults import CHAOS_DEFAULTS
         from repro.recovery import JOURNAL_NAME
+        from repro.scenario import Scenario
 
         monkeypatch.setattr(repro.faults, "run_chaos_suite", TestOverwriteGuard._must_not_run)
         (tmp_path / JOURNAL_NAME).write_text("")
-        meta = {"kind": CHAOS_RUN_KIND, **CHAOS_DEFAULTS, "suite": "nope"}
+        meta = {"kind": CHAOS_RUN_KIND, **Scenario().to_payload(), "suite": "nope"}
         (tmp_path / CHAOS_RUN_META).write_text(json.dumps(meta))
         with pytest.raises(SystemExit) as excinfo:
             main(["chaos", "--resume", str(tmp_path)])
         assert excinfo.value.code == 2
         assert "unknown suite 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("quick", "false"), ("seed", 7.9)]
+    )
+    def test_resume_store_with_a_mistyped_field_exits_two(
+        self, field, value, tmp_path, capsys, monkeypatch
+    ):
+        # run.json is read back through the same checks as a request:
+        # a string is no bool and a float no seed, whatever it coerces to.
+        import repro.faults
+        from repro.cli import CHAOS_RUN_KIND, CHAOS_RUN_META
+        from repro.recovery import JOURNAL_NAME
+        from repro.scenario import Scenario
+
+        monkeypatch.setattr(repro.faults, "run_chaos_suite", TestOverwriteGuard._must_not_run)
+        (tmp_path / JOURNAL_NAME).write_text("")
+        meta = {"kind": CHAOS_RUN_KIND, **Scenario().to_payload(), field: value}
+        (tmp_path / CHAOS_RUN_META).write_text(json.dumps(meta))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--resume", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert f"malformed scenario field: {field}" in capsys.readouterr().err
 
     def test_runtime_value_error_is_not_a_usage_error(self, monkeypatch):
         # An invariant break inside the campaign is a crash, not a bad

@@ -24,7 +24,7 @@ def synthetic_report():
 
 class TestChaosDriver:
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos suite"):
+        with pytest.raises(ValueError, match="unknown suite 'mp3'"):
             run_chaos_suite("mp3", seed=0)
 
     def test_suite_list_matches_verifier(self):

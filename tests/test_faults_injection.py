@@ -400,86 +400,16 @@ class TestPortMidWriteRecovery:
         assert fabric.container(0).atom == "Syn0"
 
 
-# -- satellite: backoff-ladder configuration ----------------------------------
+# -- retry backoff ------------------------------------------------------------
 
 
 class TestBackoffLadder:
-    """Explicit per-attempt retry delays, validated at construction."""
-
-    def test_ladder_must_fit_the_retry_budget(self):
-        schedule = FaultSchedule([])
-        with pytest.raises(ValueError, match="positive retry budget"):
-            FaultInjector(
-                schedule, max_retries=0, backoff_ladder=(1_000,)
-            )
-        with pytest.raises(ValueError, match="one delay per retry"):
-            FaultInjector(
-                schedule, max_retries=3, backoff_ladder=(1_000, 2_000)
-            )
-
-    def test_ladder_steps_must_be_positive(self):
-        schedule = FaultSchedule([])
-        with pytest.raises(ValueError, match="must be positive"):
-            FaultInjector(
-                schedule, max_retries=2, backoff_ladder=(0, 1_000)
-            )
-        with pytest.raises(ValueError, match="must be positive"):
-            FaultInjector(
-                schedule, max_retries=2, backoff_ladder=(500, -1)
-            )
-
-    def test_ladder_steps_must_be_non_decreasing(self):
-        schedule = FaultSchedule([])
-        with pytest.raises(ValueError, match="non-decreasing"):
-            FaultInjector(
-                schedule, max_retries=3, backoff_ladder=(2_000, 1_000, 3_000)
-            )
-
-    def test_valid_ladder_is_normalized_to_a_tuple(self):
-        injector = FaultInjector(
-            FaultSchedule([]),
-            max_retries=3,
-            backoff_ladder=[500, 500, 2_000],
-        )
-        assert injector.backoff_ladder == (500, 500, 2_000)
-        assert injector._backoff_for(0) == 500
-        assert injector._backoff_for(2) == 2_000
+    """The retry delay doubles per attempt from ``backoff_cycles``."""
 
     def test_without_ladder_backoff_doubles(self):
         injector = FaultInjector(FaultSchedule([]), backoff_cycles=1_000)
-        assert injector.backoff_ladder is None
         assert [injector._backoff_for(i) for i in range(3)] == [
             1_000,
             2_000,
             4_000,
         ]
-
-    def test_first_retry_uses_the_ladder_delay(self, library):
-        # Same mid-write fault as TestWriteErrors, but the first retry
-        # must wait the ladder's first step, not backoff_cycles * 2^0.
-        rt, injector = make_runtime(
-            library,
-            [FaultEvent(30_000, FaultKind.WRITE_ERROR)],
-            backoff_cycles=1_000,
-            max_retries=3,
-            backoff_ladder=(500, 500, 9_000),
-        )
-        rt.forecast("SI0", 0, expected=64.0)
-        rt.advance(30_001)
-        retried = rt.trace.of_kind(EventKind.ROTATION_RETRIED)
-        assert retried[0].detail["attempt"] == 1
-        assert retried[0].detail["retry_at"] == 30_500
-
-    def test_static_repair_bound_sums_the_ladder(self, library):
-        from repro.faults import static_repair_bound
-
-        exponential = static_repair_bound(
-            library, 5, scrub_period=10_000, max_retries=3,
-            backoff_cycles=1_000,
-        )
-        laddered = static_repair_bound(
-            library, 5, scrub_period=10_000, max_retries=3,
-            backoff_cycles=1_000, backoff_ladder=(500, 500, 1_000),
-        )
-        # 1000 + 2000 + 4000 exponential vs 2000 laddered.
-        assert exponential - laddered == 5_000

@@ -105,3 +105,15 @@ class TestStaticRepairBound:
             library, 5, scrub_period=500, max_retries=0, backoff_cycles=1_000
         )
         assert bound == 500 + backlog
+
+    def test_port_rate_scales_the_backlog(self):
+        # The explorer's 1 MHz scopes pass their port rate through.
+        library = build_synthetic_library()
+        rate = {"core_mhz": 1.0, "bytes_per_us": 10.0}
+        backlog = port_backlog_bound(library, 5, **rate)
+        assert backlog != port_backlog_bound(library, 5)
+        bound = static_repair_bound(
+            library, 5, scrub_period=500, max_retries=0, backoff_cycles=1_000,
+            **rate,
+        )
+        assert bound == 500 + backlog

@@ -13,6 +13,8 @@ import http.client
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -66,11 +68,17 @@ class TestScenarioRequest:
             ({"fault_rate": -1.0}, "fault_rate must be finite"),
             ({"fault_rate": float("inf")}, "fault_rate must be finite"),
             ({"scrub_period": 0}, "scrub_period must be positive"),
-            ({"max_retries": -1}, "max_retries cannot be negative"),
+            ({"max_retries": -1}, "max_retries must be non-negative"),
             ({"backoff_cycles": 0}, "backoff_cycles must be positive"),
             ({"backend": "numpy"}, "unknown scenario field.s.: backend;"),
             ({"quick": "yes"}, "quick must be a boolean"),
             ("not a mapping", "must be a JSON object"),
+            # Exact JSON types: nothing is coerced to an int or a bool.
+            ({"seed": 7.9}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"seed": "7"}, "seed must be an integer"),
+            ({"scrub_period": 1000.0}, "scrub_period must be an integer"),
+            ({"fault_rate": True}, "fault_rate must be a number"),
         ],
     )
     def test_junk_is_rejected(self, payload, fragment):
@@ -78,10 +86,31 @@ class TestScenarioRequest:
             ScenarioRequest.from_payload(payload)
 
 
+class TestImportWeight:
+    @pytest.mark.parametrize("module", ["repro.serve", "repro.cli"])
+    def test_import_loads_no_simulator(self, module):
+        # The daemon's start-up time rests on this: the scenario type and
+        # its defaults come without numpy or the fault subsystem.
+        probe = (
+            f"import sys, {module}; "
+            "from repro.serve import SCENARIO_DEFAULTS; "
+            "assert 'numpy' not in sys.modules, 'numpy'; "
+            "assert 'repro.faults' not in sys.modules, 'repro.faults'"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True)
+
+
 class TestRuntimeFacade:
     def test_rejects_non_positive_worker_count(self):
         with pytest.raises(ValueError, match="worker count must be positive"):
             RuntimeFacade(workers=0)
+
+    def test_integer_fault_rate_renders_as_the_cli_flag(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--quick", "--fault-rate", "5", "--format", "json"]) == 0
+        request = ScenarioRequest.from_payload({"fault_rate": 5})
+        assert render_scenario(request) == capsys.readouterr().out
 
     def test_render_matches_direct_chaos_run(self):
         request = ScenarioRequest.from_payload({"seed": 3})
@@ -205,6 +234,11 @@ class TestDaemonEndpoints:
             (b"not json", 400, "not JSON"),
             (b'{"seed": 0}', 400, "seed must be positive"),
             (b'{"flux": 1}', 400, "unknown scenario field"),
+            (b'{"seed": 7.9}', 400, "seed must be an integer"),
+            (b'{"seed": true}', 400, "seed must be an integer"),
+            (b'{"seed": "7"}', 400, "seed must be an integer"),
+            (b'{"scrub_period": 1000.0}', 400, "scrub_period must be an integer"),
+            (b'{"fault_rate": true}', 400, "fault_rate must be a number"),
         ],
     )
     def test_bad_scenario_requests(self, daemon, body, status, fragment):
