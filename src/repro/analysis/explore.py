@@ -466,11 +466,10 @@ def _check_mc004(world: _World) -> list[str]:
         if detected is None or job.requested_at < detected:
             continue  # adopted planner job: recorded before the quarantine
         recorded = any(
-            e.kind is EventKind.ROTATION_REQUESTED
-            and e.cycle >= detected
+            e.cycle >= detected
             and e.detail.get("container") == job.container_id
             and e.detail.get("repair")
-            for e in rt.trace.events
+            for e in rt.trace.of_kind(EventKind.ROTATION_REQUESTED)
         )
         if not recorded:
             problems.append(

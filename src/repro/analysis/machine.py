@@ -26,7 +26,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from ..core.library import SILibrary
 from ..core.molecule import Molecule
-from ..core.si import SpecialInstruction
+from ..core.si import MoleculeImpl, SpecialInstruction
 from ..hardware.atom_specs import SELECTMAP_BYTES_PER_US
 from ..hardware.energy import EnergyModel
 from ..hardware.reconfig import ReconfigurationPort
@@ -169,6 +169,13 @@ class ReferenceMachine:
         self._busy_until = 0
         self._clock = 0
         self._available: Molecule | None = None
+        #: ``best_available`` per replayed available molecule, then per SI
+        #: name.  A stream revisits few fabric states, so each (SI,
+        #: available) pair is derived once; the memo is this machine's
+        #: own (not the SI's, not the runtime's dispatch memo), so the
+        #: oracle shares no cache with what it checks.
+        self._best_memo: dict[Molecule, dict[str, MoleculeImpl | None]] = {}
+        self._best_here: dict[str, MoleculeImpl | None] = {}
         self._last_mode: dict[tuple[str, str], str] = {}
         self._pending_switch: dict[tuple[str, str], _PendingSwitch] = {}
         self._accounting = _Accounting()
@@ -256,7 +263,17 @@ class ReferenceMachine:
                 ):
                     counts[cont.atom] = counts.get(cont.atom, 0) + 1
             self._available = self._space.molecule(counts)
+            self._best_here = self._best_memo.setdefault(self._available, {})
         return self._available
+
+    def best_available(self, si: SpecialInstruction) -> MoleculeImpl | None:
+        """``si``'s fastest molecule on the replayed fabric (the §5 rule
+        TRC013 checks), memoized per (SI, available molecule)."""
+        available = self.available_molecule()
+        best_here = self._best_here
+        if si.name not in best_here:
+            best_here[si.name] = si.best_available(available)
+        return best_here[si.name]
 
     def accounting(self) -> dict[str, float]:
         """The per-event delta sums accumulated so far."""
@@ -608,7 +625,7 @@ class ReferenceMachine:
         if self.energy_model is not None and consistent:
             slices = 0
             if mode != "SW":
-                impl = si.best_available(available)
+                impl = self.best_available(si)
                 if impl is not None:
                     for kind_name in impl.molecule.kinds_used():
                         kind = self.library.catalogue.get(kind_name)
@@ -666,7 +683,8 @@ class ReferenceMachine:
                     mode=mode,
                 )
                 return False
-        expected = si.cycles_with(available)
+        best = self.best_available(si)
+        expected = si.software_cycles if best is None else best.cycles
         if cycles != expected:
             self._emit(
                 "TRC013",

@@ -12,9 +12,12 @@ def trace_signature(trace: Trace) -> list[tuple]:
     in a shared shape, as the event's own dict or as a lazy factory, so
     two runtimes are equivalent iff their signatures are equal — the
     regression tests and the ``perf/`` workloads use this to prove the
-    hot-path caches never change event semantics.
+    hot-path caches never change event semantics.  It reads
+    :meth:`Trace.rows`, so a signature costs one tuple and one fresh
+    dict per event and builds no :class:`~repro.sim.trace.Event`; sign
+    part of a trace by slicing it (``trace[a:b]`` is a :class:`Trace`).
     """
     return [
-        (e.cycle, e.kind.value, e.task, e.si, dict(e.detail))
-        for e in trace
+        (cycle, kind.value, task, si, detail)
+        for cycle, kind, task, si, detail in trace.rows()
     ]

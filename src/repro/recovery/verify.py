@@ -28,7 +28,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..sim.trace import EventKind
+from ..sim.trace import Event, EventKind
 from .journal import JOURNAL_NAME, RecoveryError, read_journal
 from .snapshot import list_snapshots, load_snapshot
 
@@ -104,10 +104,11 @@ def _check_port_stitch(
     findings: list["Diagnostic"],
     runtime: Any,
     snap: dict[str, Any],
-    suffix: list[Any],
+    completed: list[Event],
     boundary: str,
     subject: str,
 ) -> None:
+    """``completed`` is the suffix's ``ROTATION_COMPLETED`` events."""
     from ..analysis.rules import diag
 
     port_state = snap["state"]["runtime"]["port"]
@@ -153,9 +154,8 @@ def _check_port_stitch(
         if job.completed:
             completions = [
                 e
-                for e in suffix
-                if e.kind is EventKind.ROTATION_COMPLETED
-                and e.detail.get("container") == job.container_id
+                for e in completed
+                if e.detail.get("container") == job.container_id
                 and e.cycle == job.finish_at
             ]
             if len(completions) != 1:
@@ -190,20 +190,29 @@ def _check_port_stitch(
             )
 
 
+#: The suffix events that open or close a quarantine episode.
+_EPISODE_KINDS = (
+    EventKind.CONTAINER_QUARANTINED,
+    EventKind.CONTAINER_REPAIRED,
+    EventKind.CONTAINER_FAILED,
+)
+
+
 def _check_quarantine_stitch(
     findings: list["Diagnostic"],
     snap: dict[str, Any],
-    suffix: list[Any],
+    episode_events: list[Event],
     boundary: str,
     subject: str,
 ) -> None:
+    """``episode_events`` is the suffix's events of ``_EPISODE_KINDS``."""
     from ..analysis.rules import diag
 
     for container_id, episode in snap["state"]["runtime"]["faults"]["quarantined"]:
         injected_at = episode["injected_at"]
         where = f"{boundary} container {container_id}"
         closed = False
-        for event in suffix:
+        for event in episode_events:
             if event.detail.get("container") != container_id:
                 continue
             if event.kind is EventKind.CONTAINER_QUARANTINED and not closed:
@@ -284,8 +293,18 @@ def verify_resume(
         )
         if suffix_start is None:
             continue
-        suffix = runtime.trace.events[suffix_start:]
-        _check_port_stitch(findings, runtime, snap, suffix, boundary, subject)
+        # Each check reads its kinds of the suffix once per snapshot.
+        suffix = runtime.trace[suffix_start:]
+        _check_port_stitch(
+            findings,
+            runtime,
+            snap,
+            suffix.of_kind(EventKind.ROTATION_COMPLETED),
+            boundary,
+            subject,
+        )
         if snap["state"]["runtime"]["faults"] is not None:
-            _check_quarantine_stitch(findings, snap, suffix, boundary, subject)
+            _check_quarantine_stitch(
+                findings, snap, suffix.of_kind(*_EPISODE_KINDS), boundary, subject
+            )
     return DiagnosticReport(findings)

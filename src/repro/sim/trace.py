@@ -19,15 +19,18 @@ of a handful of ``(kind, task, si, detail)`` shapes, so an append stores
 only the event's cycle in one typed array and the id of its interned
 shape in another: 12 bytes per event.  The intern key holds each detail
 value's exact type, so ``1``, ``True`` and ``1.0`` never merge, and
-neither do ``0.0`` and ``-0.0``.  A detail holding anything but
-``str``/``int``/``bool``/``None`` values (floats, containers, unhashable
-objects), or the factory given to :meth:`Trace.record_lazy`, is kept
-apart for its one event.
+floats by their exact bits, so ``0.0`` and ``-0.0`` never merge either
+while equal-bit NaNs (which compare unequal) share one entry.  A detail
+holding anything but ``str``/``int``/``bool``/``float``/``None`` values
+(containers, unhashable objects), or the factory given to
+:meth:`Trace.record_lazy`, is kept apart for its one event.
 
-Reading the trace (indexing, iteration, the queries) builds
-:class:`Event` values on demand.  An event read from a trace is detached
-from it: editing its detail changes that :class:`Event` object only,
-never the trace or a later read of the same event.
+Reading one event (indexing, iteration, the queries) builds an
+:class:`Event` on demand.  An event read from a trace is detached from
+it: editing its detail changes that :class:`Event` object only, never the
+trace or a later read of the same event.  Whole-trace readers read
+columns instead: a slice of a trace is a :class:`Trace` (column slices,
+no :class:`Event`), and :meth:`Trace.rows` yields plain tuples.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import enum
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
+from struct import Struct
 from typing import Any, Callable, overload
 
 
@@ -59,12 +63,28 @@ class EventKind(enum.Enum):
     ROTATION_RETRIED = "rotation_retried"
 
 
-#: Value types whose equal values always print alike — a detail made of
-#: these alone may share a shape with an equal one.  Exact types only:
-#: ``bool`` is listed apart from ``int`` and the intern key carries each
-#: value's type, so ``x=1`` and ``x=True`` never merge; floats are not
-#: listed because ``0.0 == -0.0``.
-_SHAREABLE = frozenset({str, int, bool, type(None)})
+#: Value types a detail may share a shape with an equal one by.  Exact
+#: types only: the intern key carries each value's type, so ``x=1``,
+#: ``x=True`` and ``x=1.0`` never merge.  Two equal floats have equal bits
+#: unless they are zeros (``0.0 == -0.0``) or NaNs (unequal even to
+#: themselves); only a detail holding one of those is keyed on its
+#: floats' bits (:func:`_float_bits`).
+_SHAREABLE = frozenset({str, int, bool, float, type(None)})
+
+#: Each kind by its value: a shape entry names its kind by the value,
+#: which hashes from its cache (an enum member hashes in Python).
+_KINDS = {kind._value_: kind for kind in EventKind}
+
+_pack_double = Struct("<d").pack
+
+
+def _float_bits(items: tuple) -> tuple:
+    """``items`` with each float replaced by its IEEE-754 bytes: ``0.0``
+    and ``-0.0`` differ there, and a NaN equals itself."""
+    return tuple(
+        (name, _pack_double(value) if value.__class__ is float else value)
+        for name, value in items
+    )
 
 
 class Event:
@@ -134,19 +154,24 @@ class Trace(Sequence[Event]):
     the rotations it requests, a mode switch and the execution it
     annotates).
 
-    Event ``i`` is ``_cycles[i]`` plus the ``(kind, task, si, items)``
-    entry ``_shapes[i]`` of ``_table``; ``_ids`` maps each intern key to
-    its entry.  ``items`` is ``None`` when the event's detail is kept in
+    Event ``i`` is ``_cycles[i]`` plus the ``(kind value, task, si,
+    items, types)`` entry ``_shapes[i]`` of ``_table``; ``_ids`` maps each
+    intern key to its entry's index.  An entry is its own intern key
+    unless its floats need their bits, and its ``types`` tuple is shared
+    with every entry alike through ``_types``, so a shape recorded once
+    (a drifting forecast) costs little more than an own dict.  ``items``
+    and ``types`` are ``None`` when the event's detail is kept in
     ``_own[i]`` instead: a dict, or a factory until it is first read.
-    Entries never change, so copies of a trace share the table.
+    Entries never change, so copies and slices of a trace share them.
     """
 
     def __init__(self) -> None:
         self._cycles = array("q")
         self._shapes = array("I")
         self._own: dict[int, dict | Callable[[], dict]] = {}
-        self._table: list[tuple[EventKind, str, str, tuple | None]] = []
+        self._table: list[tuple[str, str, str, tuple | None, tuple | None]] = []
         self._ids: dict[tuple, int] = {}
+        self._types: dict[tuple, tuple] = {}
         self._last_cycle = 0
 
     def __copy__(self) -> "Trace":
@@ -201,8 +226,14 @@ class Trace(Sequence[Event]):
         :class:`Event` objects (snapshot capture reads the whole trace)."""
         table, own_detail = self._table, self._own_detail
         for index, (cycle, shape) in enumerate(zip(self._cycles, self._shapes)):
-            kind, task, si, items = table[shape]
-            yield cycle, kind, task, si, own_detail(index) if items is None else dict(items)
+            kind, task, si, items, _types = table[shape]
+            yield (
+                cycle,
+                _KINDS[kind],
+                task,
+                si,
+                own_detail(index) if items is None else dict(items),
+            )
 
     def _add(self, cycle: int, kind: EventKind, task: str, si: str, detail: Any) -> None:
         if cycle < 0:
@@ -212,33 +243,46 @@ class Trace(Sequence[Event]):
                 f"out-of-order event: cycle {cycle} after {self._last_cycle} "
                 f"({kind.value})"
             )
-        # The key names the kind by its value: a str hashes from its
-        # cache, an enum member through a Python-level ``__hash__``.
+        kind_value = kind._value_
         items: tuple | None
         if detail.__class__ is dict and _SHAREABLE.issuperset(
             types := tuple(map(type, detail.values()))
         ):
             items = tuple(detail.items())
-            key: tuple = (kind._value_, task, si, items, types)
+            key = (kind_value, task, si, items, types)
+            if float in types and any(
+                v == 0.0 or v != v for v in detail.values() if v.__class__ is float
+            ):
+                key = (kind_value, task, si, _float_bits(items), types)
         else:
-            items = None
-            key = (kind._value_, task, si)
+            key, items = (kind_value, task, si, None, None), None
             self._own[len(self._cycles)] = (
                 dict(detail) if detail.__class__ is dict else detail
             )
         shape = self._ids.get(key)
         if shape is None:
-            shape = self._ids[key] = len(self._table)
-            self._table.append((kind, task, si, items))
+            shape = self._new_shape(key, items)
         self._cycles.append(cycle)
         self._shapes.append(shape)
         self._last_cycle = cycle
 
+    def _new_shape(self, key: tuple, items: tuple | None) -> int:
+        """Append the entry of a shape first seen under ``key``: the key
+        itself unless the key holds float bits in place of ``items``, its
+        ``types`` shared with every entry alike through ``_types``."""
+        kind, task, si, _items, types = key
+        if types is not None:
+            types = self._types.setdefault(types, types)
+        entry = (kind, task, si, items, types)
+        self._ids[entry if key[3] is items else key] = shape = len(self._table)
+        self._table.append(entry)
+        return shape
+
     def _event(self, index: int) -> Event:
-        kind, task, si, items = self._table[self._shapes[index]]
+        kind, task, si, items, _types = self._table[self._shapes[index]]
         return Event(
             self._cycles[index],
-            kind,
+            _KINDS[kind],
             task,
             si,
             partial(self._own_detail, index) if items is None else items,
@@ -268,12 +312,33 @@ class Trace(Sequence[Event]):
     def __getitem__(self, index: int) -> Event: ...
 
     @overload
-    def __getitem__(self, index: slice) -> list[Event]: ...
+    def __getitem__(self, index: slice) -> "Trace": ...
 
-    def __getitem__(self, index: int | slice) -> Event | list[Event]:
-        if isinstance(index, slice):
-            return [self._event(i) for i in range(*index.indices(len(self)))]
-        return self._event(range(len(self))[index])
+    def __getitem__(self, index: int | slice) -> "Event | Trace":
+        """Event ``index``, or for a slice the :class:`Trace` of those
+        events: column slices and their re-indexed own details, sharing
+        this trace's shape table, so no :class:`Event` is built.  A slice
+        keeps time order (its step must be positive); its
+        :attr:`last_cycle` is its last event's cycle."""
+        if not isinstance(index, slice):
+            return self._event(range(len(self))[index])
+        picked = range(*index.indices(len(self)))
+        if picked.step < 0:
+            raise ValueError("a trace slice keeps time order: step must be positive")
+        part = object.__new__(type(self))
+        cycles = self._cycles[index]
+        part.__dict__ = {
+            **self.__dict__,
+            "_cycles": cycles,
+            "_shapes": self._shapes[index],
+            "_own": {
+                picked.index(i): detail
+                for i, detail in self._own.items()
+                if i in picked
+            },
+            "_last_cycle": cycles[-1] if cycles else 0,
+        }
+        return part
 
     def __iter__(self) -> Iterator[Event]:
         return map(self._event, range(len(self)))
@@ -286,8 +351,10 @@ class Trace(Sequence[Event]):
     # The queries below match on the shape column only: they build just
     # the events they return, and never resolve a lazy detail.
 
-    def of_kind(self, kind: EventKind) -> list[Event]:
-        return list(map(self._event, self._where(lambda entry: entry[0] is kind)))
+    def of_kind(self, *kinds: EventKind) -> list[Event]:
+        """The events of any of ``kinds``, in trace order."""
+        values = {kind._value_ for kind in kinds}
+        return list(map(self._event, self._where(lambda entry: entry[0] in values)))
 
     def for_task(self, task: str) -> list[Event]:
         return list(map(self._event, self._where(lambda entry: entry[1] == task)))
@@ -303,7 +370,7 @@ class Trace(Sequence[Event]):
         to the first match are.
         """
         items = detail_filter.items()
-        for index in self._where(lambda entry: entry[0] is kind):
+        for index in self._where(lambda entry: entry[0] == kind._value_):
             event = self._event(index)
             if all(event.detail.get(k) == v for k, v in items):
                 return event

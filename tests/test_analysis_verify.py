@@ -16,6 +16,9 @@ from repro.analysis import (
     verify_trace,
 )
 from repro.bench.suites import build_synthetic_library
+from repro.core.atom import AtomCatalogue, AtomKind
+from repro.core.library import SILibrary
+from repro.core.si import MoleculeImpl, SpecialInstruction
 from repro.hardware.energy import EnergyModel
 from repro.hardware.reconfig import ReconfigurationPort
 from repro.runtime import RisppRuntime
@@ -401,3 +404,55 @@ class TestSeededCorruptions:
         events[idx].detail["lost_atom"] = "NoSuchAtom"
         report = _verify_events(verified_runtime, events)
         assert "TRC004" in {d.rule_id for d in report}, report.render_text()
+
+
+class TestReplayMemo:
+    """The machine derives each (SI, available molecule) best pair once,
+    and never serves a pair derived on another fabric state."""
+
+    def test_rotation_between_equal_runs_still_trips_trc013(self):
+        catalogue = AtomCatalogue.of([AtomKind("A", bitstream_bytes=4_000)])
+        space = catalogue.space
+        library = SILibrary(
+            catalogue,
+            [
+                SpecialInstruction(
+                    "S",
+                    space,
+                    software_cycles=100,
+                    implementations=[MoleculeImpl(space.molecule({"A": 1}), 10)],
+                )
+            ],
+        )
+        finishes = ReconfigurationPort(catalogue, core_mhz=100.0).rotation_cycles("A")
+        sw_run = {"mode": "SW", "cycles": 100}
+        events = [
+            Event(0, EventKind.ROTATION_REQUESTED, detail={
+                "atom": "A", "container": 0, "starts": 0,
+                "finishes": finishes, "evicts": None,
+            }),
+            Event(1, EventKind.SI_EXECUTED, si="S", detail=dict(sw_run)),
+            Event(finishes, EventKind.ROTATION_COMPLETED,
+                  detail={"atom": "A", "container": 0}),
+            # The same SI, the same claimed cycles: only the fabric moved.
+            Event(finishes, EventKind.SI_EXECUTED, si="S", detail=dict(sw_run)),
+        ]
+        report = verify_trace(events, library, containers=1)
+        assert [(d.rule_id, d.location) for d in report] == [("TRC013", "event 3")]
+
+    def test_each_si_and_available_pair_is_derived_once(
+        self, verified_runtime, monkeypatch
+    ):
+        derived = []
+        best_available = SpecialInstruction.best_available
+
+        def counted(si, available):
+            derived.append((si.name, available))
+            return best_available(si, available)
+
+        monkeypatch.setattr(SpecialInstruction, "best_available", counted)
+        assert verify_runtime(verified_runtime).ok()
+        executions = verified_runtime.stats.si_executions
+        # The energy path asks again for every HW run: the memo answers.
+        assert executions > 2 * len(derived) > 0
+        assert len(derived) == len(set(derived))

@@ -20,6 +20,7 @@ from repro.recovery import (
     verify_resume,
 )
 from repro.runtime import RisppRuntime
+from repro.sim import EventKind
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +141,66 @@ class TestIncoherentStores:
         journal.write_text("\n".join(lines) + "\n")
         report = verify_resume(rec, tmp_path)
         assert any("journal unusable" in d.message for d in report.errors())
+
+
+def run_open_quarantine(library, store):
+    """A store whose later snapshots hold container 0's open quarantine
+    episode (injected at cycle 150,000); the run ends before the repair."""
+    injector = FaultInjector(
+        FaultSchedule([FaultEvent(150_000, FaultKind.TRANSIENT, container=0)]),
+        scrub_period=1_000,
+    )
+    rt = RisppRuntime(library, 5, core_mhz=100.0, faults=injector)
+    rec = RecoverableRuntime(rt, store, checkpoint_every=2)
+    rec.forecast("SI0", 1_000, expected=16.0)
+    rec.advance(140_000)
+    now = 145_000
+    for _ in range(12):
+        now += rec.execute_si("SI0", now) + 2_000
+        rec.advance(now)
+    rec.close()
+    assert rt.fabric.container(0).quarantined
+    return rec
+
+
+class TestQuarantineStitch:
+    """Suffix events of each episode kind, appended after the run: the
+    stitch must read all three kinds."""
+
+    def _verify_with(self, library, store, *appended):
+        rec = run_open_quarantine(library, store)
+        cycle = rec.trace.last_cycle
+        for kind, detail in appended:
+            rec.trace.record(cycle, kind, **detail)
+        return verify_resume(rec, store)
+
+    def test_open_episode_is_coherent(self, library, tmp_path):
+        report = self._verify_with(library, tmp_path)
+        assert report.clean(), report.render_text()
+
+    def test_duplicated_episode_is_flagged(self, library, tmp_path):
+        report = self._verify_with(
+            library,
+            tmp_path,
+            (EventKind.CONTAINER_QUARANTINED, {"container": 0, "atom": "Syn0"}),
+        )
+        assert report.errors()
+        assert all("re-quarantined" in d.message for d in report.errors())
+
+    def test_repair_of_another_episode_is_flagged(self, library, tmp_path):
+        report = self._verify_with(
+            library,
+            tmp_path,
+            (EventKind.CONTAINER_REPAIRED, {"container": 0, "injected_at": 7}),
+        )
+        assert report.errors()
+        assert all("do not stitch" in d.message for d in report.errors())
+
+    def test_permanent_failure_closes_the_episode(self, library, tmp_path):
+        report = self._verify_with(
+            library,
+            tmp_path,
+            (EventKind.CONTAINER_FAILED, {"container": 0}),
+            (EventKind.CONTAINER_QUARANTINED, {"container": 0, "atom": "Syn0"}),
+        )
+        assert report.clean(), report.render_text()

@@ -16,6 +16,7 @@ memo still equal a fresh recomputation afterwards.
 import copy
 import gc
 import pickle
+import struct
 import tracemalloc
 
 import pytest
@@ -24,8 +25,14 @@ from hypothesis import strategies as st
 
 from repro.apps.h264 import build_h264_library
 from repro.bench import trace_signature
-from repro.bench.suites import H264_MACROBLOCK_CALLS
+from repro.bench.suites import H264_MACROBLOCK_CALLS, build_synthetic_library
 from repro.obs import MetricRegistry
+from repro.recovery import (
+    load_snapshot,
+    restore_runtime,
+    snapshot_runtime,
+    write_snapshot,
+)
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind, Trace
 from tests.test_analysis_verify_fuzz import _OPS, _fuzz_library
@@ -284,6 +291,116 @@ class TestCompactDetails:
         assert trace_signature(trace)[0][4] == event.detail
 
 
+def _mixed_trace() -> Trace:
+    """Shared, own, lazy and float details, with own ones mid-trace."""
+    trace = Trace()
+    trace.record(1, EventKind.SI_EXECUTED, task="t", si="HT", mode="HW", cycles=12)
+    trace.record(2, EventKind.TASK_STEP, atoms=["Load", "Pack"])
+    trace.record(2, EventKind.FORECAST, si="HT", expected=2.5, priority=1)
+    trace.record_lazy(3, EventKind.TASK_STEP, lambda: {"lazy": True}, task="t")
+    trace.record(4, EventKind.SI_EXECUTED, task="t", si="HT", mode="HW", cycles=12)
+    trace.record(5, EventKind.TASK_STEP, nested=(1, []))
+    trace.record(6, EventKind.FORECAST, si="HT", expected=-0.0, priority=1)
+    trace.record(9, EventKind.FORECAST_END, si="HT")
+    return trace
+
+
+class TestSlices:
+    @pytest.mark.parametrize(
+        "index",
+        [slice(None), slice(2, 6), slice(1, -1), slice(-3, None), slice(0, 8, 2),
+         slice(1, None, 2), slice(5, 2), slice(100, 200)],
+    )
+    def test_slice_is_a_trace_of_the_same_rows(self, index):
+        trace = _mixed_trace()
+        part = trace[index]
+        assert type(part) is Trace
+        rows = list(part.rows())
+        expected = list(trace.rows())[index]
+        assert rows == expected
+        assert [repr(row[4]) for row in rows] == [repr(row[4]) for row in expected]
+        assert list(part) == list(trace)[index]
+        assert len(part) == len(expected)
+        assert part.last_cycle == (expected[-1][0] if expected else 0)
+
+    def test_slice_builds_no_event_and_shares_the_table(self, monkeypatch):
+        trace = _mixed_trace()
+        monkeypatch.setattr(
+            Trace, "_event", lambda self, index: pytest.fail("built an Event")
+        )
+        part = trace[2:7]
+        assert part._table is trace._table
+        assert sorted(part._own) == [1, 3]  # the lazy and nested, re-indexed
+        assert trace_signature(part) == trace_signature(trace)[2:7]
+
+    def test_slice_is_detached_from_its_trace(self):
+        trace = _mixed_trace()
+        part = trace[:3]
+        part.record(7, EventKind.TASK_STEP, x=1)
+        trace.record(10, EventKind.TASK_STEP, x=2)
+        assert [e.cycle for e in part] == [1, 2, 2, 7]
+        assert len(trace) == 9
+        with pytest.raises(ValueError, match="out-of-order"):
+            part.record(6, EventKind.TASK_STEP)
+
+    def test_reversed_slice_is_refused(self):
+        with pytest.raises(ValueError, match="time order"):
+            _mixed_trace()[::-1]
+
+
+def _exact(value):
+    """A value's identity for "unchanged": its type, and a float's bits."""
+    if type(value) is float:
+        return (float, struct.pack("<d", value))
+    return (type(value), value)
+
+
+#: Values that compare or hash alike but must never merge.
+_LOOKALIKES = (0.0, -0.0, 1, 1.0, True, 0, False, float("nan"), -float("nan"))
+
+
+class TestFloatInterning:
+    def _trace(self) -> Trace:
+        trace = Trace()
+        for cycle, value in enumerate(_LOOKALIKES * 2):
+            trace.record(cycle, EventKind.TASK_STEP, x=value)
+        return trace
+
+    def test_lookalikes_stay_distinct_and_share_per_bits(self):
+        trace = self._trace()
+        assert not trace._own
+        read = [_exact(e.detail["x"]) for e in trace]
+        assert read == [_exact(v) for v in _LOOKALIKES * 2]
+        # One entry per distinct value: a repeat (a NaN too) adds none.
+        assert len(trace._table) == len(_LOOKALIKES)
+        assert trace._shapes[: len(_LOOKALIKES)] == trace._shapes[len(_LOOKALIKES):]
+
+    def test_lookalikes_survive_rows_and_load(self):
+        trace = self._trace()
+        again = Trace()
+        again.load(trace.rows(), trace.last_cycle)
+        assert [_exact(row[4]["x"]) for row in again.rows()] == [
+            _exact(v) for v in _LOOKALIKES * 2
+        ]
+        assert again._shapes == trace._shapes
+
+    def test_lookalikes_survive_a_snapshot(self, tmp_path):
+        library = build_synthetic_library()
+        original = RisppRuntime(library, 3, core_mhz=100.0)
+        # JSON writes every NaN as ``NaN``, so a NaN's sign bit is the
+        # one thing a snapshot cannot carry; -NaN is left out here.
+        values = _LOOKALIKES[:-1]
+        for cycle, value in enumerate(values):
+            original.trace.record(cycle, EventKind.TASK_STEP, x=value)
+        snap = snapshot_runtime(original, seq=0, cycle=0, results=[])
+        restored = RisppRuntime(library, 3, core_mhz=100.0)
+        restore_runtime(restored, load_snapshot(write_snapshot(tmp_path, snap)))
+        assert [_exact(e.detail["x"]) for e in restored.trace] == [
+            _exact(v) for v in values
+        ]
+        assert restored.trace._shapes == original.trace._shapes
+
+
 def _h264_runtime_stream(runtime: RisppRuntime, macroblocks: int, now: int) -> int:
     """The Fig. 7 encoder loop: loop-head forecasts, then every SI call."""
     forecasts = [(si, float(calls)) for si, calls in H264_MACROBLOCK_CALLS]
@@ -297,21 +414,32 @@ def _h264_runtime_stream(runtime: RisppRuntime, macroblocks: int, now: int) -> i
     return now
 
 
+def _warm_h264_runtime() -> tuple[RisppRuntime, int]:
+    """An h264 runtime after 4 macroblocks, so one-off allocations
+    (caches, metric series, rotation plans) are not charged to the
+    measured events."""
+    runtime = RisppRuntime(
+        build_h264_library(), 6, core_mhz=100.0, metrics=MetricRegistry()
+    )
+    return runtime, _h264_runtime_stream(runtime, 4, 700_000)
+
+
 class TestTraceMemory:
-    #: Measured ~17 bytes per event on 64-bit CPython 3.11: an 8-byte
-    #: cycle and a 4-byte shape id, the arrays' over-allocation, and the
-    #: own details of the loop-head forecasts (their ``expected`` is a
-    #: float).  Keeping an ``Event`` per recorded event costs ~115; a
-    #: per-event dict or detail factory ~310.
-    MAX_BYTES_PER_EVENT = 24
+    #: Measured ~13.4 bytes per event on 64-bit CPython 3.11: an 8-byte
+    #: cycle and a 4-byte shape id plus the arrays' over-allocation (the
+    #: loop-head forecasts' float details are interned too; kept as own
+    #: dicts they cost ~17).  Keeping an ``Event`` per recorded event
+    #: costs ~115; a per-event dict or detail factory ~310.
+    MAX_BYTES_PER_EVENT = 20
+
+    #: Peak bytes per event of signing a slice, measured ~317 on 64-bit
+    #: CPython 3.11: the slice's columns, one tuple and one dict per
+    #: event.  A slice that builds an ``Event`` (and its cached detail
+    #: dict) per event peaks at ~570.
+    MAX_SIGNATURE_BYTES_PER_EVENT = 400
 
     def test_h264_stream_events_stay_compact(self):
-        runtime = RisppRuntime(
-            build_h264_library(), 6, core_mhz=100.0, metrics=MetricRegistry()
-        )
-        # Warm up first, so one-off allocations (caches, metric series,
-        # rotation plans) are not charged to the measured events.
-        now = _h264_runtime_stream(runtime, 4, 700_000)
+        runtime, now = _warm_h264_runtime()
         gc.collect()
         tracemalloc.start()
         try:
@@ -329,6 +457,24 @@ class TestTraceMemory:
         assert recorded >= 20_000
         assert grown / recorded <= self.MAX_BYTES_PER_EVENT, (
             f"{grown / recorded:.0f} bytes per recorded event"
+        )
+
+    def test_signing_a_slice_builds_no_events(self):
+        runtime, now = _warm_h264_runtime()
+        start = len(runtime.trace)
+        _h264_runtime_stream(runtime, 80, now)
+        end = len(runtime.trace)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            signature = trace_signature(runtime.trace[start:end])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(signature) == end - start >= 20_000
+        assert peak / len(signature) <= self.MAX_SIGNATURE_BYTES_PER_EVENT, (
+            f"{peak / len(signature):.0f} peak bytes per signed event"
         )
 
 
