@@ -13,7 +13,6 @@ The full API schema and endpoint contracts live in ``docs/serving.md``.
 
 from .daemon import DEFAULT_HOST, DEFAULT_PORT, ENDPOINTS, ScenarioServer, serve
 from .facade import (
-    SCENARIO_DEFAULTS,
     RuntimeFacade,
     ScenarioError,
     ScenarioRequest,
@@ -25,7 +24,6 @@ __all__ = [
     "DEFAULT_PORT",
     "ENDPOINTS",
     "RuntimeFacade",
-    "SCENARIO_DEFAULTS",
     "ScenarioError",
     "ScenarioRequest",
     "ScenarioServer",

@@ -5,8 +5,8 @@ HTTP server whose request threads block on the shared
 :class:`~repro.serve.facade.RuntimeFacade`, so concurrent requests
 shard across the worker process pool while responses stay byte-
 deterministic per request.  The endpoint table is :data:`ENDPOINTS`;
-``docs/serving.md`` documents each contract and the docs_check CI gate
-holds the two to each other.
+``docs/serving.md`` documents each contract and
+:mod:`repro.analysis.docs_check` holds the two to each other.
 
 The daemon is deliberately boring operationally: it binds localhost by
 default, speaks plain HTTP/1.1 with JSON bodies, answers health and

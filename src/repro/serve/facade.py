@@ -42,10 +42,6 @@ class ScenarioRequest(Scenario):
     quick: bool = True
 
 
-#: The ``repro chaos`` defaults, served quick.
-SCENARIO_DEFAULTS: dict[str, Any] = ScenarioRequest().to_payload()
-
-
 def render_scenario(request: Scenario) -> str:
     """Run one scenario and render the report — the service's unit of work.
 

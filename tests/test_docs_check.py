@@ -1,4 +1,4 @@
-"""The docs/code cross-checker behind the CI ``docs`` job."""
+"""The docs/code cross-checker, run on the shipped docs by the tier-1 suite."""
 
 from pathlib import Path
 
@@ -18,16 +18,11 @@ def _observability_stub() -> str:
 
 
 def _analysis_stub() -> str:
-    """A minimal analysis.md covering every coverage-checked rule."""
-    from repro.analysis.docs_check import _DOCUMENTED_FAMILIES
-    from repro.analysis.rules import rules_of_family
+    """A minimal analysis.md covering every registered rule."""
+    from repro.analysis.rules import RULES
 
     lines = ["# Analysers", ""]
-    lines += [
-        f"- {rule.rule_id}"
-        for family in _DOCUMENTED_FAMILIES
-        for rule in rules_of_family(family)
-    ]
+    lines += [f"- {rule_id}" for rule_id in RULES]
     return "\n".join(lines) + "\n"
 
 
@@ -42,11 +37,11 @@ def _events_stub() -> str:
 
 def _serving_stub() -> str:
     """A minimal serving.md covering every endpoint and request field."""
-    from repro.serve import ENDPOINTS, SCENARIO_DEFAULTS
+    from repro.serve import ENDPOINTS, ScenarioRequest
 
     lines = ["# Serving", ""]
     lines += [f"- {method} {path}" for method, path, _ in ENDPOINTS]
-    lines += [f"- `{field}`" for field in sorted(SCENARIO_DEFAULTS)]
+    lines += [f"- `{field}`" for field in ScenarioRequest().to_payload()]
     return "\n".join(lines) + "\n"
 
 
@@ -132,6 +127,12 @@ class TestChecks:
         )
         assert any("rispp_bogus_series_total" in f for f in _findings(repo))
 
+    def test_undeclared_metric_in_fence_is_flagged(self, repo):
+        (repo / "docs" / "guide.md").write_text(
+            "```\nrispp_bogus_series_total 3\n```\n"
+        )
+        assert any("rispp_bogus_series_total" in f for f in _findings(repo))
+
     def test_declared_metric_and_histogram_suffixes_pass(self, repo):
         (repo / "docs" / "guide.md").write_text(
             "rispp_si_executions_total and rispp_si_latency_cycles_bucket\n"
@@ -153,7 +154,10 @@ class TestChecks:
 class TestObservabilityCoverage:
     def test_missing_catalogue_file_is_flagged(self, repo):
         (repo / "docs" / "observability.md").unlink()
-        assert any("is missing" in f for f in _findings(repo))
+        assert any(
+            "not documented in docs/observability.md" in f
+            for f in _findings(repo)
+        )
 
     def test_undocumented_metric_is_flagged(self, repo):
         stub = _observability_stub().replace("rispp_quarantine_depth", "x")
@@ -165,7 +169,7 @@ class TestRuleCoverage:
     def test_missing_analysis_doc_is_flagged(self, repo):
         (repo / "docs" / "analysis.md").unlink()
         assert any(
-            "analysis.md is missing" in f for f in _findings(repo)
+            "not documented in docs/analysis.md" in f for f in _findings(repo)
         )
 
     def test_undocumented_mc_rule_is_flagged(self, repo):
@@ -173,7 +177,9 @@ class TestRuleCoverage:
         (repo / "docs" / "analysis.md").write_text(stub)
         assert any("MC008" in f for f in _findings(repo))
 
-    @pytest.mark.parametrize("rule_id", ["TRC005", "FEA004", "AUD006"])
+    @pytest.mark.parametrize(
+        "rule_id", ["TRC005", "FEA004", "AUD006", "LIB003", "SCH002"]
+    )
     def test_undocumented_rule_of_each_family_is_flagged(self, repo, rule_id):
         stub = _analysis_stub().replace(rule_id, "redacted")
         (repo / "docs" / "analysis.md").write_text(stub)
@@ -191,7 +197,9 @@ class TestRuleCoverage:
 class TestEventsCoverage:
     def test_missing_events_doc_is_flagged(self, repo):
         (repo / "docs" / "events.md").unlink()
-        assert any("events.md is missing" in f for f in _findings(repo))
+        assert any(
+            "not documented in docs/events.md" in f for f in _findings(repo)
+        )
 
     def test_undocumented_event_is_flagged(self, repo):
         stub = _events_stub().replace("`RotationCompleted`", "`x`")
@@ -204,6 +212,15 @@ class TestEventsCoverage:
         )
         assert any("'MoleculeFired'" in f for f in _findings(repo))
 
+    def test_phantom_event_name_outside_events_doc_is_flagged(self, repo):
+        (repo / "README.md").write_text(
+            _readme_stub() + "\nEach rotation publishes `RotationVanished`.\n"
+        )
+        assert any(
+            f.startswith("README.md:") and "'RotationVanished'" in f
+            for f in _findings(repo)
+        )
+
     def test_unknown_evt_rule_id_is_flagged(self, repo):
         # The EVT and ROT families are retired: any mention of them is stale.
         for rule_id in ("EVT001", "ROT001"):
@@ -214,7 +231,9 @@ class TestEventsCoverage:
 class TestServingCoverage:
     def test_missing_serving_doc_is_flagged(self, repo):
         (repo / "docs" / "serving.md").unlink()
-        assert any("serving.md is missing" in f for f in _findings(repo))
+        assert any(
+            "not documented in docs/serving.md" in f for f in _findings(repo)
+        )
 
     def test_undocumented_endpoint_is_flagged(self, repo):
         stub = _serving_stub().replace("GET /readyz", "GET /")
@@ -239,6 +258,29 @@ class TestServingCoverage:
             _serving_stub() + "\n```\ncurl -X DELETE /scenario\n```\n"
         )
         assert any("DELETE /scenario" in f for f in _findings(repo))
+
+
+class TestMissingHomeDoc:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "docs/analysis.md",
+            "docs/observability.md",
+            "docs/events.md",
+            "docs/serving.md",
+            "README.md",
+        ],
+    )
+    def test_one_finding_per_name_it_should_list(self, repo, doc):
+        # Each stub names one thing per list item or table row.
+        names = [
+            line
+            for line in (repo / doc).read_text().splitlines()
+            if line.startswith(("- ", "| `"))
+        ]
+        (repo / doc).unlink()
+        findings = [f for f in check_docs(repo) if f.path == doc]
+        assert names and len(findings) == len(names)
 
 
 class TestCliSurface:

@@ -65,16 +65,19 @@ class TestCleanStores:
     def test_faulted_run_is_coherent(self, library, tmp_path):
         # Transient + permanent faults: quarantine episodes and dropped
         # rotation jobs must all stitch cleanly across every snapshot.
+        # Both fire inside the run, which ends near cycle 59,000.
         injector = FaultInjector(
             FaultSchedule(
                 [
-                    FaultEvent(300_000, FaultKind.TRANSIENT, container=0),
-                    FaultEvent(320_000, FaultKind.PERMANENT, container=2),
+                    FaultEvent(20_000, FaultKind.TRANSIENT, container=0),
+                    FaultEvent(30_000, FaultKind.PERMANENT, container=2),
                 ]
             ),
             scrub_period=10_000,
         )
         rec = run_store(library, tmp_path, injector=injector)
+        assert len(rec.trace.of_kind(EventKind.FAULT_INJECTED)) == 2
+        assert rec.trace.of_kind(EventKind.CONTAINER_FAILED)
         report = verify_resume(rec, tmp_path)
         assert report.clean(), report.render_text()
 

@@ -25,7 +25,6 @@ from repro.faults import run_chaos_suite
 from repro.obs import MetricRegistry, parse_prometheus, to_prometheus
 from repro.serve import (
     ENDPOINTS,
-    SCENARIO_DEFAULTS,
     RuntimeFacade,
     ScenarioError,
     ScenarioRequest,
@@ -36,7 +35,7 @@ from repro.serve.daemon import ScenarioServer
 
 def expected_render(**overrides) -> str:
     """What ``repro chaos --format json`` prints for these knobs."""
-    knobs = {**SCENARIO_DEFAULTS, **overrides}
+    knobs = {**ScenarioRequest().to_payload(), **overrides}
     report = run_chaos_suite(
         knobs["suite"],
         seed=knobs["seed"],
@@ -51,12 +50,13 @@ def expected_render(**overrides) -> str:
 
 class TestScenarioRequest:
     def test_defaults_fill_missing_fields(self):
+        defaults = ScenarioRequest().to_payload()
         request = ScenarioRequest.from_payload({"seed": 7})
         assert request.seed == 7
-        assert request.suite == SCENARIO_DEFAULTS["suite"]
-        assert request.fault_rate == SCENARIO_DEFAULTS["fault_rate"]
-        assert request.quick is SCENARIO_DEFAULTS["quick"]
-        assert request.to_payload() == {**SCENARIO_DEFAULTS, "seed": 7}
+        assert request.suite == defaults["suite"]
+        assert request.fault_rate == defaults["fault_rate"]
+        assert request.quick is defaults["quick"]
+        assert request.to_payload() == {**defaults, "seed": 7}
 
     @pytest.mark.parametrize(
         "payload, fragment",
@@ -93,7 +93,7 @@ class TestImportWeight:
         # its defaults come without numpy or the fault subsystem.
         probe = (
             f"import sys, {module}; "
-            "from repro.serve import SCENARIO_DEFAULTS; "
+            "from repro.serve import ScenarioRequest; ScenarioRequest().to_payload(); "
             "assert 'numpy' not in sys.modules, 'numpy'; "
             "assert 'repro.faults' not in sys.modules, 'repro.faults'"
         )
