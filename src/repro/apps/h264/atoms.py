@@ -17,6 +17,12 @@ Each function models one execution of one Atom's data path on real data:
 A :class:`AtomExecutionCounter` wraps the functions to count executions
 per kind, letting tests verify statements like "each HT_4x4 requires 4
 Transform- and 4 Pack-executions" directly.
+
+The functional SI executors (:func:`si_dct_4x4`, :func:`si_ht_4x4`,
+:func:`si_ht_2x2`, :func:`si_satd_4x4`, :func:`si_sad_4x4`) run each SI
+on real data by composing these data paths — bit-exact against the
+reference transforms (tests enforce it).  Their architectural view, the
+Table 2 molecule catalogue, is :mod:`repro.apps.h264.sis`.
 """
 
 from __future__ import annotations
@@ -198,3 +204,119 @@ class AtomExecutionCounter:
 
     def reset(self) -> None:
         self.counts.clear()
+
+
+# ---------------------------------------------------------------------------
+# Functional SI executors (compose the behavioural atoms)
+# ---------------------------------------------------------------------------
+
+
+def _two_pass_transform(
+    block, mode: str, counter: AtomExecutionCounter, *, shift_second_pass: bool
+) -> np.ndarray:
+    """Row pass -> Pack transpose -> column pass, on packed row pairs.
+
+    With the 16-bit storage pattern each Transform execution processes two
+    packed rows at once, so a full 4x4 transform costs 4 Transform + 4
+    Pack executions — exactly the paper's statement for HT_4x4.
+    """
+    x = np.asarray(block, dtype=np.int64)
+    if x.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 block, got {x.shape}")
+    # Row pass: 2 packed executions covering 4 rows -> A = X . C^T.
+    a = np.zeros((4, 4), dtype=np.int64)
+    for pair in range(2):
+        for row in (2 * pair, 2 * pair + 1):
+            a[row, :] = transforms_butterfly(counter, x[row, :], mode, False, row % 2)
+    # Pack transpose: 4 executions, one per column of A.
+    columns = [counter.pack(list(a), j) for j in range(4)]
+    # Column pass: 2 packed executions covering 4 columns -> Y = C . A.
+    y = np.zeros((4, 4), dtype=np.int64)
+    for j, col in enumerate(columns):
+        y[:, j] = transforms_butterfly(
+            counter, col, mode, shift_second_pass, j % 2
+        )
+    return y
+
+
+def transforms_butterfly(
+    counter: AtomExecutionCounter, vec, mode: str, shift: bool, lane: int
+):
+    """One 1-D butterfly; lane 0 of a packed pair charges the execution.
+
+    The Transform atom's 32-bit ports carry two 16-bit coefficients, so
+    two 1-D butterflies share one atom execution; we count the execution
+    on the even lane and ride along on the odd lane.
+    """
+    if lane == 0:
+        return counter.transform(vec, mode=mode, ht_shift=shift)
+    # Odd lane: same silicon pass, no extra execution counted.
+    return transform_atom(vec, mode=mode, ht_shift=shift)
+
+
+def si_dct_4x4(residual_block, counter: AtomExecutionCounter | None = None) -> np.ndarray:
+    """DCT_4x4 SI: forward 4x4 integer transform of a residual block."""
+    counter = counter if counter is not None else AtomExecutionCounter()
+    return _two_pass_transform(residual_block, "DCT", counter, shift_second_pass=False)
+
+
+def si_ht_4x4(dc_block, counter: AtomExecutionCounter | None = None) -> np.ndarray:
+    """HT_4x4 SI: 4x4 Hadamard transform of the luma DC coefficients."""
+    counter = counter if counter is not None else AtomExecutionCounter()
+    return _two_pass_transform(dc_block, "HT", counter, shift_second_pass=True)
+
+
+def si_ht_2x2(dc_block, counter: AtomExecutionCounter | None = None) -> np.ndarray:
+    """HT_2x2 SI: 2x2 Hadamard of the chroma DC coefficients.
+
+    A single Transform execution computes the whole 2x2 transform (the
+    four inputs fill the atom's four lanes); the SI "constitutes only one
+    Atom" (§6).
+    """
+    counter = counter if counter is not None else AtomExecutionCounter()
+    x = np.asarray(dc_block, dtype=np.int64)
+    if x.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 block, got {x.shape}")
+    y0, y1, y2, y3 = counter.transform(
+        [x[0, 0], x[0, 1], x[1, 0], x[1, 1]], mode="HT"
+    )
+    return np.array([[y0, y3], [y1, y2]], dtype=np.int64)
+
+
+def si_satd_4x4(
+    original, prediction, counter: AtomExecutionCounter | None = None
+) -> int:
+    """SATD_4x4 SI: Hadamard-transform the residual, sum absolutes, halve.
+
+    Composition per Fig. 8: QuadSub residuals -> Transform (HT rows) ->
+    Pack -> Transform (HT columns) -> SATD accumulation.
+    """
+    counter = counter if counter is not None else AtomExecutionCounter()
+    orig = np.asarray(original, dtype=np.int64)
+    pred = np.asarray(prediction, dtype=np.int64)
+    if orig.shape != (4, 4) or pred.shape != (4, 4):
+        raise ValueError("SATD_4x4 operates on 4x4 blocks")
+    diff = np.zeros((4, 4), dtype=np.int64)
+    for row in range(4):
+        diff[row, :] = counter.quadsub(orig[row, :], pred[row, :])
+    transformed = _two_pass_transform(diff, "HT", counter, shift_second_pass=False)
+    total = 0
+    for row in range(4):
+        total += counter.satd(transformed[row, :])
+    return total >> 1
+
+
+def si_sad_4x4(
+    original, prediction, counter: AtomExecutionCounter | None = None
+) -> int:
+    """SAD SI: QuadSub + SATD atoms combined (integer-pel ME cost, §6)."""
+    counter = counter if counter is not None else AtomExecutionCounter()
+    orig = np.asarray(original, dtype=np.int64)
+    pred = np.asarray(prediction, dtype=np.int64)
+    if orig.shape != (4, 4) or pred.shape != (4, 4):
+        raise ValueError("SAD_4x4 operates on 4x4 blocks")
+    total = 0
+    for row in range(4):
+        diff = counter.quadsub(orig[row, :], pred[row, :])
+        total += counter.satd(diff)
+    return total

@@ -24,11 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import AtomExecutionCounter
+from .atoms import (
+    AtomExecutionCounter,
+    si_dct_4x4,
+    si_ht_2x2,
+    si_ht_4x4,
+    si_satd_4x4,
+)
 from .blocks import split_into_4x4
 from .transforms import dc_coefficients, residual
 from .workload import MacroblockData
-from .sis import si_dct_4x4, si_ht_2x2, si_ht_4x4, si_satd_4x4
 
 #: SI invocations of one macroblock, luma only (the Fig. 12 accounting):
 #: 16 sub-blocks x 16 candidates SATD, 16 DCT, 1 HT_4x4.

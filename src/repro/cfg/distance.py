@@ -23,8 +23,6 @@ import heapq
 import math
 from collections.abc import Iterable
 
-import numpy as np
-
 from .graph import ControlFlowGraph
 from .probability import reach_probability_markov
 from .scc import condense
@@ -74,6 +72,8 @@ def expected_distance(
     ``p(u->v) h(v) / h(u)``; the expected hitting cost then solves a
     linear system over blocks with ``h > 0``.
     """
+    import numpy as np
+
     target_set = set(targets)
     h = reach_probability_markov(cfg, target_set)
     ids = cfg.block_ids()

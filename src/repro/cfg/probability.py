@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from .graph import ControlFlowGraph
 from .scc import condense
 
@@ -33,6 +31,8 @@ def reach_probability_markov(
     ``targets`` are absorbing with probability 1; exit blocks that are not
     targets absorb with probability 0.
     """
+    import numpy as np
+
     target_set = set(targets)
     for t in sorted(target_set):
         if t not in cfg:
@@ -118,6 +118,8 @@ def _solve_loop(
     where *in* edges stay inside the SCC and *out* edges leave it (their
     probabilities are already known from downstream SCCs).
     """
+    import numpy as np
+
     member_set = set(members)
     unknown = [m for m in members if m not in targets]
     index = {m: i for i, m in enumerate(unknown)}

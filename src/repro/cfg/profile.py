@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distance import expected_distance, max_distance, min_distance
 from .graph import ControlFlowGraph
 from .probability import reach_probability_scc
@@ -41,6 +39,8 @@ def expected_si_executions(cfg: ControlFlowGraph, si_name: str) -> dict[str, flo
     this counts *how many* executions, so loops multiply usage by their
     expected trip count.
     """
+    import numpy as np
+
     ids = cfg.block_ids()
     index = {b: i for i, b in enumerate(ids)}
     n = len(ids)

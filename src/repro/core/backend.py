@@ -1,13 +1,11 @@
 """Pluggable compute backends for the molecule-lattice hot paths.
 
-Profiling showed run-time molecule selection to be the slowest hot path
-by roughly 50x: the inner loops of
-:func:`repro.core.selection.select_greedy` rebuild the demand supremum
-per candidate, and :func:`repro.core.selection.select_exhaustive`
-enumerates the per-SI choice product one combination at a time.  Both
-are batched lattice operations over stacked ``N^n`` count vectors — a
-perfect fit for vectorization, but also exactly the code whose
-behaviour the paper's results depend on.
+Run-time molecule selection (paper §5, task b) runs on every replan:
+:func:`repro.core.selection.select_greedy` scores every candidate
+molecule against the demand supremum of the others, and
+:func:`repro.core.selection.select_exhaustive` enumerates the per-SI
+choice product — lattice operations over ``N^n`` count vectors, and the
+code whose behaviour the paper's results depend on.
 
 This module therefore splits *policy* from *kernels*:
 
@@ -15,18 +13,22 @@ This module therefore splits *policy* from *kernels*:
   infimum / residual / determinant over stacked count rows, Pareto-mask
   extraction, and the two selection inner loops (greedy candidate scan,
   exhaustive enumeration).
-* :class:`NumpyBackend` — the kernels the runtime runs: one
-  ``(candidates x kinds)`` int64 matrix per greedy round and a chunked
-  broadcast over the exhaustive choice matrix.
-* :class:`ReferenceBackend` — the pure-python kernels; the executable
-  specification the numpy kernels must match bit-for-bit (identical
-  ``SelectionResult`` objects, not merely equal total benefit).  Only
-  tests run it, as the oracle of the equivalence fuzz tests.
+* :class:`NumpyBackend` — the kernels the runtime runs.  Greedy is a
+  linear pure-python loop over count tuples staged once per library
+  (one leave-one-out supremum per SI per round, no ``Molecule`` built
+  inside a round), so a runtime never loads numpy.  Exhaustive
+  enumeration, Pareto masks and the batched primitives vectorize over
+  ``int64`` matrices and import numpy on first use.
+* :class:`ReferenceBackend` — the pure-python kernels written as
+  directly as the paper states them (greedy rebuilds the supremum per
+  candidate); the executable specification the fast kernels must match
+  bit-for-bit (identical ``SelectionResult`` objects, not merely equal
+  total benefit).  Only tests run it, as the oracle of the equivalence
+  fuzz tests.
 
 Selection and Pareto analysis call :func:`kernel` at call time; it
-builds the one shared :class:`NumpyBackend` on first use, so importing
-this module does not import numpy.  Tests swap ``_kernel`` to run the
-same callers on the reference kernels.
+builds the one shared :class:`NumpyBackend` on first use.  Tests swap
+``_kernel`` to run the same callers on the reference kernels.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .molecule import Molecule, supremum
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .library import SILibrary
     from .selection import ForecastedSI
-    from .si import MoleculeImpl
+    from .si import MoleculeImpl, SpecialInstruction
 
 #: Stacked count vectors: one row per molecule, ordered like
 #: ``AtomSpace.kinds``.
@@ -158,8 +160,8 @@ class ReferenceBackend(ComputeBackend):
     """Pure-python kernels: simple, dependency-free, and the oracle.
 
     Any other backend must reproduce these results exactly; the
-    reference itself exists so the vectorized paths have a small,
-    readable specification to be diffed against.
+    reference itself exists so the fast paths have a small, readable
+    specification to be diffed against.
     """
 
     def sup(self, rows: Rows, dim: int) -> tuple[int, ...]:
@@ -300,31 +302,35 @@ class ReferenceBackend(ComputeBackend):
         return best_choice, best_benefit, considered
 
 
-# -- the vectorized fast path -------------------------------------------------
+# -- the kernels the runtime runs ---------------------------------------------
 
 
 class NumpyBackend(ComputeBackend):
-    """Vectorized kernels over stacked ``int64`` count matrices.
+    """The kernels selection and Pareto analysis run on: a pure-python
+    greedy, numpy (imported on first use) for everything else.  The
+    class keeps its name because the benchmark's layer tracer binds it
+    by name.
 
     Equivalence with :class:`ReferenceBackend` is exact, not
-    approximate: candidate benefits enter the arrays as the same python
-    floats the reference computes, scores use the same float64 add /
-    divide, enumeration follows the same row-major order, and ties pick
-    the same first-encountered winner.
+    approximate: benefits and scores are the same python-float
+    expressions the reference evaluates, enumeration follows the same
+    order, and ties pick the same first-encountered winner.
     """
 
     def __init__(self) -> None:
-        import numpy
-
-        self._np = numpy
         #: Per-library staging cache: libraries are immutable after
-        #: construction, so their rc mask, baseline vector and candidate
-        #: matrices (which depend only on SI structure, never on the
-        #: per-call weights) are built once.  Weak keys keep dropped
-        #: libraries collectable.
-        self._staging: "weakref.WeakKeyDictionary[Any, dict[Any, Any]]" = (
+        #: construction, so each SI's candidate rows (which depend only
+        #: on SI structure, never on the per-call weights) are built
+        #: once.  Weak keys keep dropped libraries collectable.
+        self._staging: "weakref.WeakKeyDictionary[Any, Any]" = (
             weakref.WeakKeyDictionary()
         )
+
+    @property
+    def _np(self) -> Any:
+        import numpy
+
+        return numpy
 
     # -- batched lattice primitives --------------------------------------
 
@@ -383,66 +389,41 @@ class NumpyBackend(ComputeBackend):
 
     # -- selection inner loops -------------------------------------------
 
-    def _staged(self, library: "SILibrary") -> dict[Any, Any]:
-        """The per-library staging cache (created on first use)."""
-        cache = self._staging.get(library)
-        if cache is None:
-            np = self._np
-            rc = set(library.catalogue.reconfigurable_names())
-            cache = {
-                "rc_mask": np.asarray(
-                    [1 if k in rc else 0 for k in library.space.kinds],
-                    dtype=np.int64,
-                ),
-                "baseline": np.asarray(
-                    library.baseline_molecule().counts, dtype=np.int64
-                ),
-            }
-            self._staging[library] = cache
-        return cache
+    def _staged(self, library: "SILibrary") -> Any:
+        """``(columns, baseline, rows)`` of a library, staged on first use.
 
-    def _vectors(self, library: "SILibrary") -> tuple[Any, Any]:
-        """``(rc_mask, baseline)`` int64 vectors of one library."""
-        cache = self._staged(library)
-        return cache["rc_mask"], cache["baseline"]
+        ``columns`` index its reconfigurable kinds (static kinds are zero
+        in every projected row, so dropping them changes no sum),
+        ``baseline`` is the static baseline over them, and ``rows`` maps
+        an SI name to ``(implementations, [(cycles, rc_row, impl), ...])``.
+        """
+        staged = self._staging.get(library)
+        if staged is None:
+            columns = tuple(
+                i for i, kind in enumerate(library.catalogue)
+                if kind.reconfigurable
+            )
+            baseline = library.baseline_molecule().counts
+            staged = (columns, tuple(baseline[i] for i in columns), {})
+            self._staging[library] = staged
+        return staged
 
     def _candidates(
-        self, library: "SILibrary", requests: "Sequence[ForecastedSI]"
-    ) -> tuple[list["MoleculeImpl"], Any, Any]:
-        """``(impls, si_index_array, rc_rows)`` in reference scan order.
-
-        Keyed by the request's SI-name tuple: molecule rows and SI
-        indices depend only on the library's immutable SI structure, so
-        repeated selections over the same forecast set (the runtime's
-        steady state) skip the python-level array building entirely.
-        Benefits depend on the per-call weights and are never cached.
-        """
-        cache = self._staged(library)
-        key = ("candidates", tuple(r.si.name for r in requests))
-        staged = cache.get(key)
-        if staged is None:
-            np = self._np
-            rc_mask = cache["rc_mask"]
-            cand_impls: list[MoleculeImpl] = []
-            cand_si: list[int] = []
-            for si_index, fsi in enumerate(requests):
-                for impl in fsi.si.implementations:
-                    cand_impls.append(impl)
-                    cand_si.append(si_index)
-            cand_rows = (
-                np.asarray(
-                    [impl.molecule.counts for impl in cand_impls],
-                    dtype=np.int64,
-                )
-                * rc_mask[None, :]
-            )
-            staged = (
-                cand_impls,
-                np.asarray(cand_si, dtype=np.int64),
-                cand_rows,
-            )
-            cache[key] = staged
-        return staged
+        self, library: "SILibrary", si: "SpecialInstruction"
+    ) -> list[tuple[int, tuple[int, ...], "MoleculeImpl"]]:
+        """``(cycles, rc_row, impl)`` per implementation, in scan order;
+        restaged when a caller swaps ``si.implementations``."""
+        columns, _, staged = self._staged(library)
+        entry = staged.get(si.name)
+        if entry is None or entry[0] is not si.implementations:
+            rows = []
+            for impl in si.implementations:
+                counts = library.restricted_to_reconfigurable(
+                    impl.molecule
+                ).counts
+                rows.append((impl.cycles, tuple(counts[i] for i in columns), impl))
+            entry = staged[si.name] = (si.implementations, rows)
+        return entry[1]
 
     def greedy_choose(
         self,
@@ -451,83 +432,94 @@ class NumpyBackend(ComputeBackend):
         container_budget: int,
         loaded_rc: Molecule,
     ) -> tuple[dict[str, "MoleculeImpl | None"], int]:
-        np = self._np
         requests = list(requests)
-        names = [r.si.name for r in requests]
-        chosen: dict[str, MoleculeImpl | None] = {n: None for n in names}
-        if not requests:
-            return chosen, 0
-        rc_mask, baseline = self._vectors(library)
-        loaded_vec = np.asarray(loaded_rc.counts, dtype=np.int64)
-
-        # Candidate arrays in the reference enumeration order: for each
-        # request (in turn), every implementation of its SI.  Benefits
-        # are the same python-float products the reference computes,
-        # stored verbatim in the float64 array.
-        cand_impls, cand_si_arr, cand_rows = self._candidates(
-            library, requests
-        )
-        n_cand = len(cand_impls)
-        cand_ben = np.asarray(
-            [
-                benefit(requests[si_index], impl)
-                for si_index, impl in zip(
-                    (int(i) for i in cand_si_arr), cand_impls
-                )
-            ],
-            dtype=np.float64,
-        )
-
-        n_si = len(requests)
-        chosen_rows = np.zeros((n_si, len(library.space.kinds)), dtype=np.int64)
-        chosen_ben = np.zeros(n_si, dtype=np.float64)
-        chosen_cand = np.full(n_si, -1, dtype=np.int64)
+        chosen: dict[str, MoleculeImpl | None] = {
+            r.si.name: None for r in requests
+        }
+        columns, baseline, _ = self._staged(library)
+        loaded = tuple(loaded_rc.counts[i] for i in columns)
+        zero = (0,) * len(columns)
+        # Per request, in the reference scan order: each candidate's
+        # benefit (the python-float product ``benefit`` computes) and row.
+        scans = []
+        for fsi in requests:
+            weight = fsi.expected_executions
+            software = fsi.si.software_cycles
+            scans.append([
+                (weight * max(software - cycles, 0), row, impl)
+                for cycles, row, impl in self._candidates(library, fsi.si)
+            ])
+        n_cand = sum(len(scan) for scan in scans)
+        rows = [zero] * len(requests)  # chosen rc row per request
+        benefits = [0.0] * len(requests)  # chosen benefit per request
+        # Both costs are sums of clamped differences, and for integers
+        # ``max(d - b, 0) == max(d, b) - b``: so containers beyond the
+        # baseline are ``sum(max(demand, baseline)) - sum(baseline)``, and
+        # rotations ``sum(max(new, combined)) - sum(combined)``, where
+        # ``combined`` (current demand | loaded) already bounds every
+        # other SI's row, so only the candidate's own row enters it.
+        baseline_total = sum(baseline)
         considered = 0
         while True:
             considered += n_cand
-            current_demand = chosen_rows.max(axis=0)
-            current_containers = np.maximum(
-                current_demand - baseline, 0
-            ).sum()
-            # Leave-one-out column max: what the *other* SIs demand. With
-            # per-column top and second values, a row equal to the top
-            # falls back to the second; everyone else keeps the top.
-            if n_si == 1:
-                others = np.zeros_like(chosen_rows)
-            else:
-                ordered = np.sort(chosen_rows, axis=0)
-                top, second = ordered[-1], ordered[-2]
-                others = np.where(chosen_rows == top[None, :], second, top)
-            new_demand = np.maximum(others[cand_si_arr], cand_rows)
-            new_containers = np.maximum(
-                new_demand - baseline[None, :], 0
-            ).sum(axis=1)
-            gains = cand_ben - chosen_ben[cand_si_arr]
-            feasible = (gains > 0) & (new_containers <= container_budget)
-            if not feasible.any():
+            # Per column, the top and second value over the chosen rows:
+            # the current demand, and the leave-one-out supremum of the
+            # other requests (a row holding the top falls back to the
+            # second; duplicates of the top keep it as the second).
+            top = list(zero)
+            second = list(zero)
+            for row in rows:
+                for k, c in enumerate(row):
+                    if c > top[k]:
+                        second[k] = top[k]
+                        top[k] = c
+                    elif c > second[k]:
+                        second[k] = c
+            current_containers = (
+                sum(map(max, top, baseline)) - baseline_total
+            )
+            combined = tuple(map(max, top, loaded))
+            combined_total = sum(combined)
+            best = None
+            best_score = 0.0
+            best_rotations = 0
+            for index, scan in enumerate(scans):
+                # max(other SIs' rows, baseline), once per SI per round.
+                floor = tuple(
+                    max(s if r == t else t, b)
+                    for r, t, s, b in zip(rows[index], top, second, baseline)
+                )
+                current_gain = benefits[index]
+                for candidate in scan:
+                    gain = candidate[0] - current_gain
+                    if gain <= 0:
+                        continue
+                    new_containers = (
+                        sum(map(max, floor, candidate[1])) - baseline_total
+                    )
+                    if new_containers > container_budget:
+                        continue
+                    extra = new_containers - current_containers
+                    score = gain / (max(extra, 0) + 0.5)
+                    if best is not None and score < best_score:
+                        continue  # cannot win: skip the rotation count
+                    rotations = (
+                        sum(map(max, combined, candidate[1])) - combined_total
+                    )
+                    # The reference's strict ``(score, -rotations)`` tuple
+                    # comparison: the first-encountered best wins ties.
+                    if best is None or score > best_score or (
+                        score == best_score and rotations < best_rotations
+                    ):
+                        best = (index, candidate)
+                        best_score = score
+                        best_rotations = rotations
+            if best is None:
                 break
-            extra = new_containers - current_containers
-            score = gains / (np.maximum(extra, 0) + 0.5)
-            combined = np.maximum(current_demand, loaded_vec)
-            rotations = np.maximum(
-                new_demand - combined[None, :], 0
-            ).sum(axis=1)
-            # First-wins lexicographic argmax over (score, -rotations)
-            # among the feasible candidates — the reference's strict
-            # tuple comparison.
-            feas = np.flatnonzero(feasible)
-            feas_score = score[feas]
-            tied = feas[feas_score == feas_score.max()]
-            tied_rot = rotations[tied]
-            pick = int(tied[tied_rot == tied_rot.min()][0])
-            si_index = int(cand_si_arr[pick])
-            chosen_rows[si_index] = cand_rows[pick]
-            chosen_ben[si_index] = cand_ben[pick]
-            chosen_cand[si_index] = pick
-        for si_index in range(n_si):
-            cand_index = int(chosen_cand[si_index])
-            if cand_index >= 0:
-                chosen[names[si_index]] = cand_impls[cand_index]
+            index, (ben, row, impl) = best
+            rows[index] = row
+            benefits[index] = ben
+            chosen[requests[index].si.name] = impl
         return chosen, considered
 
     #: Combinations materialised per exhaustive-enumeration chunk; bounds
@@ -545,7 +537,9 @@ class NumpyBackend(ComputeBackend):
         if not requests:
             # product() of no option lists yields exactly one empty combo.
             return {}, 0.0, 1
-        rc_mask, baseline = self._vectors(library)
+        baseline = np.asarray(
+            library.baseline_molecule().counts, dtype=np.int64
+        )
         option_impls: list[list[MoleculeImpl | None]] = [
             [None, *r.si.implementations] for r in requests
         ]
@@ -558,10 +552,9 @@ class NumpyBackend(ComputeBackend):
             ben = np.zeros(len(options), dtype=np.float64)
             for j, impl in enumerate(options):
                 if impl is not None:
-                    rows[j] = (
-                        np.asarray(impl.molecule.counts, dtype=np.int64)
-                        * rc_mask
-                    )
+                    rows[j] = library.restricted_to_reconfigurable(
+                        impl.molecule
+                    ).counts
                     ben[j] = benefit(fsi, impl)
             option_rows.append(rows)
             option_ben.append(ben)

@@ -33,6 +33,17 @@ class SILibrary:
             if si.name in self._sis:
                 raise ValueError(f"duplicate SI {si.name!r}")
             self._sis[si.name] = si
+        # A library is immutable once built, so its reconfigurable kinds,
+        # static baseline and every implementation's reconfigurable
+        # projection are computed here once instead of per replan.
+        self._rc_kinds = frozenset(catalogue.reconfigurable_names())
+        self._baseline = self.space.molecule(catalogue.baseline_counts())
+        self._projections: dict[Molecule, Molecule] = {}
+        for si in self._sis.values():
+            for impl in si.implementations:
+                self._projections[impl.molecule] = impl.molecule.restricted_to(
+                    self._rc_kinds
+                )
 
     # -- lookups -------------------------------------------------------------
 
@@ -85,8 +96,12 @@ class SILibrary:
         Static atoms (``Load``/``Add``/``Store`` in the case study) are
         always available and never occupy Atom Containers; resource
         accounting therefore only considers the reconfigurable components.
+        Implementation molecules are projected once, at construction.
         """
-        return molecule.restricted_to(self.catalogue.reconfigurable_names())
+        projected = self._projections.get(molecule)
+        if projected is None:
+            projected = molecule.restricted_to(self._rc_kinds)
+        return projected
 
     def baseline_molecule(self) -> Molecule:
         """Reconfigurable atoms the static fabric provides for free.
@@ -95,7 +110,7 @@ class SILibrary:
         data path; molecules only occupy containers for atoms *beyond*
         this baseline.
         """
-        return self.space.molecule(self.catalogue.baseline_counts())
+        return self._baseline
 
     def container_demand(self, molecule: Molecule) -> int:
         """Number of Atom Containers ``molecule`` occupies.

@@ -1,29 +1,36 @@
-"""Reference/numpy kernel equivalence: fuzzed, bit-for-bit.
+"""Reference/fast kernel equivalence: fuzzed, bit-for-bit.
 
-The runtime runs the numpy kernels; the pure-python reference kernels
-are their executable specification.  The numpy kernels must reproduce
-the reference's ``SelectionResult``s *exactly* (same chosen
-implementations, same float benefits, same tie-breaks, same
-``considered`` counters), and a runtime or chaos campaign driven by
-either must emit identical traces and reports.  Hypothesis hunts for
-libraries and workloads where the two disagree, and checks that neither
-kernel set mutates its inputs.
+The runtime runs :class:`NumpyBackend`: a linear pure-python greedy loop
+(numpy only for exhaustive enumeration and Pareto masks).  The
+pure-python :class:`ReferenceBackend` is its executable specification —
+the quadratic greedy that rebuilds the demand supremum per candidate.
+The fast kernels must reproduce the reference's ``SelectionResult``s
+*exactly* (same chosen implementations, same float benefits, same
+tie-breaks, same ``considered`` counters), and a runtime or chaos
+campaign driven by either must emit identical traces and reports.
+Hypothesis hunts for libraries and workloads where the two disagree,
+every shipped library is checked at every budget it is run with, and
+neither kernel set may mutate its inputs.
 """
 
 import contextlib
 import copy
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.aes import build_aes_library
+from repro.apps.h264 import build_extended_library, build_h264_library
 from repro.bench import trace_signature
-from repro.bench.suites import run_si_stream
+from repro.bench.suites import build_synthetic_library, run_si_stream
 from repro.core import (
     AtomCatalogue,
     AtomKind,
     ForecastedSI,
+    Molecule,
     MoleculeImpl,
     NumpyBackend,
     ReferenceBackend,
@@ -53,7 +60,7 @@ def running_on(kernel):
 
 
 def on_both(select, *args, **kwargs):
-    """``select``'s result on the reference and on the numpy kernels."""
+    """``select``'s result on the reference and on the runtime's kernels."""
     with running_on(REFERENCE):
         ref = select(*args, **kwargs)
     with running_on(NUMPY):
@@ -81,7 +88,11 @@ def random_library(draw, static_first_kind=False):
             counts = {k: draw(st.integers(0, 3)) for k in KINDS}
             if not any(counts.values()):
                 counts["A"] = 1
-            cycles = draw(st.integers(1, max(2, sw - 1)))
+            # A few shared latencies make exact score ties common, so
+            # the fuzz exercises the first-wins tie-break.
+            cycles = draw(
+                st.sampled_from([10, 20]) | st.integers(1, max(2, sw - 1))
+            )
             impls.append(MoleculeImpl(space.molecule(counts), cycles))
         sis.append(SpecialInstruction(f"SI{i}", space, sw, impls))
     return SILibrary(catalogue, sis)
@@ -157,10 +168,10 @@ def test_upgrade_path_backends_agree(bundle):
 @settings(max_examples=30, deadline=None)
 @given(library_and_workload())
 def test_staging_cache_survives_weight_changes(bundle):
-    # The numpy kernels cache per-library candidate matrices keyed on
-    # the request-name tuple; benefits depend on weights and must never
-    # be cached.  Re-run the same library with scaled weights and check
-    # the cached staging still matches the reference.
+    # The greedy kernel caches each SI's candidate rows per library;
+    # benefits depend on weights and must never be cached.  Re-run the
+    # same library with scaled weights and check the cached staging
+    # still matches the reference.
     library, requests, budget = bundle
     for scale in (1.0, 3.5, 0.0):
         scaled = [
@@ -169,6 +180,85 @@ def test_staging_cache_survives_weight_changes(bundle):
         ]
         ref, fast = on_both(select_greedy, library, scaled, budget)
         assert ref == fast
+
+
+SHIPPED_LIBRARIES = {
+    "h264": build_h264_library,
+    "h264+sad": lambda: build_h264_library(include_sad=True),
+    "extended": build_extended_library,
+    "synthetic": build_synthetic_library,
+    "aes": build_aes_library,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_LIBRARIES))
+def test_greedy_matches_reference_on_shipped_libraries(name):
+    # The fuzz draws small random libraries; these are the libraries the
+    # runtime really selects over, at every budget 0..18, with seeded
+    # weights (some zero) and a seeded already-loaded population.
+    library = SHIPPED_LIBRARIES[name]()
+    rng = random.Random(f"greedy:{name}")
+    space = library.space
+    for budget in range(19):
+        requests = [
+            ForecastedSI(si, rng.choice([0.0, 0.5, 1.0, rng.uniform(0, 300)]))
+            for si in library
+            if rng.random() < 0.8
+        ]
+        loaded = space.molecule([rng.randint(0, 2) for _ in space.kinds])
+        for kwargs in ({}, {"loaded": loaded}):
+            ref, fast = on_both(
+                select_greedy, library, requests, budget, **kwargs
+            )
+            assert ref == fast
+
+
+@pytest.mark.parametrize(
+    "loaded, winner",
+    [
+        # Equal score, equal rotations: the first candidate scanned wins.
+        ({}, 0),
+        # Equal score: the candidate reusing a loaded atom wins, even
+        # though it is scanned later.
+        ({"B": 1}, 1),
+    ],
+)
+def test_greedy_tie_breaks(loaded, winner):
+    catalogue = AtomCatalogue.of([AtomKind("A"), AtomKind("B")])
+    space = catalogue.space
+    impls = [
+        MoleculeImpl(space.molecule({"A": 1}), 10),
+        MoleculeImpl(space.molecule({"B": 1}), 10),
+    ]
+    library = SILibrary(
+        catalogue, [SpecialInstruction("X", space, 100, impls)]
+    )
+    requests = [ForecastedSI(library.get("X"), 5.0)]
+    ref, fast = on_both(
+        select_greedy, library, requests, 1, loaded=space.molecule(loaded)
+    )
+    assert ref == fast
+    assert fast.chosen == {"X": impls[winner]}
+
+
+def test_greedy_round_builds_no_molecule(monkeypatch):
+    library = build_h264_library(include_sad=True)
+    requests = [ForecastedSI(si, 10.0 + i) for i, si in enumerate(library)]
+    kernel = NumpyBackend()
+    loaded = library.space.zero()
+    kernel.greedy_choose(library, requests, 8, loaded)  # stages the rows
+    built = []
+    original = Molecule.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Molecule, "__init__", counting)
+    chosen, considered = kernel.greedy_choose(library, requests, 8, loaded)
+    assert built == []
+    # It did real work: several rounds over all 33 candidates.
+    assert considered > 33 and any(chosen.values())
 
 
 # Kernel purity: the runtime selects over one shared library for a whole
@@ -240,7 +330,7 @@ def test_numpy_kernels_do_not_mutate_inputs(bundle):
 
 
 class TestRuntimeTraceEquality:
-    """A runtime on the numpy kernels emits the reference trace, byte for byte."""
+    """A runtime on the fast kernels emits the reference trace, byte for byte."""
 
     def run(self, mini_library, kernel):
         forecasts = [("SATD", 40.0), ("HT", 12.0)]

@@ -23,11 +23,24 @@ class TestSharedKernel:
 
     def test_import_does_not_build_the_kernel(self):
         # The instance is built on first use, so importing the package
-        # (selection and Pareto analysis included) never imports numpy.
+        # (selection and Pareto analysis included) never imports numpy;
+        # nor do replans, whose greedy kernel is pure python.  Only the
+        # exhaustive and Pareto kernels load it.
         probe = (
             "import sys, repro, repro.core; "
             "assert 'numpy' not in sys.modules; "
-            "assert repro.core.backend._kernel is None"
+            "assert repro.core.backend._kernel is None; "
+            "from repro.apps.h264 import build_h264_library; "
+            "from repro.runtime.manager import RisppRuntime; "
+            "rt = RisppRuntime(build_h264_library(), 6); "
+            "rt.forecast('SATD_4x4', 0, expected=256.0); "
+            "rt.forecast('DCT_4x4', 0, expected=24.0); "
+            "assert rt.stats.replans == 2; "
+            "assert isinstance(repro.core.backend._kernel, "
+            "repro.core.NumpyBackend); "
+            "assert 'numpy' not in sys.modules; "
+            "repro.core.pareto_front_of(rt.library.get('SATD_4x4')); "
+            "assert 'numpy' in sys.modules"
         )
         subprocess.run([sys.executable, "-c", probe], check=True)
 

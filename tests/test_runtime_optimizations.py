@@ -256,3 +256,45 @@ class TestOptimizedRuntimeEquivalence:
         rt.advance(done + 1_000_000)  # fast path: nothing can change
         assert len(rt.trace) == events
         assert rt.si_mode("HT", done + 1_000_000) != "SW"
+
+
+class TestLibraryProjectionsComputedOnce:
+    """The library is immutable: its reconfigurable kinds, baseline and
+    implementation projections are computed at construction, never per
+    replan or per dispatch miss."""
+
+    def test_replans_do_not_recompute_the_kind_set(
+        self, library, monkeypatch
+    ):
+        from repro.core import AtomCatalogue
+
+        runtime = RisppRuntime(library, 6, core_mhz=100.0)
+        calls = []
+        original = AtomCatalogue.reconfigurable_names
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(AtomCatalogue, "reconfigurable_names", counting)
+        now = 0
+        replans = []
+        for step in range(12):
+            # Drifting weights: every forecast is a real replan.
+            runtime.forecast("SATD_4x4", now, expected=16.0 * (step + 1))
+            runtime.forecast("DCT_4x4", now, expected=24.0 / (step + 1))
+            for si, count in H264_MACROBLOCK_CALLS:
+                for _ in range(count):
+                    now += runtime.execute_si(si, now)
+            replans.append((runtime.stats.replans, len(calls)))
+        assert replans[-1][0] >= replans[0][0] + 10
+        assert replans[-1][1] == replans[0][1] == 0
+
+    def test_projections_are_shared_objects(self, library):
+        impl = library.get("SATD_4x4").implementations[-1]
+        assert library.baseline_molecule() is library.baseline_molecule()
+        projected = library.restricted_to_reconfigurable(impl.molecule)
+        assert projected is library.restricted_to_reconfigurable(impl.molecule)
+        assert projected == impl.molecule.restricted_to(
+            library.catalogue.reconfigurable_names()
+        )
