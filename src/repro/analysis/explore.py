@@ -39,6 +39,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..commands import Command, Execute, Forecast, ForecastEnd, apply
 from ..core.atom import AtomCatalogue, AtomKind
 from ..core.library import SILibrary
 from ..core.si import MoleculeImpl, SpecialInstruction
@@ -57,10 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hardware.reconfig import RotationJob
     from ..obs import MetricRegistry
 
-#: An action of the explored transition system, as a plain tuple:
-#: ``("forecast", si)`` / ``("forecast_end", si)`` / ``("exec", si)`` /
-#: ``("tick",)`` / ``("fault", kind_value, container)``.
-Action = tuple[str | int, ...]
+#: An action of the explored transition system: a runtime command
+#: (:class:`Forecast`, :class:`ForecastEnd` or :class:`Execute` of one
+#: SI for task ``main``), or one of the explorer's own two, ``("tick",)``
+#: and ``("fault", kind_value, container)``.
+Action = Command | tuple[str | int, ...]
 
 #: Memoization key for a machine state (nested value tuples, hash-stable).
 StateKey = tuple[object, ...]
@@ -278,7 +280,7 @@ def _replay(scope: ExploreScope, mutator: Mutator | None, actions: Iterable[Acti
     """A fresh world with ``actions`` applied (assumes they are enabled)."""
     world = _build_world(scope, mutator)
     for action in actions:
-        _apply(world, action, scope)
+        _apply(world, action)
     return world
 
 
@@ -325,44 +327,42 @@ def _enabled_actions(
     actions: list[Action] = []
     for si_name in rt.library.names():
         forecasts, ends, execs = scope.budgets_of(si_name)
+        fire = Forecast(si_name, expected=scope.expected_of(si_name))
+        end = ForecastEnd(si_name)
+        run = Execute(si_name)
         active = ("main", si_name) in rt._active
-        if not active and counts.get(("forecast", si_name), 0) < forecasts:
-            actions.append(("forecast", si_name))
-        if active and counts.get(("forecast_end", si_name), 0) < ends:
-            actions.append(("forecast_end", si_name))
-        if counts.get(("exec", si_name), 0) < execs:
-            actions.append(("exec", si_name))
+        if not active and counts.get(fire, 0) < forecasts:
+            actions.append(fire)
+        if active and counts.get(end, 0) < ends:
+            actions.append(end)
+        if counts.get(run, 0) < execs:
+            actions.append(run)
     if counts.get(("tick",), 0) < scope.tick_budget and _next_interesting(world) is not None:
         actions.append(("tick",))
-    faults_used = sum(n for a, n in counts.items() if a[0] == "fault")
+    faults_used = sum(
+        n for a, n in counts.items() if isinstance(a, tuple) and a[0] == "fault"
+    )
     if faults_used < scope.fault_budget:
         for kind_value, container in scope.fault_actions:
             actions.append(("fault", kind_value, container))
     return actions
 
 
-def _apply(world: _World, action: Action, scope: ExploreScope) -> None:
+def _apply(world: _World, action: Action) -> None:
     """Fire one action; the world ends fully advanced to its new cycle."""
     rt = world.runtime
-    kind = action[0]
-    if kind == "forecast":
-        rt.forecast(action[1], world.now, expected=scope.expected_of(action[1]))
-    elif kind == "forecast_end":
-        rt.forecast_end(action[1], world.now)
-    elif kind == "exec":
-        world.now += rt.execute_si(action[1], world.now)
-    elif kind == "tick":
+    if action == ("tick",):
         target = _next_interesting(world)
         if target is None:  # pragma: no cover - guarded by _enabled_actions
             return
         world.now = target
-    elif kind == "fault":
+    elif isinstance(action, tuple):  # ("fault", kind_value, container)
         assert rt._faults is not None
         rt._faults.schedule_fault(
             FaultEvent(world.now, FaultKind(action[1]), action[2])
         )
-    else:  # pragma: no cover - authoring error
-        raise ValueError(f"unknown action {action!r}")
+    else:
+        world.now += apply(rt, action, world.now) or 0
     # Normalise: rotations *starting* at the current cycle are processed
     # (``forecast`` replans after its internal advance, so a job issued
     # "now" would otherwise sit unstarted and every observer — the state
@@ -371,12 +371,11 @@ def _apply(world: _World, action: Action, scope: ExploreScope) -> None:
     rt.advance(world.now)
 
 
-def _count(counts: dict[Action, int], action: Action) -> dict[Action, int]:
-    # Faults share one budget regardless of kind/target.
-    key: Action = ("fault", action[1], action[2]) if action[0] == "fault" else action
-    bumped = dict(counts)
-    bumped[key] = bumped.get(key, 0) + 1
-    return bumped
+def _spell(action: Action) -> list[Any]:
+    """An action as JSON: a command as its journal ``[op, args]``."""
+    if isinstance(action, tuple):
+        return list(action)
+    return [action.op, dict(vars(action))]
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +679,8 @@ def _violating_prefix(
     for action in actions:
         if action not in _enabled_actions(world, scope, counts):
             return None
-        _apply(world, action, scope)
-        counts = _count(counts, action)
+        _apply(world, action)
+        counts = counts | {action: counts.get(action, 0) + 1}
         done.append(action)
         if violated():
             return tuple(done)
@@ -786,7 +785,7 @@ class ExploreResult:
                 {
                     "rule": cx.rule_id,
                     "message": cx.message,
-                    "actions": [list(a) for a in cx.actions],
+                    "actions": [_spell(a) for a in cx.actions],
                     "verified_rule_ids": list(cx.verified_rule_ids),
                 }
                 for cx in self.counterexamples
@@ -851,7 +850,7 @@ def explore(
     root_counts: dict[Action, int] = {}
     # A state's key: its cycle, the runtime's declared ``state`` slots, and
     # the budgets used (equal machines with other budgets admit other suffixes).
-    root_key = (root.now, fingerprint(root.runtime), ())
+    root_key = (root.now, fingerprint(root.runtime), frozenset())
     visited = {root_key}
     frontier: deque[
         tuple[_World, tuple[Action, ...], dict[Action, int], StateKey]
@@ -891,9 +890,9 @@ def explore(
                 child = world  # the popped world is free to mutate now
             else:
                 child = _fork(sc, mutator, world, path)
-            _apply(child, action, sc)
-            child_counts = _count(counts, action)
-            child_key = (child.now, fingerprint(child.runtime), tuple(sorted(child_counts.items())))
+            _apply(child, action)
+            child_counts = counts | {action: counts.get(action, 0) + 1}
+            child_key = (child.now, fingerprint(child.runtime), frozenset(child_counts.items()))
             if child_key in visited:
                 deduplicated += 1
                 m_dedup.inc()
@@ -927,7 +926,7 @@ def explore(
         golden["explore"] = {
             "scope": sc.name,
             "rule": rule_id,
-            "actions": [list(a) for a in actions],
+            "actions": [_spell(a) for a in actions],
         }
         verified: tuple[str, ...] = ()
         if cross_verify:
@@ -947,7 +946,7 @@ def explore(
                 message,
                 subject=f"explore-{sc.name}",
                 location=f"after {len(actions)} action(s)",
-                actions=[list(a) for a in actions],
+                actions=[_spell(a) for a in actions],
                 verified_rule_ids=list(verified),
             )
         )

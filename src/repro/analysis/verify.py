@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from collections.abc import Sequence
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..core.library import SILibrary
@@ -246,34 +247,28 @@ def _scenario_synthetic(*, quick: bool) -> "RisppRuntime":
     ``repro verify --suite synthetic`` run, and ``TestMutatedPort`` in
     ``tests/test_analysis_verify.py`` relies on that.
     """
-    from ..runtime.manager import RisppRuntime
-    from ..sim.suites import suite_library
+    from ..commands import Advance, FailContainer, ForecastEnd
+    from ..sim.suites import run_si_stream, si_stream, suite_library
+    from ..sim.task import Compute
 
-    runtime = RisppRuntime(
-        suite_library("synthetic"), 5, core_mhz=100.0,
-        energy_model=EnergyModel(),
-    )
     forecasts = [("SI0", 16.0), ("SI1", 8.0), ("SI2", 4.0), ("SI3", 2.0)]
     blocks = [("SI0", 16), ("SI1", 8), ("SI2", 4), ("SI3", 2)]
     rounds = 6 if quick else 12
-    now = 10_000
-    for round_no in range(rounds):
-        for si_name, expected in forecasts:
-            runtime.forecast(si_name, now, expected=expected)
-        for si_name, calls in blocks:
-            for _ in range(calls):
-                now += runtime.execute_si(si_name, now)
-        if round_no == rounds // 2:
-            # Fault injection: the dropped/resequenced port queue and the
-            # replacement rotations must all verify too.
-            runtime.fail_container(1, now)
-            now += 1_000
-        # Inter-round gap sized so rotations (~58k-87k cycles each on the
-        # serial port) land mid-run and the SW -> HW upgrade is exercised.
-        now += 60_000
-    runtime.forecast_end("SI3", now)
-    runtime.advance(now + 10_000_000)
-    return runtime
+    # The inter-round gap is sized so rotations (~58k-87k cycles each on
+    # the serial port) land mid-run and the SW -> HW upgrade is exercised.
+    stream = partial(si_stream, forecasts, blocks, inter_block_cycles=60_000)
+    faulted = rounds // 2 + 1  # rounds up to and including the faulted one
+    script = stream(rounds=faulted, warmup_cycles=10_000)
+    # Container 1 fails after the middle round's SIs, before its gap: the
+    # dropped/resequenced port queue and the replacement rotations must
+    # all verify too.
+    script[-1:-1] = [FailContainer(1), Compute(1_000)]
+    script += stream(rounds=rounds - faulted, warmup_cycles=0)
+    script += [ForecastEnd("SI3"), Compute(10_000_000), Advance()]
+    return run_si_stream(
+        suite_library("synthetic"), script, containers=5,
+        energy_model=EnergyModel(),
+    )
 
 
 def run_verify_suite(

@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
     from .encoder import (
         CHROMA_SI_COUNTS,
-        CORE_OVERHEAD_CYCLES,
         LUMA_SI_COUNTS,
         EncodedMacroblock,
         EncoderPipeline,
@@ -84,6 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scenario import build_scenario_library, run_fig6_scenario
     from .sequence import FrameStats, SequenceReport, encode_sequence
     from .sis import (
+        CORE_OVERHEAD_CYCLES,
         REFERENCE_CONFIGS,
         SOFTWARE_CYCLES,
         TABLE2,
@@ -130,7 +130,7 @@ _HOMES: dict[str, str] = {
             "serialize_intra_frame"
         )),
         ("encoder", (
-            "CHROMA_SI_COUNTS CORE_OVERHEAD_CYCLES LUMA_SI_COUNTS "
+            "CHROMA_SI_COUNTS LUMA_SI_COUNTS "
             "EncodedMacroblock EncoderPipeline macroblock_cycles"
         )),
         ("entropy", "block_bits decode_block encode_block macroblock_bits"),
@@ -152,7 +152,7 @@ _HOMES: dict[str, str] = {
         ("scenario", "build_scenario_library run_fig6_scenario"),
         ("sequence", "FrameStats SequenceReport encode_sequence"),
         ("sis", (
-            "REFERENCE_CONFIGS SOFTWARE_CYCLES TABLE2 "
+            "CORE_OVERHEAD_CYCLES REFERENCE_CONFIGS SOFTWARE_CYCLES TABLE2 "
             "available_atoms_for_config build_h264_catalogue "
             "build_h264_library si_cycles_for_config"
         )),

@@ -32,6 +32,7 @@ from .atoms import (
     si_satd_4x4,
 )
 from .blocks import split_into_4x4
+from .sis import CORE_OVERHEAD_CYCLES
 from .transforms import dc_coefficients, residual
 from .workload import MacroblockData
 
@@ -40,12 +41,6 @@ from .workload import MacroblockData
 LUMA_SI_COUNTS: dict[str, int] = {"SATD_4x4": 256, "DCT_4x4": 16, "HT_4x4": 1}
 #: Additional chroma invocations: 2 components x 4 DCT + 2 x HT_2x2.
 CHROMA_SI_COUNTS: dict[str, int] = {"DCT_4x4": 8, "HT_2x2": 2}
-
-#: Non-SI core cycles per macroblock (loop control, candidate compare,
-#: quality manager, addressing).  Calibrated once so that the pure-software
-#: luma pipeline totals the paper's 201,065 cycles/MB:
-#: 201_065 - (256*544 + 16*488 + 298) = 53_695.
-CORE_OVERHEAD_CYCLES = 53_695
 
 
 @dataclass

@@ -16,7 +16,7 @@ in software) so the bench can show the Amdahl ceiling lifting.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ...core.atom import AtomCatalogue, AtomKind
 from ...core.library import SILibrary
@@ -24,8 +24,10 @@ from ...core.library import SILibrary
 from ...core.molgen import generate_si
 from ...core.schedule import layered_dataflow
 from ...core.si import SpecialInstruction
-from .encoder import CORE_OVERHEAD_CYCLES
-from .sis import SOFTWARE_CYCLES, TABLE2, _impls, build_h264_catalogue
+from .sis import CORE_OVERHEAD_CYCLES, SOFTWARE_CYCLES, TABLE2, _impls, build_h264_catalogue
+
+if TYPE_CHECKING:  # the pixel kernels import numpy when they run
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Functional kernels
@@ -45,6 +47,7 @@ def sixtap_half_pel(samples) -> int:
 
     ``b = (E - 5F + 20G + 20H - 5I + J + 16) >> 5``, clipped to 0..255.
     """
+    import numpy as np
     arr = np.asarray(samples, dtype=np.int64)
     if arr.shape != (6,):
         raise ValueError("the 6-tap filter needs exactly six samples")
@@ -58,6 +61,7 @@ def interpolate_half_pel_row(row) -> np.ndarray:
     ``row`` has ``n + 5`` integer pixels; the result has ``n`` half-pel
     samples, one between each central pixel pair.
     """
+    import numpy as np
     arr = np.asarray(row, dtype=np.int64)
     if arr.size < 6:
         raise ValueError("need at least six samples for one half-pel value")
@@ -74,6 +78,7 @@ def mc_half_pel_block(padded_block) -> np.ndarray:
     samples — one MC_HPEL SI call covers one such block (Fig. 1's MC hot
     spot operates per prediction block).
     """
+    import numpy as np
     arr = np.asarray(padded_block, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != 4 or arr.shape[1] < 6:
         raise ValueError("expected a 4 x (w+5) padded block")
@@ -89,6 +94,7 @@ def deblock_edge(p, q, *, alpha: int = 40, beta: int = 20) -> tuple[np.ndarray, 
     bs<4 filter shape; otherwise the edge is a real feature and is left
     untouched.
     """
+    import numpy as np
     p = np.asarray(p, dtype=np.int64).copy()
     q = np.asarray(q, dtype=np.int64).copy()
     if p.shape != (4,) or q.shape != (4,):
@@ -110,6 +116,7 @@ def deblock_edge(p, q, *, alpha: int = 40, beta: int = 20) -> tuple[np.ndarray, 
 
 def deblock_block_edge(p_cols, q_cols, **thresholds):
     """Deblock the four pixel rows crossing one 4x4-block edge."""
+    import numpy as np
     p_cols = np.asarray(p_cols, dtype=np.int64)
     q_cols = np.asarray(q_cols, dtype=np.int64)
     if p_cols.shape != (4, 4) or q_cols.shape != (4, 4):

@@ -125,6 +125,12 @@ TABLE2: dict[str, list[tuple[tuple[int, int, int, int, int, int, int], int]]] = 
     ],
 }
 
+#: Non-SI core cycles per macroblock (loop control, candidate compare,
+#: quality manager, addressing).  Calibrated once so that the pure-software
+#: luma pipeline totals the paper's 201,065 cycles/MB:
+#: 201_065 - (256*544 + 16*488 + 298) = 53_695.
+CORE_OVERHEAD_CYCLES = 53_695
+
 #: Optimised-software latencies (Fig. 11's "Opt. SW" bars; HT_2x2 and SAD
 #: are not plotted there and use consistent estimates).
 SOFTWARE_CYCLES: dict[str, int] = {

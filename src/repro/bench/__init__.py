@@ -1,18 +1,7 @@
-"""``repro.bench`` — the seeded scenario inputs shared across the repo.
+"""``repro.bench`` — the seeded scenario inputs ``perf/`` imports.
 
-The shipped suites (:mod:`repro.sim.suites`), the tests and ``perf/``
-all drive the runtime with these: the Fig. 7 macroblock call mix, the
-forecast-then-execute SI stream, the small synthetic library, and the
-trace signature two runs are compared by.  Wall-time measurement lives
-in ``perf/`` (``python3 -m perf run``).
+:mod:`.suites` holds the Fig. 7 macroblock call mix and the small
+synthetic library, :mod:`.harness` the trace signature two runs are
+compared by.  The stream loop is :func:`repro.sim.suites.run_si_stream`;
+wall-time measurement lives in ``perf/`` (``python3 -m perf run``).
 """
-
-from .harness import trace_signature
-from .suites import H264_MACROBLOCK_CALLS, build_synthetic_library, run_si_stream
-
-__all__ = [
-    "H264_MACROBLOCK_CALLS",
-    "build_synthetic_library",
-    "run_si_stream",
-    "trace_signature",
-]

@@ -1,11 +1,10 @@
 """Seeded scenario inputs of the shipped suites (:mod:`repro.sim.suites`),
-the tests and the ``perf/`` benchmark.
+the tests and the ``perf/`` benchmark.  The stream loop that drives them
+is :func:`repro.sim.suites.run_si_stream`.
 
 * :data:`H264_MACROBLOCK_CALLS` — the SI calls of one encoded H.264
   macroblock (256 SATD + 24 DCT + 1 HT_4x4 + 2 HT_2x2, the Fig. 7
   invocation structure).
-* :func:`run_si_stream` — fires loop-head forecasts, then executes an SI
-  stream through :class:`RisppRuntime`.
 * :func:`build_synthetic_library` — a small generated library shaped
   like the case studies.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 from ..core.atom import AtomCatalogue, AtomKind
 from ..core.library import SILibrary
 from ..core.si import MoleculeImpl, SpecialInstruction
-from ..runtime.manager import RisppRuntime
 
 #: Fig. 7 invocation structure: SI calls of one encoded macroblock.
 H264_MACROBLOCK_CALLS = (
@@ -24,48 +22,6 @@ H264_MACROBLOCK_CALLS = (
     ("HT_4x4", 1),
     ("HT_2x2", 2),
 )
-
-
-def run_si_stream(
-    library: SILibrary,
-    forecasts: list[tuple[str, float]],
-    blocks: list[tuple[str, int]],
-    *,
-    containers: int,
-    block_rounds: int,
-    warmup_cycles: int = 700_000,
-    inter_block_cycles: int = 5_000,
-    energy_model=None,
-    fault_injector=None,
-    metrics=None,
-    wrap=None,
-) -> RisppRuntime:
-    """Fire the loop-head forecasts, then execute the SI stream.
-
-    Forecasts re-fire at every block round — the paper's FC points sit at
-    the loop head and fire on each entry.  Rotations land while the first
-    rounds still execute (the gradual SW -> HW upgrade of Fig. 6); once
-    the monitor's fine-tuned expectations match the observed per-round
-    counts, the re-firings become steady-state no-op replans (the replan
-    skip cache's main prey).
-    """
-    rt = RisppRuntime(
-        library, containers, core_mhz=100.0, energy_model=energy_model,
-        faults=fault_injector, metrics=metrics,
-    )
-    if wrap is not None:
-        # Recovery hook (repro.recovery): journals the stream so the run
-        # can be killed at any command boundary and resumed.
-        rt = wrap(rt)
-    now = warmup_cycles
-    for _ in range(block_rounds):
-        for si_name, expected in forecasts:
-            rt.forecast(si_name, now, expected=expected)
-        for si_name, calls in blocks:
-            for _ in range(calls):
-                now += rt.execute_si(si_name, now)
-        now += inter_block_cycles
-    return rt
 
 
 def build_synthetic_library(

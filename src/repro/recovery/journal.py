@@ -16,30 +16,55 @@ process at any point therefore leaves one of two states on disk:
 A torn write can only damage the *last* line (appends are sequential),
 so the reader discards a corrupt or partial final record — it was never
 acknowledged — while corruption anywhere earlier, a CRC mismatch on an
-interior line, or a sequence-number gap is a real integrity failure and
-raises :class:`RecoveryError`.
+interior line, an interior record whose ``args`` do not fit its ``op``
+(it decodes to no command), or a sequence-number gap is a real integrity
+failure and raises :class:`RecoveryError`.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Callable, ClassVar, get_args, get_type_hints
+
+from ..commands import COMMANDS, Command
 
 #: File name of the journal inside a recovery store directory.
 JOURNAL_NAME = "journal.jsonl"
 
+#: Journaled state queries: everything a driver may need to read back
+#: from the runtime while steering a scenario.
+QUERIES: dict[str, Callable[[Any], Any]] = {
+    "last_cycle": lambda rt: rt.trace.last_cycle,
+    "port_idle": lambda rt: rt.port.is_idle(),
+    "open_episodes": lambda rt: (
+        rt._faults.open_episodes() if rt._faults is not None else 0
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Query:
+    """A journaled state read: the recovery-local sixth journal op."""
+
+    op: ClassVar[str] = "query"
+    name: str
+
+    def __post_init__(self) -> None:
+        if self.name not in QUERIES:
+            raise ValueError(f"unknown runtime query {self.name!r}")
+
+
+#: What a journal line's ``op`` decodes to: the runtime commands + queries.
+_RECORD_TYPES: dict[str, type[Command | Query]] = {**COMMANDS, Query.op: Query}
+
 #: The replayable command surface (see ``docs/recovery.md``).
-JOURNAL_OPS = (
-    "advance",
-    "execute_si",
-    "fail_container",
-    "forecast",
-    "forecast_end",
-    "query",
-)
+JOURNAL_OPS = tuple(sorted(_RECORD_TYPES))
+
+#: Each op's ``args`` types: its command's field annotations.
+_ARG_HINTS = {op: get_type_hints(kind) for op, kind in _RECORD_TYPES.items()}
 
 
 class RecoveryError(Exception):
@@ -56,20 +81,19 @@ class RecoveryError(Exception):
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One journaled command: ``op(args)`` issued at ``cycle``."""
+    """One journaled command, issued at ``cycle``; stored as its ``op`` and ``args``."""
 
     seq: int
     cycle: int
-    op: str
-    args: dict[str, Any]
+    command: Command | Query
 
     def payload(self) -> dict[str, Any]:
         """The CRC-covered portion of the serialized record."""
         return {
             "seq": self.seq,
             "cycle": self.cycle,
-            "op": self.op,
-            "args": dict(self.args),
+            "op": self.command.op,
+            "args": dict(vars(self.command)),
         }
 
 
@@ -96,6 +120,24 @@ def encode_record(record: JournalRecord) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
+def _decode_command(op: str, args: dict[str, Any]) -> Command | Query:
+    """The command ``op`` and ``args`` spell; ``ValueError`` when they do
+    not fit: an unknown op, a missing or unknown arg, or a mistyped one."""
+    kind = _RECORD_TYPES.get(op)
+    if kind is None:
+        raise ValueError(f"unknown journal op {op!r}")
+    names = sorted(f.name for f in fields(kind))
+    if sorted(args) != names:
+        raise ValueError(f"{op} args {sorted(args)} do not fit {names}")
+    for name, value in args.items():
+        types = get_args(_ARG_HINTS[op][name]) or (_ARG_HINTS[op][name],)
+        if float in types:  # a driver may pass a float field an int
+            types += (int,)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{op} arg {name!r} has the wrong type: {value!r}")
+    return kind(**args)
+
+
 def decode_line(line: str) -> JournalRecord:
     """Parse and CRC-check one journal line; ``ValueError`` when invalid."""
     data = json.loads(line)
@@ -106,13 +148,10 @@ def decode_line(line: str) -> JournalRecord:
         record = JournalRecord(
             seq=int(data["seq"]),
             cycle=int(data["cycle"]),
-            op=str(data["op"]),
-            args=dict(data["args"]),
+            command=_decode_command(str(data["op"]), dict(data["args"])),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed journal record: {exc}") from exc
-    if record.op not in JOURNAL_OPS:
-        raise ValueError(f"unknown journal op {record.op!r}")
     if crc != _crc(record.payload()):
         raise ValueError(f"journal CRC mismatch on seq {record.seq}")
     return record
@@ -174,9 +213,9 @@ class JournalWriter:
     def next_seq(self) -> int:
         return self._seq + 1
 
-    def append(self, cycle: int, op: str, args: dict[str, Any]) -> JournalRecord:
+    def append(self, cycle: int, command: Command | Query) -> JournalRecord:
         """Durably record one command *before* it is applied."""
-        record = JournalRecord(seq=self._seq + 1, cycle=cycle, op=op, args=args)
+        record = JournalRecord(seq=self._seq + 1, cycle=cycle, command=command)
         self._fh.write(encode_record(record) + "\n")
         self._fh.flush()
         self._seq = record.seq

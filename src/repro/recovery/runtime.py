@@ -1,14 +1,15 @@
 """The recoverable runtime: journaled commands + periodic snapshots.
 
 :class:`RecoverableRuntime` wraps a :class:`~repro.runtime.manager.RisppRuntime`
-and intercepts its command surface (``forecast`` / ``forecast_end`` /
-``execute_si`` / ``advance`` / ``fail_container`` plus journaled state
-*queries*).  Each command is appended to the write-ahead journal and
-flushed before it is applied; every ``checkpoint_every`` commands the
-whole world is snapshotted.  Killing the process at any command
-boundary — :class:`SimulatedCrash` simulates exactly that, deliberately
-*before* the journal append so the interrupted command is re-issued on
-resume — loses nothing.
+and intercepts its command surface: the five runtime inputs of
+:mod:`repro.commands` (``forecast`` / ``forecast_end`` / ``execute_si``
+/ ``advance`` / ``fail_container``) plus journaled state *queries*.
+Each command is appended to the write-ahead journal and flushed before
+it is applied; every ``checkpoint_every`` commands the whole world is
+snapshotted.  Killing the process at any command boundary —
+:class:`SimulatedCrash` simulates exactly that, deliberately *before*
+the journal append so the interrupted command is re-issued on resume —
+loses nothing.
 
 Resume has three phases.  First the newest usable snapshot is restored
 onto a freshly rebuilt scenario.  Second, journal records past the
@@ -32,12 +33,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
+from ..commands import Advance, Command, Execute, FailContainer, Forecast, ForecastEnd, apply
 from .journal import (
     JOURNAL_NAME,
+    QUERIES,
     JournalRecord,
     JournalWriter,
+    Query,
     RecoveryError,
     read_journal,
 )
@@ -52,17 +56,6 @@ from .snapshot import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runtime.manager import RisppRuntime
-
-#: Journaled state queries: everything a driver may need to read back
-#: from the runtime while steering a scenario.
-_QUERIES: dict[str, Callable[["RisppRuntime"], Any]] = {
-    "last_cycle": lambda rt: rt.trace.last_cycle,
-    "port_idle": lambda rt: rt.port.is_idle(),
-    "open_episodes": lambda rt: (
-        rt._faults.open_episodes() if rt._faults is not None else 0
-    ),
-}
-
 
 class SimulatedCrash(RuntimeError):
     """Seeded crash injection fired (``--crash-at``): the process "died".
@@ -92,7 +85,7 @@ def query(runtime: Any, name: str) -> Any:
     """
     if isinstance(runtime, RecoverableRuntime):
         return runtime.query(name)
-    return _QUERIES[name](runtime)
+    return QUERIES[name](runtime)
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,8 @@ class RecoveryPlan:
     """How a driver should attach recovery to the runtime it builds.
 
     Passed through ``run_chaos_suite(recovery=...)`` and the ``wrap=``
-    hook of ``run_si_stream``; :meth:`wrap` is the hook's callable.
+    hook of :func:`repro.sim.suites.run_si_stream`; :meth:`wrap` is the
+    hook's callable.
     """
 
     store: Path
@@ -219,6 +213,9 @@ class RecoverableRuntime:
         return getattr(self.__dict__["_rt"], name)
 
     # -- command surface --------------------------------------------------
+    # The runtime's five input methods, each journaled.  They must all be
+    # defined here: ``__getattr__`` would hand a missing one to the
+    # wrapped runtime unjournaled.
 
     def forecast(
         self,
@@ -229,54 +226,39 @@ class RecoverableRuntime:
         expected: float | None = None,
         priority: float = 1.0,
     ) -> None:
-        self._command(
-            "forecast",
-            now,
-            {
-                "si": si_name,
-                "task": task,
-                "expected": expected,
-                "priority": priority,
-            },
-        )
+        self._command(Forecast(si_name, task, expected, priority), now)
 
     def forecast_end(
         self, si_name: str, now: int, *, task: str = "main"
     ) -> None:
-        self._command("forecast_end", now, {"si": si_name, "task": task})
+        self._command(ForecastEnd(si_name, task), now)
 
     def execute_si(self, si_name: str, now: int, *, task: str = "main") -> int:
-        latency = self._command(
-            "execute_si", now, {"si": si_name, "task": task}
-        )
-        return int(latency)
+        return int(self._command(Execute(si_name, task), now))
 
     def advance(self, now: int) -> None:
-        self._command("advance", now, {})
+        self._command(Advance(), now)
 
     def fail_container(self, container_id: int, now: int) -> None:
-        self._command("fail_container", now, {"container": container_id})
+        self._command(FailContainer(container_id), now)
 
     def query(self, name: str) -> Any:
-        if name not in _QUERIES:
-            raise ValueError(f"unknown runtime query {name!r}")
-        return self._command("query", self._last_cycle, {"name": name})
+        return self._command(Query(name), self._last_cycle)
 
     def close(self) -> None:
         self._journal.close()
 
     # -- protocol ---------------------------------------------------------
 
-    def _command(self, op: str, cycle: int, args: dict[str, Any]) -> Any:
+    def _command(self, command: Command | Query, cycle: int) -> Any:
         if self._handoff_idx < len(self._handoff):
             record = self._handoff[self._handoff_idx]
-            issued = JournalRecord(seq=record.seq, cycle=cycle, op=op, args=args)
-            if record.payload() != issued.payload():
+            if (record.cycle, record.command) != (cycle, command):
                 raise RecoveryError(
                     f"resumed run diverged from the journal at seq "
-                    f"{record.seq}: journaled {record.op} at cycle "
-                    f"{record.cycle} with {record.args}, the driver issued "
-                    f"{op} at cycle {cycle} with {args}"
+                    f"{record.seq}: journaled {record.command!r} at cycle "
+                    f"{record.cycle}, the driver issued {command!r} at "
+                    f"cycle {cycle}"
                 )
             self._handoff_idx += 1
             self._last_cycle = cycle
@@ -285,7 +267,7 @@ class RecoverableRuntime:
             raise SimulatedCrash(
                 cycle=cycle, seq=self._journal.next_seq, store=self._store
             )
-        record = self._journal.append(cycle, op, args)
+        record = self._journal.append(cycle, command)
         self._m_journal.inc()
         result = self._apply(record)
         self._results.append(result)
@@ -295,32 +277,9 @@ class RecoverableRuntime:
         return result
 
     def _apply(self, record: JournalRecord) -> Any:
-        rt = self._rt
-        args = record.args
-        cycle = record.cycle
-        if record.op == "forecast":
-            rt.forecast(
-                args["si"],
-                cycle,
-                task=args["task"],
-                expected=args["expected"],
-                priority=args["priority"],
-            )
-            return None
-        if record.op == "forecast_end":
-            rt.forecast_end(args["si"], cycle, task=args["task"])
-            return None
-        if record.op == "execute_si":
-            return rt.execute_si(args["si"], cycle, task=args["task"])
-        if record.op == "advance":
-            rt.advance(cycle)
-            return None
-        if record.op == "fail_container":
-            rt.fail_container(args["container"], cycle)
-            return None
-        if record.op == "query":
-            return _QUERIES[args["name"]](rt)
-        raise RecoveryError(f"unknown journal op {record.op!r}")
+        if isinstance(record.command, Query):
+            return QUERIES[record.command.name](self._rt)
+        return apply(self._rt, record.command, record.cycle)
 
     def _checkpoint(self, seq: int) -> None:
         with self._m_snap_time.time():

@@ -1,5 +1,6 @@
 """Simulation substrate: program IR, interpreter, core model, tasks, trace."""
 
+from ..commands import Forecast, ForecastEnd
 from .executor import ExecutionResult, execute, profile_program
 from .integration import (
     AnnotatedRunResult,
@@ -9,16 +10,7 @@ from .integration import (
 )
 from .ir import Branch, Exit, IRBlock, Jump, Program
 from .processor import DEFAULT_COSTS, CoreModel
-from .task import (
-    Action,
-    Compute,
-    ExecuteSI,
-    Forecast,
-    ForecastEnd,
-    Label,
-    MultiTaskSimulator,
-    ScriptedTask,
-)
+from .task import Action, Compute, ExecuteSI, Label, MultiTaskSimulator, ScriptedTask
 from .trace import Event, EventKind, Trace
 
 __all__ = [

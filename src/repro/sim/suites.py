@@ -6,15 +6,22 @@
 
 The stream suites fire one loop-head forecast per SI and round, each
 predicting that round's call count exactly, and close every window at
-the last traced cycle.  Heavy imports sit inside the functions, so
-importing :data:`SUITES` loads no application or benchmark code.
+the last traced cycle.  A stream is a one-task script
+(:func:`si_stream`), and :func:`run_si_stream` is the one loop that
+drives a script against a fresh runtime.  Heavy imports sit inside the
+functions, so importing :data:`SUITES` loads no application or
+benchmark code.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
+
+from ..commands import Forecast
+from .task import Action, Compute, ExecuteSI, MultiTaskSimulator, ScriptedTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.library import SILibrary
@@ -80,19 +87,18 @@ def run_suite(
     }
     if name == "aes":
         return _run_aes(**runtime_kwargs)
-    from ..bench.suites import H264_MACROBLOCK_CALLS, run_si_stream
+    from ..bench.suites import H264_MACROBLOCK_CALLS
     from ..recovery import query
 
     library = suite_library(name)  # raises on an unknown suite
     containers, quick_rounds, full_rounds = _STREAMS[name]
     calls = H264_MACROBLOCK_CALLS if name == "h264" else _SYNTHETIC_CALLS
     forecasts = [(si_name, float(n)) for si_name, n in calls]
+    rounds = quick_rounds if quick else full_rounds
     runtime = run_si_stream(
         library,
-        forecasts,
-        list(calls),
+        si_stream(forecasts, calls, rounds=rounds),
         containers=containers,
-        block_rounds=quick_rounds if quick else full_rounds,
         **runtime_kwargs,
     )
     # Journaled state query: on a resumed run the underlying runtime is
@@ -101,6 +107,56 @@ def run_suite(
     for si_name, _ in forecasts:
         runtime.forecast_end(si_name, end)
     return SuiteRun(runtime)
+
+
+def si_stream(
+    forecasts: Iterable[tuple[str, float]],
+    blocks: Iterable[tuple[str, int]],
+    *,
+    rounds: int,
+    warmup_cycles: int = 700_000,
+    inter_block_cycles: int = 5_000,
+) -> list[Action]:
+    """The loop-head SI stream as a one-task script.
+
+    After ``warmup_cycles``, each round fires the ``(si, expected)``
+    forecasts (FC points sit at the loop head and fire on each entry),
+    executes each ``(si, calls)`` block and idles ``inter_block_cycles``.
+    Rotations land while the first rounds still execute (Fig. 6's
+    gradual SW -> HW upgrade); once the monitor's tuned expectations
+    match the observed counts, re-firings become skipped no-op replans.
+    """
+    one_round: list[Action] = [Forecast(si, expected=e) for si, e in forecasts]
+    one_round += [ExecuteSI(si, calls) for si, calls in blocks if calls > 0]
+    one_round.append(Compute(inter_block_cycles))
+    return [Compute(warmup_cycles), *one_round * rounds]
+
+
+def run_si_stream(
+    library: "SILibrary",
+    script: Iterable[Action],
+    *,
+    containers: int,
+    energy_model: Any = None,
+    fault_injector: Any = None,
+    metrics: Any = None,
+    wrap: "Callable[[RisppRuntime], Any] | None" = None,
+) -> Any:
+    """Run ``script`` as task ``main`` on a fresh 100 MHz runtime and
+    return it.  The keywords pass through to :class:`RisppRuntime`;
+    ``wrap`` is the recovery hook (:meth:`repro.recovery.RecoveryPlan.wrap`),
+    and its wrapper is what runs the script and is returned.
+    """
+    from ..runtime.manager import RisppRuntime
+
+    runtime: Any = RisppRuntime(
+        library, containers, core_mhz=100.0, energy_model=energy_model,
+        faults=fault_injector, metrics=metrics,
+    )
+    if wrap is not None:
+        runtime = wrap(runtime)
+    MultiTaskSimulator(runtime, [ScriptedTask("main", list(script))]).run()
+    return runtime
 
 
 def _run_aes(**runtime_kwargs: Any) -> SuiteRun:

@@ -2,8 +2,10 @@
 
 The Fig. 6 scenario interleaves two tasks on one core while they share
 the Atom Containers.  :class:`ScriptedTask` describes each task as a
-sequence of actions (compute, execute an SI n times, fire or end a
-forecast); :class:`MultiTaskSimulator` co-schedules the tasks against one
+sequence of actions: compute, execute an SI n times, a marker label, or
+one of the runtime commands of :mod:`repro.commands` (fire or end a
+forecast, advance the clock, lose a container);
+:class:`MultiTaskSimulator` co-schedules the tasks against one
 :class:`~repro.runtime.manager.RisppRuntime`, always advancing the task
 with the smallest local clock — a behavioural stand-in for the paper's
 quasi-parallel execution of Tasks A and B.
@@ -11,9 +13,10 @@ quasi-parallel execution of Tasks A and B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from ..commands import Advance, Execute, FailContainer, Forecast, ForecastEnd, apply
 from .trace import EventKind
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for typing
@@ -36,29 +39,15 @@ class ExecuteSI:
 
 
 @dataclass(frozen=True)
-class Forecast:
-    """Fire a forecast point for an SI."""
-
-    si_name: str
-    expected: float = 1.0
-    priority: float = 1.0
-
-
-@dataclass(frozen=True)
-class ForecastEnd:
-    """Declare an SI no longer needed."""
-
-    si_name: str
-
-
-@dataclass(frozen=True)
 class Label:
     """A named marker (the T0..T5 annotations of Fig. 6)."""
 
     name: str
 
 
-Action = Compute | ExecuteSI | Forecast | ForecastEnd | Label
+#: A script step.  A forecast command's ``task`` is filled in with the
+#: name of the task whose script holds it.
+Action = Compute | ExecuteSI | Label | Forecast | ForecastEnd | Advance | FailContainer
 
 
 @dataclass
@@ -103,10 +92,8 @@ class MultiTaskSimulator:
         action = task.actions[task.index]
         now = task.clock
         if isinstance(action, ExecuteSI):
-            cycles = self.runtime.execute_si(
-                action.si_name, task.clock, task=task.name
-            )
-            task.clock += cycles
+            command = Execute(action.si_name, task.name)
+            task.clock += apply(self.runtime, command, now)
             task.si_progress += 1
             if task.si_progress >= action.times:
                 task.si_progress = 0
@@ -117,16 +104,6 @@ class MultiTaskSimulator:
             if action.cycles < 0:
                 raise ValueError("compute cycles cannot be negative")
             task.clock += action.cycles
-        elif isinstance(action, Forecast):
-            self.runtime.forecast(
-                action.si_name,
-                now,
-                task=task.name,
-                expected=action.expected,
-                priority=action.priority,
-            )
-        elif isinstance(action, ForecastEnd):
-            self.runtime.forecast_end(action.si_name, now, task=task.name)
         elif isinstance(action, Label):
             self.labels[f"{task.name}:{action.name}"] = now
             # Drain rotation completions up to `now` first: the label is
@@ -136,8 +113,10 @@ class MultiTaskSimulator:
             self.runtime.trace.record(
                 now, EventKind.TASK_STEP, task=task.name, label=action.name
             )
-        else:  # pragma: no cover - exhaustive over Action
-            raise TypeError(f"unknown action {action!r}")
+        else:  # a runtime command; a forecast is the scripting task's
+            if isinstance(action, (Forecast, ForecastEnd)):
+                action = replace(action, task=task.name)
+            apply(self.runtime, action, now)
         return True
 
     def run(self, *, max_steps: int = 1_000_000) -> None:

@@ -13,6 +13,7 @@ Three layers of acceptance:
 
 import pytest
 
+from repro.commands import COMMANDS, Forecast
 from repro.analysis.explore import (
     SCOPES,
     ExploreScope,
@@ -229,6 +230,13 @@ class TestCounterexamples:
         assert cx.actions, "counterexample must retain at least one action"
         assert cx.golden["explore"]["rule"] == rule_id
         assert cx.golden["explore"]["scope"] == scope.name
+        spelled = cx.golden["explore"]["actions"]
+        assert len(spelled) == len(cx.actions)
+        for action, (op, *args) in zip(cx.actions, spelled):
+            if isinstance(action, tuple):  # the explorer's tick or fault
+                assert [op, *args] == list(action)
+            else:  # a runtime command, spelled as its journal op and args
+                assert COMMANDS[op](**args[0]) == action
         return cx
 
     def test_port_overlap_is_found_and_verifier_confirms(self):
@@ -313,7 +321,7 @@ class TestExplorerRegressions:
         # deadlock (MC005) and a dispatch mismatch (MC010).  _apply must
         # re-advance after every action.
         world = _build_world(SCOPES["tiny"], None)
-        _apply(world, ("forecast", "SI_A"), SCOPES["tiny"])
+        _apply(world, Forecast("SI_A", expected=4.0))
         nxt = _next_interesting(world)
         assert nxt is None or nxt > world.now
         for job in world.runtime.port.pending_jobs():
@@ -322,10 +330,10 @@ class TestExplorerRegressions:
     def test_structural_clone_is_independent(self):
         scope = SCOPES["tiny"]
         world = _build_world(scope, None)
-        _apply(world, ("forecast", "SI_A"), scope)
+        _apply(world, Forecast("SI_A", expected=scope.expected_of("SI_A")))
         twin = _World(runtime=clone(world.runtime), now=world.now)
         assert fingerprint(world.runtime) == fingerprint(twin.runtime)
-        _apply(twin, ("tick",), scope)
+        _apply(twin, ("tick",))
         assert fingerprint(world.runtime) != fingerprint(twin.runtime)
         # The original world did not advance with the clone.
         assert world.now < twin.now
@@ -335,9 +343,10 @@ class TestExplorerRegressions:
         # port._pending after a clone, or repair release breaks.
         scope = REPAIR_SCOPE
         world = _build_world(scope, None)
-        for action in (("forecast", "SI_A"), ("tick",),
-                       ("fault", FaultKind.TRANSIENT.value, 0), ("tick",)):
-            _apply(world, action, scope)
+        for action in (Forecast("SI_A", expected=scope.expected_of("SI_A")),
+                       ("tick",), ("fault", FaultKind.TRANSIENT.value, 0),
+                       ("tick",)):
+            _apply(world, action)
         twin = clone(world.runtime)
         inj = twin._faults
         pending = twin.port.pending_jobs()

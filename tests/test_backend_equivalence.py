@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.apps.aes import build_aes_library
 from repro.apps.h264 import build_extended_library, build_h264_library
-from repro.bench import trace_signature
-from repro.bench.suites import build_synthetic_library, run_si_stream
+from repro.bench.harness import trace_signature
+from repro.bench.suites import build_synthetic_library
 from repro.core import (
     AtomCatalogue,
     AtomKind,
@@ -42,7 +42,7 @@ from repro.core import (
 )
 from repro.core import backend as backend_mod
 from repro.faults import run_chaos_suite
-from repro.sim.suites import SUITES
+from repro.sim.suites import SUITES, run_si_stream, si_stream
 
 REFERENCE = ReferenceBackend()
 NUMPY = NumpyBackend()
@@ -339,8 +339,11 @@ class TestRuntimeTraceEquality:
         # later rounds really execute in hardware (Fig. 6's SW->HW ramp).
         with running_on(kernel):
             return run_si_stream(
-                mini_library, forecasts, blocks,
-                containers=4, block_rounds=3, inter_block_cycles=200_000,
+                mini_library,
+                si_stream(
+                    forecasts, blocks, rounds=3, inter_block_cycles=200_000
+                ),
+                containers=4,
             )
 
     def test_traces_identical(self, mini_library):

@@ -10,12 +10,13 @@ port's mid-write drop/abort resequencing).
 
 import pytest
 
-from repro.bench.suites import build_synthetic_library, run_si_stream
+from repro.bench.suites import build_synthetic_library
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.faults.injector import _Episode
 from repro.hardware import Fabric, ReconfigurationPort
 from repro.runtime import RisppRuntime
 from repro.sim import EventKind
+from repro.sim.suites import run_si_stream, si_stream
 
 
 @pytest.fixture()
@@ -278,10 +279,12 @@ class TestFaultDeterminism:
             injector = FaultInjector(FaultSchedule(list(schedule)))
             return run_si_stream(
                 library,
-                [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)],
-                [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
+                si_stream(
+                    [("SI0", 64.0), ("SI1", 16.0), ("SI2", 4.0), ("SI3", 1.0)],
+                    [("SI0", 64), ("SI1", 16), ("SI2", 4), ("SI3", 1)],
+                    rounds=6,
+                ),
                 containers=5,
-                block_rounds=6,
                 fault_injector=injector,
             )
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import verify_runtime
-from repro.bench.suites import build_synthetic_library, run_si_stream
+from repro.bench.suites import build_synthetic_library
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -25,6 +25,7 @@ from repro.faults import (
     FaultSchedule,
     static_repair_bound,
 )
+from repro.sim.suites import run_si_stream, si_stream
 
 CONTAINERS = 5
 ROUNDS = 4
@@ -37,10 +38,8 @@ _LIBRARY = build_synthetic_library()
 def _run(injector=None):
     return run_si_stream(
         _LIBRARY,
-        FORECASTS,
-        BLOCKS,
+        si_stream(FORECASTS, BLOCKS, rounds=ROUNDS),
         containers=CONTAINERS,
-        block_rounds=ROUNDS,
         fault_injector=injector,
     )
 

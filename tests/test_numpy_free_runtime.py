@@ -14,8 +14,9 @@ import subprocess
 import sys
 
 # The import lines of the benchmark's runtime workloads, then a macroblock
-# stream with replans, quick chaos on both numpy-free suites and a
-# checkpointed crash resumed under a RecoveryPlan.
+# stream with replans, the extended library's phase rotation, quick chaos
+# on both numpy-free suites and a checkpointed crash resumed under a
+# RecoveryPlan.
 RUNTIME_PROBE = r"""
 import json, sys, tempfile
 from pathlib import Path
@@ -23,7 +24,8 @@ from pathlib import Path
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 
-from repro.apps.h264 import build_h264_library
+from repro.apps.h264 import build_extended_library, build_h264_library
+from repro.apps.h264.phases import run_phase_rotation
 from repro.bench.suites import H264_MACROBLOCK_CALLS, build_synthetic_library
 from repro.bench.harness import trace_signature
 from repro.obs import MetricRegistry
@@ -50,6 +52,9 @@ for macroblock in range(4):
 out["stream"] = repr(trace_signature(runtime.trace.events))
 out["replans"] = runtime.stats.replans
 out["verified"] = verify_runtime(runtime, subject="h264-stream").ok()
+extended = build_extended_library()
+out["extended"] = sorted(extended.names())
+out["phases"] = repr(run_phase_rotation(frames=2, library=extended))
 
 def render(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -96,6 +101,7 @@ def test_runtime_paths_run_without_numpy_byte_identically():
     assert present.pop("numpy_loaded") is False
     assert blocked["replans"] >= 4
     assert blocked["verified"] is True
+    assert "MC_HPEL" in blocked["extended"]
     assert blocked["crashed"] is True
     assert blocked["resumed"] == blocked["synthetic"]
     assert blocked == present

@@ -5,11 +5,12 @@ import time
 
 import pytest
 
-from repro.bench import trace_signature
-from repro.bench.suites import build_synthetic_library, run_si_stream
+from repro.bench.harness import trace_signature
+from repro.bench.suites import build_synthetic_library
 from repro.obs import MetricRegistry
 from repro.runtime import RisppRuntime
 from repro.sim import EventKind
+from repro.sim.suites import run_si_stream, si_stream
 
 # The proven synthetic stream of the chaos suites: strong enough
 # loop-head forecasts that rotations land and executions upgrade to HW.
@@ -22,10 +23,8 @@ def instrumented():
     registry = MetricRegistry()
     runtime = run_si_stream(
         build_synthetic_library(),
-        FORECASTS,
-        BLOCKS,
+        si_stream(FORECASTS, BLOCKS, rounds=6),
         containers=5,
-        block_rounds=6,
         metrics=registry,
     )
     end = runtime.trace.last_cycle + 1
@@ -168,8 +167,8 @@ class TestTraceEquivalence:
 
         def run(metrics):
             return run_si_stream(
-                library, FORECASTS, BLOCKS,
-                containers=5, block_rounds=6, metrics=metrics,
+                library, si_stream(FORECASTS, BLOCKS, rounds=6),
+                containers=5, metrics=metrics,
                 fault_injector=FaultInjector(FaultSchedule(list(schedule))),
             )
 
@@ -183,12 +182,10 @@ class TestTraceEquivalence:
     def test_disabled_and_enabled_runs_are_trace_identical(self):
         library = build_synthetic_library()
         plain = run_si_stream(
-            library, FORECASTS, BLOCKS,
-            containers=5, block_rounds=4,
+            library, si_stream(FORECASTS, BLOCKS, rounds=4), containers=5,
         )
         instrumented_rt = run_si_stream(
-            library, FORECASTS, BLOCKS,
-            containers=5, block_rounds=4,
+            library, si_stream(FORECASTS, BLOCKS, rounds=4), containers=5,
             metrics=MetricRegistry(),
         )
         assert trace_signature(plain.trace) == trace_signature(

@@ -26,10 +26,12 @@ import pytest
 from repro.analysis import verify_runtime
 
 from repro.apps.h264 import build_h264_library
-from repro.bench import H264_MACROBLOCK_CALLS, run_si_stream, trace_signature
+from repro.bench.harness import trace_signature
+from repro.bench.suites import H264_MACROBLOCK_CALLS
 from repro.core import select_greedy
 from repro.hardware import Fabric, ReconfigurationPort
 from repro.runtime import RisppRuntime
+from repro.sim.suites import run_si_stream, si_stream
 
 
 @pytest.fixture()
@@ -201,8 +203,8 @@ UNCACHED_H264_TRACE_SHA256 = (
 
 def _h264_stream(library):
     return run_si_stream(
-        library, H264_FORECASTS, list(H264_MACROBLOCK_CALLS),
-        containers=6, block_rounds=3,
+        library, si_stream(H264_FORECASTS, H264_MACROBLOCK_CALLS, rounds=3),
+        containers=6,
     )
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.h264 import build_h264_library
-from repro.bench import trace_signature
+from repro.bench.harness import trace_signature
 from repro.bench.suites import H264_MACROBLOCK_CALLS, build_synthetic_library
 from repro.obs import MetricRegistry
 from repro.recovery import (
