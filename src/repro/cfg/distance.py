@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 
 from .graph import ControlFlowGraph
-from .probability import reach_probability_markov
+from .probability import eye, reach_probability_markov, solve
 from .scc import condense
 
 
@@ -72,16 +72,14 @@ def expected_distance(
     ``p(u->v) h(v) / h(u)``; the expected hitting cost then solves a
     linear system over blocks with ``h > 0``.
     """
-    import numpy as np
-
     target_set = set(targets)
     h = reach_probability_markov(cfg, target_set)
     ids = cfg.block_ids()
     transient = [b for b in ids if b not in target_set and h[b] > 0]
     index = {b: i for i, b in enumerate(transient)}
     n = len(transient)
-    a = np.eye(n)
-    rhs = np.zeros(n)
+    a = eye(n)
+    rhs = [0.0] * n
     for b in transient:
         i = index[b]
         for s in cfg.successors(b):
@@ -91,14 +89,14 @@ def expected_distance(
             step_cost = 0.0 if s in target_set else cfg.get(s).cycles
             rhs[i] += p_cond * step_cost
             if s in index:
-                a[i, index[s]] -= p_cond
-    solution = np.linalg.solve(a, rhs) if n else np.zeros(0)
+                a[i][index[s]] -= p_cond
+    solution = solve(a, rhs)
     result: dict[str, float] = {}
     for b in ids:
         if b in target_set:
             result[b] = 0.0
         elif b in index:
-            result[b] = float(max(solution[index[b]], 0.0))
+            result[b] = max(solution[index[b]], 0.0)
         else:
             result[b] = math.inf
     return result

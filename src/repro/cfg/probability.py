@@ -13,6 +13,9 @@ Two implementations of the same quantity:
 
 Both take branch probabilities from the profiled edge counts
 (:meth:`~repro.cfg.graph.ControlFlowGraph.edge_probability`).
+
+:func:`solve` is the dense linear solver behind every system in this
+package (reach probability, expected distance, expected executions).
 """
 
 from __future__ import annotations
@@ -23,6 +26,47 @@ from .graph import ControlFlowGraph
 from .scc import condense
 
 
+def eye(n: int) -> list[list[float]]:
+    """The ``n`` x ``n`` identity as row lists, the start of ``I - P``."""
+    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
+def solve(a: list[list[float]], rhs: list[float]) -> list[float]:
+    """Solve ``a x = rhs`` by Gaussian elimination with partial pivoting.
+
+    The pivot of column ``k`` is the first row with the largest ``abs``
+    (LAPACK's ``idamax`` choice); rows below it subtract multiplier
+    ``row[k] / pivot[k]`` times the pivot row, then back substitution
+    sums each row left to right.  On every ``I - P`` system the AES flow
+    solves this gives the same bits as LAPACK's ``dgesv`` (the pinned
+    AES digests hold it there); elsewhere the two agree to rounding.
+    ``a`` and ``rhs`` are consumed.  An exactly zero pivot means the
+    system is singular and raises :class:`ValueError`.
+    """
+    n = len(rhs)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0.0:
+            raise ValueError("singular linear system")
+        a[k], a[p] = a[p], a[k]
+        rhs[k], rhs[p] = rhs[p], rhs[k]
+        pivot = a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            m = row[k] / pivot[k]
+            for j in range(k + 1, n):
+                row[j] -= m * pivot[j]
+            rhs[i] -= m * rhs[k]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = rhs[i]
+        for j in range(i + 1, n):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
+
+
 def reach_probability_markov(
     cfg: ControlFlowGraph, targets: Iterable[str]
 ) -> dict[str, float]:
@@ -31,8 +75,6 @@ def reach_probability_markov(
     ``targets`` are absorbing with probability 1; exit blocks that are not
     targets absorb with probability 0.
     """
-    import numpy as np
-
     target_set = set(targets)
     for t in sorted(target_set):
         if t not in cfg:
@@ -43,8 +85,8 @@ def reach_probability_markov(
     ]
     index = {b: i for i, b in enumerate(transient)}
     n = len(transient)
-    a = np.eye(n)
-    rhs = np.zeros(n)
+    a = eye(n)
+    rhs = [0.0] * n
     for b in transient:
         i = index[b]
         for s in cfg.successors(b):
@@ -52,15 +94,15 @@ def reach_probability_markov(
             if s in target_set:
                 rhs[i] += p
             elif s in index:
-                a[i, index[s]] -= p
+                a[i][index[s]] -= p
             # else: non-target exit block, contributes 0.
-    solution = np.linalg.solve(a, rhs) if n else np.zeros(0)
+    solution = solve(a, rhs)
     result = {}
     for b in ids:
         if b in target_set:
             result[b] = 1.0
         elif b in index:
-            result[b] = float(min(max(solution[index[b]], 0.0), 1.0))
+            result[b] = min(max(solution[index[b]], 0.0), 1.0)
         else:
             result[b] = 0.0
     return result
@@ -118,14 +160,12 @@ def _solve_loop(
     where *in* edges stay inside the SCC and *out* edges leave it (their
     probabilities are already known from downstream SCCs).
     """
-    import numpy as np
-
     member_set = set(members)
     unknown = [m for m in members if m not in targets]
     index = {m: i for i, m in enumerate(unknown)}
     n = len(unknown)
-    a = np.eye(n)
-    rhs = np.zeros(n)
+    a = eye(n)
+    rhs = [0.0] * n
     for m in unknown:
         i = index[m]
         for s in cfg.successors(m):
@@ -133,12 +173,12 @@ def _solve_loop(
             if s in targets:
                 rhs[i] += p
             elif s in member_set:
-                a[i, index[s]] -= p
+                a[i][index[s]] -= p
             else:
                 rhs[i] += p * solved[s]
-    solution = np.linalg.solve(a, rhs) if n else np.zeros(0)
+    solution = solve(a, rhs)
     for m in members:
         if m in targets:
             solved[m] = 1.0
         else:
-            solved[m] = float(min(max(solution[index[m]], 0.0), 1.0))
+            solved[m] = min(max(solution[index[m]], 0.0), 1.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .distance import expected_distance, max_distance, min_distance
 from .graph import ControlFlowGraph
-from .probability import reach_probability_scc
+from .probability import eye, reach_probability_scc, solve
 
 
 def profile_from_trace(cfg: ControlFlowGraph, block_trace: list[str]) -> None:
@@ -39,26 +39,24 @@ def expected_si_executions(cfg: ControlFlowGraph, si_name: str) -> dict[str, flo
     this counts *how many* executions, so loops multiply usage by their
     expected trip count.
     """
-    import numpy as np
-
     ids = cfg.block_ids()
     index = {b: i for i, b in enumerate(ids)}
     n = len(ids)
-    a = np.eye(n)
-    rhs = np.zeros(n)
+    a = eye(n)
+    rhs = [0.0] * n
     for b in ids:
         i = index[b]
         rhs[i] = cfg.get(b).si_usages.get(si_name, 0)
         for s in cfg.successors(b):
-            a[i, index[s]] -= cfg.edge_probability(b, s)
+            a[i][index[s]] -= cfg.edge_probability(b, s)
     try:
-        solution = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
+        solution = solve(a, rhs)
+    except ValueError as exc:
         raise ValueError(
             "expected-execution system is singular; the profile implies a "
             "loop that never exits"
         ) from exc
-    return {b: float(max(solution[index[b]], 0.0)) for b in ids}
+    return {b: max(solution[index[b]], 0.0) for b in ids}
 
 
 @dataclass(frozen=True)

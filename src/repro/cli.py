@@ -668,6 +668,13 @@ def _chaos(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 3
+    except RecoveryError as exc:
+        if not resume:
+            raise
+        # Interior journal damage only shows once the run reads the
+        # journal: the store is as unusable as the ones rejected above.
+        print(f"chaos: --resume store is unusable: {exc}", file=sys.stderr)
+        return 2
     rendered_json = json.dumps(report, indent=2, sort_keys=True)
     if args.format == "json":
         print(rendered_json)

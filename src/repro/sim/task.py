@@ -92,9 +92,12 @@ class MultiTaskSimulator:
         action = task.actions[task.index]
         now = task.clock
         if isinstance(action, ExecuteSI):
-            command = Execute(action.si_name, task.name)
-            task.clock += apply(self.runtime, command, now)
-            task.si_progress += 1
+            if action.times < 0:
+                raise ValueError("SI execution count cannot be negative")
+            if task.si_progress < action.times:
+                command = Execute(action.si_name, task.name)
+                task.clock += apply(self.runtime, command, now)
+                task.si_progress += 1
             if task.si_progress >= action.times:
                 task.si_progress = 0
                 task.index += 1

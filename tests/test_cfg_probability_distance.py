@@ -1,7 +1,11 @@
 """Unit tests for reach probability, temporal distance and SI statistics."""
 
 import math
+import random
+import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.cfg import (
@@ -14,6 +18,7 @@ from repro.cfg import (
     reach_probability_markov,
     reach_probability_scc,
 )
+from repro.cfg.probability import eye, solve
 
 
 def branchy() -> ControlFlowGraph:
@@ -216,3 +221,98 @@ class TestCollectSIStats:
     def test_unknown_si_rejected(self):
         with pytest.raises(ValueError):
             collect_si_stats(branchy(), "NOPE")
+
+
+def absorbing_chain(rng: random.Random, n: int) -> list[list[float]]:
+    """``I - P`` of a random absorbing chain: every row exits w.p. >= 1/150."""
+    a = eye(n)
+    for i in range(n):
+        stay = 1.0 - rng.uniform(1 / 150, 0.5)
+        weights = [rng.random() if rng.random() < 0.7 else 0.0 for _ in range(n)]
+        total = sum(weights) or 1.0
+        for j, w in enumerate(weights):
+            a[i][j] -= stay * w / total
+    return a
+
+
+def exact_solve(a: list[list[float]], rhs: list[float]) -> list[Fraction]:
+    """Gauss-Jordan over the exact rationals the float entries denote."""
+    n = len(rhs)
+    m = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(a, rhs)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k] != 0)
+        m[k], m[p] = m[p], m[k]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k] / m[k][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def chains(count: int):
+    rng = random.Random(2007)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        yield absorbing_chain(rng, n), [rng.uniform(-10, 10) for _ in range(n)]
+
+
+class TestSolve:
+    """The CFG analyses' dense solver, with numpy as the oracle."""
+
+    def test_matches_numpy_on_absorbing_chains(self):
+        for a, rhs in chains(300):
+            expected = np.linalg.solve(np.array(a), np.array(rhs))
+            got = solve([row[:] for row in a], rhs[:])
+            # numpy's summation order is its BLAS's, so compare relatively.
+            assert got == pytest.approx(expected.tolist(), rel=1e-10, abs=1e-12)
+
+    def test_within_condition_number_ulps_of_exact(self):
+        for a, rhs in chains(100):
+            exact = exact_solve(a, rhs)
+            got = solve([row[:] for row in a], rhs[:])
+            cond = np.linalg.cond(np.array(a), np.inf)
+            scale = max(abs(float(x)) for x in exact)
+            bound = 4 * len(rhs) * sys.float_info.epsilon * cond * scale
+            for x, e in zip(got, exact):
+                assert abs(Fraction(x) - e) <= bound
+
+    def test_pivots_on_the_first_largest_entry(self):
+        # Without a row swap the first multiplier would be 1e20 and wipe
+        # out the 1.0 in the second row.
+        a = [[1e-20, 1.0], [1.0, 1.0]]
+        assert solve(a, [1.0, 2.0]) == pytest.approx([1.0, 1.0])
+
+    def test_empty_system(self):
+        assert solve([], []) == []
+
+    def test_zero_pivot_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            solve([[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0])
+
+
+def closed_loop() -> ControlFlowGraph:
+    """entry -(0.5)-> t ; entry -(0.5)-> a <-> b, a loop with no exit."""
+    cfg = ControlFlowGraph()
+    for b in ("entry", "t", "a", "b"):
+        cfg.block(b, cycles=1, si_usages={"S": 1} if b == "t" else None)
+    cfg.add_edge("entry", "t", count=1)
+    cfg.add_edge("entry", "a", count=1)
+    cfg.add_edge("a", "b", count=1)
+    cfg.add_edge("b", "a", count=1)
+    return cfg
+
+
+class TestSingularSystems:
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            lambda cfg: reach_probability_markov(cfg, ["t"]),
+            lambda cfg: reach_probability_scc(cfg, ["t"]),
+            lambda cfg: expected_distance(cfg, ["t"]),
+            lambda cfg: expected_si_executions(cfg, "S"),
+        ],
+        ids=["markov", "scc", "expected_distance", "expected_executions"],
+    )
+    def test_closed_loop_raises_value_error(self, analysis):
+        with pytest.raises(ValueError):
+            analysis(closed_loop())

@@ -1,10 +1,12 @@
-"""The h264 and synthetic runtime paths never load numpy.
+"""The runtime paths of all three suites never load numpy.
 
 Importing numpy adds ~13.5 MB of resident memory to a process (CPython
 3.11 on x86-64 Linux), and neither the runtime (selection, rotation,
-dispatch, trace, verification, chaos, checkpoints) nor the Table 2
-library needs it: only the AES flow's CFG solvers, the h264 pixel
-models, exhaustive enumeration and Pareto masks do.  Each probe runs in a fresh interpreter with numpy made unimportable
+dispatch, trace, verification, chaos, checkpoints), the Table 2 library
+nor the AES flow's CFG solvers (a pure-Python elimination in
+``repro.cfg.probability``) needs it: only the h264 pixel models,
+exhaustive enumeration and Pareto masks do.  Each probe runs in a fresh
+interpreter with numpy made unimportable
 (``sys.modules["numpy"] = None``) and must render the same bytes as the
 same probe run with numpy present.
 """
@@ -15,8 +17,8 @@ import sys
 
 # The import lines of the benchmark's runtime workloads, then a macroblock
 # stream with replans, the extended library's phase rotation, quick chaos
-# on both numpy-free suites and a checkpointed crash resumed under a
-# RecoveryPlan.
+# on all three suites, the quick AES verify golden and a checkpointed crash
+# resumed under a RecoveryPlan.
 RUNTIME_PROBE = r"""
 import json, sys, tempfile
 from pathlib import Path
@@ -30,7 +32,9 @@ from repro.bench.suites import H264_MACROBLOCK_CALLS, build_synthetic_library
 from repro.bench.harness import trace_signature
 from repro.obs import MetricRegistry
 from repro.runtime.manager import RisppRuntime
-from repro.analysis.verify import verify_runtime
+from repro.analysis.verify import (
+    golden_from_runtime, run_verify_suite, verify_runtime,
+)
 import repro.faults as faults
 from repro.recovery import RecoveryPlan, SimulatedCrash
 
@@ -59,10 +63,13 @@ out["phases"] = repr(run_phase_rotation(frames=2, library=extended))
 def render(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
-for suite in ("h264", "synthetic"):
+for suite in ("aes", "h264", "synthetic"):
     out[suite] = render(
         faults.run_chaos_suite(suite, seed=5, fault_rate=50.0, quick=True)
     )
+aes = run_verify_suite("aes", quick=True)
+out["aes_verified"] = aes.report.ok()
+out["aes_golden"] = render(golden_from_runtime(aes.runtime, suite=aes.suite))
 
 with tempfile.TemporaryDirectory() as tmp:
     store = Path(tmp) / "store"
@@ -101,6 +108,7 @@ def test_runtime_paths_run_without_numpy_byte_identically():
     assert present.pop("numpy_loaded") is False
     assert blocked["replans"] >= 4
     assert blocked["verified"] is True
+    assert blocked["aes_verified"] is True
     assert "MC_HPEL" in blocked["extended"]
     assert blocked["crashed"] is True
     assert blocked["resumed"] == blocked["synthetic"]

@@ -7,6 +7,7 @@ uninterrupted one.
 """
 
 import json
+import zlib
 
 import pytest
 
@@ -80,6 +81,37 @@ class TestArgumentValidation:
             main(["chaos", "--resume", str(store)])
         assert excinfo.value.code == 2
         assert "schema version 1" in capsys.readouterr().err
+
+    def test_resume_store_with_interior_journal_damage_exits_two(
+        self, tmp_path, capsys
+    ):
+        # A CRC-valid interior line whose args do not fit its op is only
+        # found when the run reads the journal; still exit 2, no traceback.
+        store = tmp_path / "store"
+        crash = ["--checkpoint-dir", str(store), "--crash-at", "1000000"]
+        assert main([*CHAOS, "--seed", "3", *crash]) == 3
+        journal = store / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        record = json.loads(lines[4])
+        assert record["op"] == "execute_si"
+        payload = {
+            "seq": record["seq"], "cycle": record["cycle"],
+            "op": record["op"], "args": {"task": "main"},
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        lines[4] = json.dumps(
+            {**payload, "crc": zlib.crc32(canonical.encode("utf-8"))},
+            sort_keys=True, separators=(",", ":"),
+        )
+        journal.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["chaos", "--resume", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "chaos: --resume store is unusable: journal corrupted at line 5"
+        )
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_recovery_error_during_the_run_is_not_a_usage_error(
         self, tmp_path, monkeypatch

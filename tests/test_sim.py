@@ -187,6 +187,20 @@ class TestMultiTaskSimulator:
         tasks_in_order = [e.task for e in execs]
         assert tasks_in_order != ["A"] * 3 + ["B"] * 3
 
+    def test_zero_times_executes_nothing(self, mini_library):
+        a = ScriptedTask("A", [ExecuteSI("HT", times=0)])
+        rt, sim = self.make_sim(mini_library, [a])
+        sim.run()
+        assert a.done() and a.clock == 0
+        assert rt.trace.of_kind(EventKind.SI_EXECUTED) == []
+
+    def test_negative_times_rejected(self, mini_library):
+        a = ScriptedTask("A", [ExecuteSI("HT", times=-1)])
+        rt, sim = self.make_sim(mini_library, [a])
+        with pytest.raises(ValueError, match="negative"):
+            sim.run()
+        assert rt.trace.of_kind(EventKind.SI_EXECUTED) == []
+
     def test_forecast_actions_reach_runtime(self, mini_library):
         a = ScriptedTask("A", [Forecast("HT", expected=9), Compute(10)])
         rt, sim = self.make_sim(mini_library, [a])
