@@ -27,104 +27,32 @@ already-constructed RISPP artifacts *without executing a simulation*:
 
 Entry points: the per-family ``lint_*`` helpers (each calls its
 family's ``check_*`` function directly), :func:`verify_trace` /
-:func:`verify_runtime` / :func:`prove_feasibility`, :func:`explore`,
-:func:`run_audit`, and ``python -m repro lint`` / ``python -m repro
-verify`` / ``python -m repro explore`` / ``python -m repro audit``.
-The rule catalogue is documented in ``docs/analysis.md``.
+:func:`verify_runtime` / :func:`prove_feasibility`,
+:func:`repro.analysis.explore.explore` (not re-exported: the package's
+``explore`` is the submodule), :func:`run_audit`, and ``python -m repro
+lint`` / ``python -m repro verify`` / ``python -m repro explore`` /
+``python -m repro audit``.  The rule catalogue is documented in
+``docs/analysis.md``.
 """
 
-from .audit import AuditResult, run_audit
-from .diagnostics import Diagnostic, DiagnosticReport, LintError, Severity
-from .explore import (
-    EXPLORE_SCOPES,
-    Counterexample,
-    ExploreResult,
-    ExploreScope,
-    build_explore_library,
-    explore,
-)
-from .feasibility import (
-    FeasibilityResult,
-    MoleculeFeasibility,
-    SIRotationBound,
-    port_backlog_bound,
-    prove_feasibility,
-    rotation_cycle_table,
-)
-from .lint import (
-    BUILTIN_SUBJECTS,
-    lint_builtin,
-    lint_cfg,
-    lint_flow,
-    lint_forecast,
-    lint_library,
-    lint_schedule,
-)
-from .machine import ReferenceMachine
-from .rules import (
-    RULES,
-    Rule,
-    diag,
-    expand_selectors,
-    families,
-    render_rule_list,
-    rule,
-    rules_of_family,
-)
-from .verify import (
-    GoldenTrace,
-    VerifyResult,
-    golden_from_runtime,
-    load_golden,
-    run_verify_suite,
-    verify_golden_result,
-    verify_runtime,
-    verify_trace,
-    write_golden,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "AuditResult",
-    "BUILTIN_SUBJECTS",
-    "Counterexample",
-    "Diagnostic",
-    "DiagnosticReport",
-    "EXPLORE_SCOPES",
-    "ExploreResult",
-    "ExploreScope",
-    "FeasibilityResult",
-    "GoldenTrace",
-    "LintError",
-    "MoleculeFeasibility",
-    "RULES",
-    "ReferenceMachine",
-    "Rule",
-    "SIRotationBound",
-    "Severity",
-    "VerifyResult",
-    "build_explore_library",
-    "diag",
-    "expand_selectors",
-    "explore",
-    "families",
-    "golden_from_runtime",
-    "lint_builtin",
-    "lint_cfg",
-    "lint_flow",
-    "lint_forecast",
-    "lint_library",
-    "lint_schedule",
-    "load_golden",
-    "port_backlog_bound",
-    "prove_feasibility",
-    "render_rule_list",
-    "rotation_cycle_table",
-    "rule",
-    "rules_of_family",
-    "run_audit",
-    "run_verify_suite",
-    "verify_golden_result",
-    "verify_runtime",
-    "verify_trace",
-    "write_golden",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "audit": "AuditResult run_audit",
+    "diagnostics": "Diagnostic DiagnosticReport LintError Severity",
+    "explore": "build_explore_library Counterexample EXPLORE_SCOPES ExploreResult ExploreScope",
+    "feasibility": (
+        "FeasibilityResult MoleculeFeasibility port_backlog_bound prove_feasibility "
+        "rotation_cycle_table SIRotationBound"
+    ),
+    "lint": (
+        "BUILTIN_SUBJECTS lint_builtin lint_cfg lint_flow lint_forecast lint_library "
+        "lint_schedule"
+    ),
+    "machine": "ReferenceMachine",
+    "rules": "diag expand_selectors families render_rule_list Rule rule RULES rules_of_family",
+    "verify": (
+        "golden_from_runtime GoldenTrace load_golden run_verify_suite verify_golden_result "
+        "verify_runtime verify_trace VerifyResult write_golden"
+    ),
+})

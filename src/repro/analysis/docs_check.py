@@ -90,7 +90,8 @@ def _surfaces(root: Path) -> tuple[Surface, ...]:
     """The documented surfaces, one row each."""
     from ..obs.catalogue import METRICS
     from ..runtime.events import EVENT_TYPES
-    from ..serve import ENDPOINTS, ScenarioRequest
+    from ..serve.daemon import ENDPOINTS
+    from ..serve.facade import ScenarioRequest
     from .rules import RULES
 
     metrics = frozenset(spec.full_name for spec in METRICS.values())

@@ -56,7 +56,7 @@ from .verify import golden_from_dict, golden_from_runtime, verify_golden
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hardware.reconfig import RotationJob
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
 
 #: An action of the explored transition system: a runtime command
 #: (:class:`Forecast`, :class:`ForecastEnd` or :class:`Execute` of one
@@ -837,7 +837,7 @@ def explore(
         stop_on_violation = mutator is not None
     cap = max_states if max_states is not None else sc.max_states
 
-    from ..obs import DISABLED
+    from ..obs.registry import DISABLED
 
     obs = metrics if metrics is not None else DISABLED
     states_counter = obs.counter("explore_states_total")

@@ -128,7 +128,7 @@ BUILTIN_SUBJECTS = ("h264", "aes")
 
 
 def _h264_artifacts(containers: int | None) -> DiagnosticReport:
-    from ..apps.h264 import build_h264_library
+    from ..apps.h264.sis import build_h264_library
     from ..core.schedule import layered_dataflow, list_schedule
 
     library = build_h264_library()
@@ -148,12 +148,8 @@ def _h264_artifacts(containers: int | None) -> DiagnosticReport:
 
 
 def _aes_artifacts(containers: int | None) -> DiagnosticReport:
-    from ..apps.aes import (
-        build_aes_library,
-        default_aes_fdfs,
-        profile_aes,
-    )
-    from ..forecast import run_forecast_pipeline
+    from ..apps.aes.blocks import build_aes_library, default_aes_fdfs, profile_aes
+    from ..forecast.pipeline import run_forecast_pipeline
 
     library = build_aes_library()
     report = lint_library(library, containers=containers, subject="library:aes")

@@ -1,55 +1,14 @@
 """AES-128 case study: cipher, IR program, SI library, Fig. 3 pipeline."""
 
-from .aes import (
-    BLOCK_BYTES,
-    KEY_BYTES,
-    ROUNDS,
-    decrypt_block,
-    encrypt_block,
-    encrypt_ecb,
-    expand_key,
-    gf_mul,
-    inv_mix_columns,
-    inv_shift_rows,
-    inv_sub_bytes,
-    mix_columns,
-    shift_rows,
-    sub_bytes,
-    xtime,
-)
-from .blocks import (
-    AES_SOFTWARE_CYCLES,
-    AESForecastReport,
-    aes_forecast_report,
-    build_aes_catalogue,
-    build_aes_library,
-    build_aes_program,
-    default_aes_fdfs,
-    profile_aes,
-)
+from ...exports import lazy_exports
 
-__all__ = [
-    "AES_SOFTWARE_CYCLES",
-    "AESForecastReport",
-    "BLOCK_BYTES",
-    "KEY_BYTES",
-    "ROUNDS",
-    "aes_forecast_report",
-    "build_aes_catalogue",
-    "build_aes_library",
-    "build_aes_program",
-    "decrypt_block",
-    "default_aes_fdfs",
-    "encrypt_block",
-    "encrypt_ecb",
-    "expand_key",
-    "gf_mul",
-    "inv_mix_columns",
-    "inv_shift_rows",
-    "inv_sub_bytes",
-    "mix_columns",
-    "profile_aes",
-    "shift_rows",
-    "sub_bytes",
-    "xtime",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aes": (
+        "BLOCK_BYTES decrypt_block encrypt_block encrypt_ecb expand_key gf_mul inv_mix_columns "
+        "inv_shift_rows inv_sub_bytes KEY_BYTES mix_columns ROUNDS shift_rows sub_bytes xtime"
+    ),
+    "blocks": (
+        "aes_forecast_report AES_SOFTWARE_CYCLES AESForecastReport build_aes_catalogue "
+        "build_aes_library build_aes_program default_aes_fdfs profile_aes"
+    ),
+})

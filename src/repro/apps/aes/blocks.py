@@ -26,13 +26,10 @@ from ...cfg.graph import ControlFlowGraph
 from ...core.atom import AtomCatalogue, AtomKind
 from ...core.library import SILibrary
 from ...core.si import MoleculeImpl, SpecialInstruction
-from ...forecast import (
-    FCCandidate,
-    ForecastAnnotation,
-    ForecastDecisionFunction,
-    determine_candidates,
-    run_forecast_pipeline,
-)
+from ...forecast.annotate import ForecastAnnotation
+from ...forecast.candidates import FCCandidate, determine_candidates
+from ...forecast.fdf import ForecastDecisionFunction
+from ...forecast.pipeline import run_forecast_pipeline
 from ...sim.executor import profile_program
 from ...sim.ir import Branch, Jump, Program
 from .aes import (

@@ -1,6 +1,8 @@
 """Baselines the paper compares against: fixed-SI ASIP and pure software."""
 
-from .asip import ExtensibleProcessor
-from .software import SoftwareProcessor
+from ..exports import lazy_exports
 
-__all__ = ["ExtensibleProcessor", "SoftwareProcessor"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "asip": "ExtensibleProcessor",
+    "software": "SoftwareProcessor",
+})

@@ -4,39 +4,15 @@ Everything the compile-time forecast pipeline (:mod:`repro.forecast`)
 needs to know about the application's basic-block structure and profile.
 """
 
-from .dominators import (
-    common_dominator,
-    dominates,
-    dominators_of,
-    forecast_covers_usage,
-    immediate_dominators,
-)
-from .distance import expected_distance, max_distance, min_distance
-from .graph import BasicBlock, ControlFlowGraph, Edge
-from .probability import reach_probability_markov, reach_probability_scc
-from .profile import SIStats, collect_si_stats, expected_si_executions, profile_from_trace
-from .scc import Condensation, SCCNode, condense, strongly_connected_components
+from ..exports import lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "Condensation",
-    "ControlFlowGraph",
-    "Edge",
-    "SCCNode",
-    "SIStats",
-    "collect_si_stats",
-    "common_dominator",
-    "condense",
-    "dominates",
-    "dominators_of",
-    "expected_distance",
-    "expected_si_executions",
-    "forecast_covers_usage",
-    "immediate_dominators",
-    "max_distance",
-    "min_distance",
-    "profile_from_trace",
-    "reach_probability_markov",
-    "reach_probability_scc",
-    "strongly_connected_components",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "distance": "expected_distance max_distance min_distance",
+    "dominators": (
+        "common_dominator dominates dominators_of forecast_covers_usage immediate_dominators"
+    ),
+    "graph": "BasicBlock ControlFlowGraph Edge",
+    "probability": "reach_probability_markov reach_probability_scc",
+    "profile": "collect_si_stats expected_si_executions profile_from_trace SIStats",
+    "scc": "Condensation condense SCCNode strongly_connected_components",
+})

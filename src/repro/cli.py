@@ -33,8 +33,8 @@ from typing import Any, Callable
 
 
 def _fig1() -> str:
-    from .hardware import AreaComparison, H264_PHASES
-    from .reporting import render_table
+    from .hardware.area import H264_PHASES, AreaComparison
+    from .reporting.tables import render_table
 
     comparisons = [AreaComparison.build(list(H264_PHASES), a) for a in (1.0, 1.25, 1.5, 2.0)]
     phases = render_table(
@@ -54,8 +54,8 @@ def _fig1() -> str:
 
 
 def _fig3() -> str:
-    from .apps.aes import aes_forecast_report
-    from .reporting import render_table
+    from .apps.aes.blocks import aes_forecast_report
+    from .reporting.tables import render_table
 
     report = aes_forecast_report(runs=8, containers=6)
     table = render_table(
@@ -71,8 +71,8 @@ def _fig3() -> str:
 
 
 def _fig4() -> str:
-    from .forecast import ForecastDecisionFunction
-    from .reporting import render_surface
+    from .forecast.fdf import ForecastDecisionFunction
+    from .reporting.figures import render_surface
 
     fdf = ForecastDecisionFunction(
         t_rot=85_000.0, t_sw=544.0, t_hw=24.0, rotation_energy=2_000.0
@@ -99,8 +99,8 @@ def _fig6() -> str:
 
 
 def _fig11() -> str:
-    from .apps.h264 import REFERENCE_CONFIGS, build_h264_library, si_cycles_for_config
-    from .reporting import render_table
+    from .apps.h264.sis import REFERENCE_CONFIGS, build_h264_library, si_cycles_for_config
+    from .reporting.tables import render_table
 
     library = build_h264_library()
     sis = ("SATD_4x4", "DCT_4x4", "HT_4x4")
@@ -115,13 +115,9 @@ def _fig11() -> str:
 
 
 def _fig12() -> str:
-    from .apps.h264 import (
-        REFERENCE_CONFIGS,
-        build_h264_library,
-        macroblock_cycles,
-        si_cycles_for_config,
-    )
-    from .reporting import render_table
+    from .apps.h264.encoder import macroblock_cycles
+    from .apps.h264.sis import REFERENCE_CONFIGS, build_h264_library, si_cycles_for_config
+    from .reporting.tables import render_table
 
     library = build_h264_library()
     paper = {"Opt. SW": 201_065, "4 Atoms": 60_244, "5 Atoms": 59_135, "6 Atoms": 58_287}
@@ -142,9 +138,9 @@ def _fig12() -> str:
 
 
 def _fig13() -> str:
-    from .apps.h264 import build_h264_library
-    from .core import pareto_front_of
-    from .reporting import render_series
+    from .apps.h264.sis import build_h264_library
+    from .core.pareto import pareto_front_of
+    from .reporting.figures import render_series
 
     library = build_h264_library()
     series = {}
@@ -159,8 +155,8 @@ def _fig13() -> str:
 
 
 def _table1() -> str:
-    from .hardware import TABLE1_SPECS
-    from .reporting import render_table
+    from .hardware.atom_specs import TABLE1_SPECS
+    from .reporting.tables import render_table
 
     return render_table(
         ["Atom", "# Slices", "# LUTs", "Utilization", "Bitstream [B]", "Rotation [us]"],
@@ -174,8 +170,8 @@ def _table1() -> str:
 
 
 def _table2() -> str:
-    from .apps.h264 import TABLE2
-    from .reporting import render_table
+    from .apps.h264.sis import TABLE2
+    from .reporting.tables import render_table
 
     kinds = ("Load", "QuadSub", "Pack", "Transform", "SATD", "Add", "Store")
     rows = []
@@ -258,7 +254,7 @@ def _run_rule_tool(
     tool's ID such as ``lint --select TRC002``) is a usage error: it
     would otherwise select nothing and report a clean run.
     """
-    from .analysis import expand_selectors, render_rule_list
+    from .analysis.rules import expand_selectors, render_rule_list
 
     families = TOOL_FAMILIES[tool]
     parser = argparse.ArgumentParser(
@@ -300,7 +296,7 @@ def _run_rule_tool(
 
 
 def _lint(argv: list[str]) -> int:
-    from .analysis import BUILTIN_SUBJECTS, lint_builtin
+    from .analysis.lint import BUILTIN_SUBJECTS, lint_builtin
 
     def add_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
@@ -329,8 +325,13 @@ def _lint(argv: list[str]) -> int:
 
 
 def _verify(argv: list[str]) -> int:
-    from .analysis import load_golden, run_verify_suite, verify_golden_result
-    from .analysis.verify import golden_from_runtime, write_golden
+    from .analysis.verify import (
+        golden_from_runtime,
+        load_golden,
+        run_verify_suite,
+        verify_golden_result,
+        write_golden,
+    )
     from .sim.suites import SUITES
 
     def add_args(parser: argparse.ArgumentParser) -> None:
@@ -402,8 +403,7 @@ def _verify(argv: list[str]) -> int:
 def _explore(argv: list[str]) -> int:
     import json
 
-    from .analysis import EXPLORE_SCOPES, explore
-    from .analysis.explore import SelectionError
+    from .analysis.explore import EXPLORE_SCOPES, SelectionError, explore
 
     def add_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
@@ -477,14 +477,9 @@ def _chaos(argv: list[str]) -> int:
     from dataclasses import fields
     from pathlib import Path
 
-    from .recovery import (
-        JOURNAL_NAME,
-        RecoveryError,
-        RecoveryPlan,
-        SimulatedCrash,
-        latest_snapshot,
-        load_snapshot,
-    )
+    from .recovery.journal import JOURNAL_NAME, RecoveryError
+    from .recovery.runtime import RecoveryPlan, SimulatedCrash
+    from .recovery.snapshot import latest_snapshot, load_snapshot
     from .scenario import Scenario, ScenarioError
     from .sim.suites import SUITES
 
@@ -656,7 +651,8 @@ def _chaos(argv: list[str]) -> int:
                 encoding="utf-8",
             )
 
-    from .faults import chaos_ok, render_chaos_report, run_chaos_suite
+    from .faults import run_chaos_suite
+    from .faults.chaos import chaos_ok, render_chaos_report
 
     knobs = scenario.to_payload()
     try:
@@ -687,7 +683,8 @@ def _chaos(argv: list[str]) -> int:
 
 
 def _metrics(argv: list[str]) -> int:
-    from .obs import run_metrics_suite, to_jsonl, to_prometheus
+    from .obs.exporters import to_jsonl, to_prometheus
+    from .obs.suites import run_metrics_suite
     from .sim.suites import SUITES
 
     parser = argparse.ArgumentParser(
@@ -740,7 +737,7 @@ def _metrics(argv: list[str]) -> int:
 
 
 def _audit(argv: list[str]) -> int:
-    from .analysis import run_audit
+    from .analysis.audit import run_audit
 
     def run(parser, args, select, ignore):
         result = run_audit()
@@ -761,7 +758,7 @@ def _audit(argv: list[str]) -> int:
 
 
 def _serve(argv: list[str]) -> int:
-    from .serve import DEFAULT_HOST, DEFAULT_PORT, serve
+    from .serve.daemon import DEFAULT_HOST, DEFAULT_PORT, serve
 
     parser = argparse.ArgumentParser(
         prog="repro serve",

@@ -7,14 +7,15 @@ Paper §5's run-time system reacts to Forecast points firing
 names the runtime method it calls and whose fields are the journal's
 ``args`` keys; :func:`apply` is the one dispatcher from a command to
 that method.  The journal, the explorer and scripted tasks all hold
-commands, so each can replay the others' command lists.  The module
-imports nothing from the package, so every layer can use it.
+commands, so each can replay the others' command lists.  Drivers read
+the state that steers them through :func:`query`.  The module imports
+nothing from the package, so every layer can use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, get_args
+from typing import Any, Callable, ClassVar, get_args
 
 
 @dataclass(frozen=True)
@@ -83,3 +84,28 @@ def apply(runtime: Any, command: Command, now: int) -> Any:
         case FailContainer(container):
             return runtime.fail_container(container, now)
     raise TypeError(f"not a runtime command: {command!r}")
+
+
+#: State reads a driver may steer a scenario by (loop bounds, quiescence).
+QUERIES: dict[str, Callable[[Any], Any]] = {
+    "last_cycle": lambda rt: rt.trace.last_cycle,
+    "port_idle": lambda rt: rt.port.is_idle(),
+    "open_episodes": lambda rt: (
+        rt._faults.open_episodes() if rt._faults is not None else 0
+    ),
+}
+
+
+def query(runtime: Any, name: str) -> Any:
+    """Read the runtime state ``QUERIES[name]`` names.
+
+    Drivers must use this for any state read that steers the scenario:
+    a journaling ``RecoverableRuntime`` answers through its own
+    ``query``, which journals the read so a resumed run answers from the
+    journal instead of the post-replay state; a plain runtime is read
+    directly.
+    """
+    journaled = getattr(runtime, "query", None)
+    if journaled is not None:
+        return journaled(name)
+    return QUERIES[name](runtime)

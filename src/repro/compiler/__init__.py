@@ -6,30 +6,10 @@ register-port constraints ([17]/[18]-style), then emit rotatable SIs with
 auto-generated molecule catalogues.
 """
 
-from .emit import (
-    DEFAULT_KIND_MAP,
-    candidate_dataflow,
-    catalogue_for_candidate,
-    si_from_candidate,
-)
-from .identify import (
-    Constraints,
-    SICandidate,
-    best_candidates,
-    enumerate_si_candidates,
-)
-from .opgraph import Operation, OperationGraph, is_external
+from ..exports import lazy_exports
 
-__all__ = [
-    "Constraints",
-    "DEFAULT_KIND_MAP",
-    "Operation",
-    "OperationGraph",
-    "SICandidate",
-    "best_candidates",
-    "candidate_dataflow",
-    "catalogue_for_candidate",
-    "enumerate_si_candidates",
-    "is_external",
-    "si_from_candidate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "emit": "candidate_dataflow catalogue_for_candidate DEFAULT_KIND_MAP si_from_candidate",
+    "identify": "best_candidates Constraints enumerate_si_candidates SICandidate",
+    "opgraph": "is_external Operation OperationGraph",
+})

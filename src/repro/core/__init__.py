@@ -6,82 +6,20 @@ dataflow scheduling of Atom operations, and run-time molecule selection
 (section 5b).
 """
 
-from .atom import AtomCatalogue, AtomKind
-from .backend import ComputeBackend, NumpyBackend, ReferenceBackend
-from .atomshare import (
-    AtomProposal,
-    common_subsequence,
-    longest_common_subsequence,
-    suggest_shared_atoms,
-)
-from .library import SILibrary
-from .molecule import AtomSpace, Molecule, infimum, supremum
-from .molgen import GenerationReport, enumerate_molecules, generate_si, prune_dominated
-from .serialize import (
-    library_from_dict,
-    library_to_dict,
-    load_library,
-    save_library,
-)
-from .pareto import ParetoPoint, is_pareto_optimal, pareto_front, pareto_front_of, tradeoff_points
-from .schedule import (
-    AtomOp,
-    Dataflow,
-    Schedule,
-    ScheduledOp,
-    estimate_cycles,
-    layered_dataflow,
-    list_schedule,
-)
-from .selection import (
-    ForecastedSI,
-    SelectionResult,
-    select_exhaustive,
-    select_greedy,
-    upgrade_path,
-)
-from .si import MoleculeImpl, SpecialInstruction
+from ..exports import lazy_exports
 
-__all__ = [
-    "AtomCatalogue",
-    "AtomKind",
-    "AtomProposal",
-    "ComputeBackend",
-    "NumpyBackend",
-    "ReferenceBackend",
-    "GenerationReport",
-    "AtomOp",
-    "AtomSpace",
-    "Dataflow",
-    "ForecastedSI",
-    "Molecule",
-    "MoleculeImpl",
-    "ParetoPoint",
-    "Schedule",
-    "ScheduledOp",
-    "SelectionResult",
-    "SILibrary",
-    "SpecialInstruction",
-    "common_subsequence",
-    "enumerate_molecules",
-    "estimate_cycles",
-    "generate_si",
-    "infimum",
-    "is_pareto_optimal",
-    "layered_dataflow",
-    "list_schedule",
-    "longest_common_subsequence",
-    "pareto_front",
-    "pareto_front_of",
-    "prune_dominated",
-    "select_exhaustive",
-    "select_greedy",
-    "library_from_dict",
-    "library_to_dict",
-    "load_library",
-    "save_library",
-    "suggest_shared_atoms",
-    "supremum",
-    "tradeoff_points",
-    "upgrade_path",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "atom": "AtomCatalogue AtomKind",
+    "atomshare": "AtomProposal common_subsequence longest_common_subsequence suggest_shared_atoms",
+    "backend": "ComputeBackend NumpyBackend ReferenceBackend",
+    "library": "SILibrary",
+    "molecule": "AtomSpace infimum Molecule supremum",
+    "molgen": "enumerate_molecules generate_si GenerationReport prune_dominated",
+    "pareto": "is_pareto_optimal pareto_front pareto_front_of ParetoPoint tradeoff_points",
+    "schedule": (
+        "AtomOp Dataflow estimate_cycles layered_dataflow list_schedule Schedule ScheduledOp"
+    ),
+    "selection": "ForecastedSI select_exhaustive select_greedy SelectionResult upgrade_path",
+    "serialize": "library_from_dict library_to_dict load_library save_library",
+    "si": "MoleculeImpl SpecialInstruction",
+})

@@ -25,24 +25,17 @@ report — byte for byte.  The fault model and recovery state machine are
 documented in ``docs/faults.md``.
 """
 
-from .chaos import (
-    chaos_ok,
-    render_chaos_report,
-    run_chaos_suite,
-    static_repair_bound,
-)
-from .injector import FaultInjector
-from .model import FaultEvent, FaultKind, FaultSchedule
-from .stats import ResilienceStats
+from ..exports import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultSchedule",
-    "ResilienceStats",
-    "chaos_ok",
-    "render_chaos_report",
-    "run_chaos_suite",
-    "static_repair_bound",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": "chaos_ok render_chaos_report run_chaos_suite static_repair_bound",
+    "injector": "FaultInjector",
+    "model": "FaultEvent FaultKind FaultSchedule",
+    "stats": "ResilienceStats",
+})
+
+# Bound at import, not on first use: callers look ``run_chaos_suite`` up
+# on the package at each call, so a wrapper installed on the package
+# (perf's layer tracer) must find it there.  Every user of the package
+# runs chaos, which loads all four submodules anyway.
+__getattr__("run_chaos_suite")

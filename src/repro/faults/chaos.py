@@ -24,13 +24,14 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
+from ..commands import query
 from ..core.library import SILibrary
 from ..scenario import Scenario
 from .injector import FaultInjector
 from .model import FaultSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..recovery import RecoveryPlan
+    from ..recovery.runtime import RecoveryPlan
     from ..runtime.manager import RisppRuntime
 
 CHAOS_SCHEMA_VERSION = 1
@@ -88,8 +89,6 @@ def _quiesce(
     steps always drain the port, the scrubber queue and the retry list.
     Returns the cycle the run settled at (the degraded-time cut-off).
     """
-    from ..recovery import query
-
     now = max(query(runtime, "last_cycle"), horizon)
     for _ in range(8):
         now += bound + injector.scrub_period
@@ -158,7 +157,7 @@ def run_chaos_suite(
 
     # The chaos run proper — instrumented, so the report can embed a
     # deterministic telemetry snapshot (the shared ``metrics`` key).
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
     from ..obs.exporters import snapshot
 
     registry = MetricRegistry()

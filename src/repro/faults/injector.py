@@ -45,7 +45,7 @@ from .stats import ResilienceStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.si import SpecialInstruction
     from ..hardware.reconfig import RotationJob
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
     from ..runtime.manager import RisppRuntime
 
 
@@ -149,7 +149,7 @@ class FaultInjector:
 
     def _bind_metrics(self, metrics: "MetricRegistry | None") -> None:
         """Adopt the attached runtime's registry (DISABLED before attach)."""
-        from ..obs import DISABLED
+        from ..obs.registry import DISABLED
 
         obs = metrics if metrics is not None else DISABLED
         self._obs_on = obs.enabled

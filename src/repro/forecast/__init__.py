@@ -10,81 +10,17 @@ The scheme's three steps map to submodules:
    choose actual Forecast points on the transposed BB graph and bundle
    them into FC Blocks for the run-time system.
 
-:func:`run_forecast_pipeline` wires the whole flow together.
+:func:`~repro.forecast.pipeline.run_forecast_pipeline` wires the whole
+flow together.
 """
 
-from __future__ import annotations
+from ..exports import lazy_exports
 
-from ..cfg.graph import ControlFlowGraph
-from ..core.library import SILibrary
-from .annotate import FCBlock, ForecastAnnotation, build_fc_blocks
-from .candidates import (
-    FCCandidate,
-    candidates_by_block,
-    determine_candidates,
-    evaluate_block,
-)
-from .fdf import ForecastDecisionFunction, rotation_offset
-from .placement import ForecastPoint, choose_forecast_points, place_all
-from .trimming import BlockTrim, TrimResult, trim_all_blocks, trim_block_candidates
-
-__all__ = [
-    "BlockTrim",
-    "FCBlock",
-    "FCCandidate",
-    "ForecastAnnotation",
-    "ForecastDecisionFunction",
-    "ForecastPoint",
-    "TrimResult",
-    "build_fc_blocks",
-    "candidates_by_block",
-    "choose_forecast_points",
-    "determine_candidates",
-    "evaluate_block",
-    "place_all",
-    "rotation_offset",
-    "run_forecast_pipeline",
-    "trim_all_blocks",
-    "trim_block_candidates",
-]
-
-
-def run_forecast_pipeline(
-    cfg: ControlFlowGraph,
-    library: SILibrary,
-    fdfs: dict[str, ForecastDecisionFunction],
-    available_containers: int,
-    *,
-    distance: str = "expected",
-    far_threshold: float = 0.0,
-) -> ForecastAnnotation:
-    """End-to-end compile-time phase: candidates -> trimming -> FC blocks.
-
-    Parameters
-    ----------
-    cfg:
-        Profiled basic-block graph of the application.
-    library:
-        The SI library (provides ``Rep(S)`` and speed-ups for trimming).
-    fdfs:
-        One Forecast Decision Function per SI name to forecast.  SIs
-        absent from the map are not forecasted.
-    available_containers:
-        Atom Containers of the target platform (the trimming bound).
-    distance, far_threshold:
-        Passed through to candidate evaluation and placement.
-    """
-    all_candidates: list[FCCandidate] = []
-    for si_name, fdf in fdfs.items():
-        if si_name not in library:
-            raise ValueError(f"FDF given for unknown SI {si_name!r}")
-        all_candidates.extend(
-            determine_candidates(cfg, si_name, fdf, distance=distance)
-        )
-    trim = trim_all_blocks(
-        library, candidates_by_block(all_candidates), available_containers
-    )
-    points = place_all(cfg, trim.kept_candidates(), far_threshold=far_threshold)
-    annotation = ForecastAnnotation.from_points(points)
-    annotation.validate_against(cfg)
-    return annotation
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "annotate": "build_fc_blocks FCBlock ForecastAnnotation",
+    "candidates": "candidates_by_block determine_candidates evaluate_block FCCandidate",
+    "fdf": "ForecastDecisionFunction rotation_offset",
+    "pipeline": "run_forecast_pipeline",
+    "placement": "choose_forecast_points ForecastPoint place_all",
+    "trimming": "BlockTrim trim_all_blocks trim_block_candidates TrimResult",
+})

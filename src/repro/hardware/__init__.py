@@ -7,59 +7,20 @@ counts and per-container capacity, which is all the RISPP algorithms
 consume.
 """
 
-from .area import (
-    H264_PHASES,
-    AreaComparison,
-    PhaseProfile,
-    extensible_processor_area,
-    ge_max,
-    ge_saving_pct,
-    max_alpha_for_constraint,
-    meets_constraint,
-    rispp_area,
-)
-from .atom_specs import (
-    CONTAINER_CLB_COLUMNS,
-    CONTAINER_LUTS,
-    CONTAINER_SLICES,
-    NOMINAL_SELECTMAP_BYTES_PER_US,
-    PROTOTYPE_CONTAINERS,
-    SELECTMAP_BYTES_PER_US,
-    TABLE1_SPECS,
-    AtomHardwareSpec,
-    average_rotation_us,
-)
-from .container import AtomContainer, ContainerState
-from .energy import EnergyBreakdown, EnergyModel, extensible_energy, rispp_energy
-from .fabric import Fabric
-from .reconfig import ReconfigurationPort, RotationJob
+from ..exports import lazy_exports
 
-__all__ = [
-    "AreaComparison",
-    "AtomContainer",
-    "AtomHardwareSpec",
-    "CONTAINER_CLB_COLUMNS",
-    "CONTAINER_LUTS",
-    "CONTAINER_SLICES",
-    "ContainerState",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "Fabric",
-    "H264_PHASES",
-    "NOMINAL_SELECTMAP_BYTES_PER_US",
-    "PROTOTYPE_CONTAINERS",
-    "PhaseProfile",
-    "ReconfigurationPort",
-    "RotationJob",
-    "SELECTMAP_BYTES_PER_US",
-    "TABLE1_SPECS",
-    "average_rotation_us",
-    "extensible_energy",
-    "extensible_processor_area",
-    "ge_max",
-    "ge_saving_pct",
-    "max_alpha_for_constraint",
-    "meets_constraint",
-    "rispp_area",
-    "rispp_energy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "area": (
+        "AreaComparison extensible_processor_area ge_max ge_saving_pct H264_PHASES "
+        "max_alpha_for_constraint meets_constraint PhaseProfile rispp_area"
+    ),
+    "atom_specs": (
+        "AtomHardwareSpec average_rotation_us CONTAINER_CLB_COLUMNS CONTAINER_LUTS "
+        "CONTAINER_SLICES NOMINAL_SELECTMAP_BYTES_PER_US PROTOTYPE_CONTAINERS "
+        "SELECTMAP_BYTES_PER_US TABLE1_SPECS"
+    ),
+    "container": "AtomContainer ContainerState",
+    "energy": "EnergyBreakdown EnergyModel extensible_energy rispp_energy",
+    "fabric": "Fabric",
+    "reconfig": "ReconfigurationPort RotationJob",
+})

@@ -28,7 +28,7 @@ from ..state import cache, state, wiring
 from .container import AtomContainer, ContainerState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
 
 
 class Fabric:
@@ -82,7 +82,7 @@ class Fabric:
         updated per mutation — the state already lives in the container
         fields, so the fabric's hot paths carry zero telemetry cost.
         """
-        from ..obs import DISABLED
+        from ..obs.registry import DISABLED
 
         obs = metrics if metrics is not None else DISABLED
         self._m_failures = obs.counter("container_failures_total")

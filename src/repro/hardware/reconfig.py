@@ -27,7 +27,7 @@ from .atom_specs import SELECTMAP_BYTES_PER_US
 from .fabric import Fabric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
 
 
 @dataclass
@@ -117,7 +117,7 @@ class ReconfigurationPort:
         self._ev_completed = RotationCompleted
 
     def _bind_metrics(self, metrics: "MetricRegistry | None") -> None:
-        from ..obs import DISABLED
+        from ..obs.registry import DISABLED
 
         obs = metrics if metrics is not None else DISABLED
         self._obs_on = obs.enabled

@@ -28,48 +28,14 @@ The metric catalogue with units, sources and paper references lives in
 (undeclared metric names are rejected at instrument creation).
 """
 
-from . import clock
-from .catalogue import CYCLE_BUCKETS, METRICS, NAMESPACE, TIME_BUCKETS, MetricSpec
-from .exporters import (
-    SNAPSHOT_KIND,
-    SNAPSHOT_SCHEMA_VERSION,
-    exposition_state,
-    parse_prometheus,
-    snapshot,
-    to_jsonl,
-    to_prometheus,
-)
-from .registry import (
-    DISABLED,
-    NULL,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    NullInstrument,
-)
-from .suites import run_metrics_suite
+from ..exports import lazy_exports
 
-__all__ = [
-    "CYCLE_BUCKETS",
-    "DISABLED",
-    "METRICS",
-    "NAMESPACE",
-    "NULL",
-    "SNAPSHOT_KIND",
-    "SNAPSHOT_SCHEMA_VERSION",
-    "TIME_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "MetricSpec",
-    "NullInstrument",
-    "clock",
-    "exposition_state",
-    "parse_prometheus",
-    "run_metrics_suite",
-    "snapshot",
-    "to_jsonl",
-    "to_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "catalogue": "CYCLE_BUCKETS METRICS MetricSpec NAMESPACE TIME_BUCKETS",
+    "exporters": (
+        "exposition_state parse_prometheus snapshot SNAPSHOT_KIND SNAPSHOT_SCHEMA_VERSION "
+        "to_jsonl to_prometheus"
+    ),
+    "registry": "Counter DISABLED Gauge Histogram MetricRegistry NULL NullInstrument",
+    "suites": "run_metrics_suite",
+})

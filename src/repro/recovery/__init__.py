@@ -9,47 +9,23 @@ live :class:`~repro.runtime.manager.RisppRuntime` so a run killed at
 TRC016 (:mod:`.verify`) audits the stitching across resume boundaries.
 """
 
-from .journal import (
-    JOURNAL_NAME,
-    JOURNAL_OPS,
-    JournalReadResult,
-    JournalRecord,
-    JournalWriter,
-    RecoveryError,
-    read_journal,
-)
-from .runtime import RecoverableRuntime, RecoveryPlan, SimulatedCrash, query
-from .snapshot import (
-    RECOVERY_KIND,
-    RECOVERY_SCHEMA_VERSION,
-    latest_snapshot,
-    list_snapshots,
-    load_snapshot,
-    restore_runtime,
-    snapshot_runtime,
-    write_snapshot,
-)
-from .verify import verify_resume
+from ..exports import lazy_exports
 
-__all__ = [
-    "JOURNAL_NAME",
-    "JOURNAL_OPS",
-    "JournalReadResult",
-    "JournalRecord",
-    "JournalWriter",
-    "RECOVERY_KIND",
-    "RECOVERY_SCHEMA_VERSION",
-    "RecoverableRuntime",
-    "RecoveryError",
-    "RecoveryPlan",
-    "SimulatedCrash",
-    "latest_snapshot",
-    "list_snapshots",
-    "load_snapshot",
-    "query",
-    "read_journal",
-    "restore_runtime",
-    "snapshot_runtime",
-    "verify_resume",
-    "write_snapshot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "journal": (
+        "JOURNAL_NAME JOURNAL_OPS JournalReadResult JournalRecord JournalWriter read_journal "
+        "RecoveryError"
+    ),
+    "runtime": "RecoverableRuntime RecoveryPlan SimulatedCrash",
+    "snapshot": (
+        "latest_snapshot list_snapshots load_snapshot RECOVERY_KIND RECOVERY_SCHEMA_VERSION "
+        "restore_runtime snapshot_runtime write_snapshot"
+    ),
+    "verify": "verify_resume",
+})
+
+# Bound at import, not on first use: chaos looks ``verify_resume`` up on
+# the package at each call, so a wrapper installed on the package (perf's
+# layer tracer) must find it there.  It loads only the journal and
+# snapshot code every recovering run loads anyway.
+__getattr__("verify_resume")

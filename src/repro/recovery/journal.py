@@ -27,27 +27,17 @@ import json
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Any, Callable, ClassVar, get_args, get_type_hints
+from typing import IO, Any, ClassVar, get_args, get_type_hints
 
-from ..commands import COMMANDS, Command
+from ..commands import COMMANDS, QUERIES, Command
 
 #: File name of the journal inside a recovery store directory.
 JOURNAL_NAME = "journal.jsonl"
 
-#: Journaled state queries: everything a driver may need to read back
-#: from the runtime while steering a scenario.
-QUERIES: dict[str, Callable[[Any], Any]] = {
-    "last_cycle": lambda rt: rt.trace.last_cycle,
-    "port_idle": lambda rt: rt.port.is_idle(),
-    "open_episodes": lambda rt: (
-        rt._faults.open_episodes() if rt._faults is not None else 0
-    ),
-}
-
-
 @dataclass(frozen=True)
 class Query:
-    """A journaled state read: the recovery-local sixth journal op."""
+    """A journaled state read (:func:`repro.commands.query`): the
+    recovery-local sixth journal op."""
 
     op: ClassVar[str] = "query"
     name: str

@@ -22,7 +22,7 @@ recorded results without touching the runtime.  When the journal is
 exhausted the wrapper switches to live mode and the run continues
 exactly where the crash cut it off.
 
-State queries must flow through :func:`query` rather than direct
+State queries must flow through :func:`repro.commands.query` rather than direct
 attribute reads: during handoff the underlying runtime already holds the
 *post-replay* state, while the driver is still logically at an earlier
 point — a direct read would see the future.  Journaling the query makes
@@ -35,10 +35,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..commands import Advance, Command, Execute, FailContainer, Forecast, ForecastEnd, apply
+from ..commands import (
+    QUERIES,
+    Advance,
+    Command,
+    Execute,
+    FailContainer,
+    Forecast,
+    ForecastEnd,
+    apply,
+)
 from .journal import (
     JOURNAL_NAME,
-    QUERIES,
     JournalRecord,
     JournalWriter,
     Query,
@@ -73,19 +81,6 @@ class SimulatedCrash(RuntimeError):
             f"simulated crash at cycle {cycle} (journal seq {seq}); "
             f"resume from {store}"
         )
-
-
-def query(runtime: Any, name: str) -> Any:
-    """Read runtime state through the recovery layer when present.
-
-    Drivers must use this for any state read that steers the scenario
-    (loop bounds, quiescence checks): on a plain runtime it is a direct
-    read, on a :class:`RecoverableRuntime` it is journaled so resumed
-    runs answer from the journal instead of the post-replay state.
-    """
-    if isinstance(runtime, RecoverableRuntime):
-        return runtime.query(name)
-    return QUERIES[name](runtime)
 
 
 @dataclass(frozen=True)

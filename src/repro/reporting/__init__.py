@@ -1,14 +1,9 @@
 """Terminal rendering of the paper's tables and figures."""
 
-from .figures import render_bars, render_series, render_surface
-from .tables import render_table
-from .timeline import container_occupancy, render_container_timeline
+from ..exports import lazy_exports
 
-__all__ = [
-    "container_occupancy",
-    "render_bars",
-    "render_container_timeline",
-    "render_series",
-    "render_surface",
-    "render_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "figures": "render_bars render_series render_surface",
+    "tables": "render_table",
+    "timeline": "container_occupancy render_container_timeline",
+})

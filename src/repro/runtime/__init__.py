@@ -1,30 +1,12 @@
 """Run-time architecture (paper §5): monitor, select, rotate, replace."""
 
-from .manager import RisppRuntime, RuntimeStats
-from .monitor import ForecastMonitor, ForecastWindow, SIForecastStats
-from .replacement import (
-    HighestIdPolicy,
-    LRUPolicy,
-    MRUPolicy,
-    ReplacementPolicy,
-    choose_victim,
-    victim_candidates,
-)
-from .rotation import RotationPlan, future_population, plan_rotations
+from ..exports import lazy_exports
 
-__all__ = [
-    "ForecastMonitor",
-    "ForecastWindow",
-    "HighestIdPolicy",
-    "LRUPolicy",
-    "MRUPolicy",
-    "ReplacementPolicy",
-    "RisppRuntime",
-    "RotationPlan",
-    "RuntimeStats",
-    "SIForecastStats",
-    "choose_victim",
-    "future_population",
-    "plan_rotations",
-    "victim_candidates",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "manager": "RisppRuntime RuntimeStats",
+    "monitor": "ForecastMonitor ForecastWindow SIForecastStats",
+    "replacement": (
+        "choose_victim HighestIdPolicy LRUPolicy MRUPolicy ReplacementPolicy victim_candidates"
+    ),
+    "rotation": "future_population plan_rotations RotationPlan",
+})

@@ -45,7 +45,7 @@ from .rotation import future_population, plan_rotations
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
 
 
 @dataclass
@@ -130,7 +130,7 @@ class RisppRuntime:
         faults: "FaultInjector | None" = None,
         metrics: "MetricRegistry | None" = None,
     ):
-        from ..obs import DISABLED
+        from ..obs.registry import DISABLED
 
         self.library = library
         #: The telemetry registry shared by every component of this

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from ..state import counter, state, wiring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import MetricRegistry
+    from ..obs.registry import MetricRegistry
 
 
 @dataclass
@@ -89,7 +89,7 @@ class ForecastMonitor:
 
     def bind_metrics(self, metrics: "MetricRegistry | None") -> None:
         """(Re)bind telemetry — the runtime calls this to share its registry."""
-        from ..obs import DISABLED
+        from ..obs.registry import DISABLED
 
         obs = metrics if metrics is not None else DISABLED
         self._obs_on = obs.enabled

@@ -11,22 +11,9 @@ exposition; ``/healthz`` and ``/readyz`` answer liveness and readiness.
 The full API schema and endpoint contracts live in ``docs/serving.md``.
 """
 
-from .daemon import DEFAULT_HOST, DEFAULT_PORT, ENDPOINTS, ScenarioServer, serve
-from .facade import (
-    RuntimeFacade,
-    ScenarioError,
-    ScenarioRequest,
-    render_scenario,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "ENDPOINTS",
-    "RuntimeFacade",
-    "ScenarioError",
-    "ScenarioRequest",
-    "ScenarioServer",
-    "render_scenario",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "daemon": "DEFAULT_HOST DEFAULT_PORT ENDPOINTS ScenarioServer serve",
+    "facade": "render_scenario RuntimeFacade ScenarioError ScenarioRequest",
+})

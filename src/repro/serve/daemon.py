@@ -51,7 +51,7 @@ class ScenarioServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, host: str, port: int, *, workers: int = 1):
-        from ..obs import MetricRegistry
+        from ..obs.registry import MetricRegistry
 
         self.registry = MetricRegistry()
         self.facade = RuntimeFacade(workers=workers, metrics=self.registry)
@@ -120,7 +120,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(503, "draining\n", content_type="text/plain")
         elif self.path == "/metrics":
             self.server.count_request("metrics")
-            from ..obs import to_prometheus
+            from ..obs.exporters import to_prometheus
 
             self._send(
                 200,

@@ -4,10 +4,12 @@
 daemon sits on: it validates scenario payloads into
 :class:`ScenarioRequest` objects (:class:`repro.scenario.Scenario`
 with ``quick`` on by default), runs each one through
-:func:`repro.faults.run_chaos_suite` in a worker process, and returns
-the rendered report — the exact bytes ``repro chaos --format json``
-prints for the same flags (``json.dumps(report, indent=2,
-sort_keys=True)`` plus a trailing newline).
+:func:`repro.faults.chaos.run_chaos_suite` in a worker process, and
+returns the rendered report — the exact bytes ``repro chaos --format
+json`` prints for the same flags (``json.dumps(report, indent=2,
+sort_keys=True)`` plus a trailing newline).  The worker also returns the
+report's ``chaos_ok`` verdict, so the facade's process never imports
+the runtime, the fault subsystem or the analysis package.
 
 Determinism contract: a scenario's output is a pure function of its
 request fields.  Workers keep no per-request state, so pool reuse
@@ -18,15 +20,15 @@ worker counts produce byte-identical responses for the same request.
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..scenario import Scenario, ScenarioError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import MetricRegistry
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from ..obs.registry import MetricRegistry
 
 
 class FacadeClosed(RuntimeError):
@@ -42,16 +44,26 @@ class ScenarioRequest(Scenario):
     quick: bool = True
 
 
-def render_scenario(request: Scenario) -> str:
-    """Run one scenario and render the report — the service's unit of work.
+def _judged_render(request: Scenario) -> tuple[str, bool]:
+    """Run one scenario: the rendered report and its ``chaos_ok`` verdict.
 
-    Byte-identical to ``repro chaos --format json`` with the same flags.
+    The pool's unit of work.  The worker judges the report it built, so
+    the daemon counts outcomes without parsing the body or ever loading
+    the runtime.
     """
-    from ..faults import run_chaos_suite
+    from ..faults.chaos import chaos_ok, run_chaos_suite
 
     knobs = request.to_payload()
     report = run_chaos_suite(knobs.pop("suite"), **knobs)
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True) + "\n", chaos_ok(report)
+
+
+def render_scenario(request: Scenario) -> str:
+    """Run one scenario and render the report.
+
+    Byte-identical to ``repro chaos --format json`` with the same flags.
+    """
+    return _judged_render(request)[0]
 
 
 class RuntimeFacade:
@@ -63,7 +75,7 @@ class RuntimeFacade:
         workers: int = 1,
         metrics: "MetricRegistry | None" = None,
     ):
-        from ..obs import DISABLED
+        from ..obs.registry import DISABLED
 
         if workers < 1:
             raise ValueError(f"worker count must be positive, got {workers}")
@@ -77,6 +89,8 @@ class RuntimeFacade:
         self._m_duration = obs.histogram("serve_scenario_duration_seconds")
         if self._obs_on:
             obs.gauge("serve_workers").set(workers)
+        from concurrent.futures import ProcessPoolExecutor
+
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=workers
         )
@@ -104,8 +118,9 @@ class RuntimeFacade:
 
     # -- execution --------------------------------------------------------
 
-    def submit(self, payload: Mapping[str, Any]) -> "Future[str]":
-        """Validate ``payload`` and queue it on the pool.
+    def submit(self, payload: Mapping[str, Any]) -> "Future[tuple[str, bool]]":
+        """Validate ``payload`` and queue it on the pool; the future holds
+        :func:`_judged_render`'s ``(body, verdict)``.
 
         Validation runs in the caller (a :class:`ScenarioError` raises
         here, not inside the future), so the daemon can answer 400
@@ -115,7 +130,7 @@ class RuntimeFacade:
         pool = self._pool
         if pool is not None:
             try:
-                return pool.submit(render_scenario, request)
+                return pool.submit(_judged_render, request)
             except RuntimeError:
                 if self._pool is not None:
                     raise  # a broken pool, not a concurrent shutdown
@@ -127,19 +142,18 @@ class RuntimeFacade:
 
         started = clock.perf_counter()
         try:
-            result = self.submit(payload).result()
+            body, verdict = self.submit(payload).result()
         except ScenarioError:
             raise
         except Exception as exc:
+            from concurrent.futures.process import BrokenProcessPool
+
             if isinstance(exc, BrokenProcessPool):
                 self.broken = True
             if self._obs_on:
                 self._m_error.inc()
             raise
         if self._obs_on:
-            from ..faults import chaos_ok
-
             self._m_duration.observe(clock.perf_counter() - started)
-            verdict = chaos_ok(json.loads(result))
             (self._m_ok if verdict else self._m_degraded).inc()
-        return result
+        return body

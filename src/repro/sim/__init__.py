@@ -1,42 +1,12 @@
 """Simulation substrate: program IR, interpreter, core model, tasks, trace."""
 
-from ..commands import Forecast, ForecastEnd
-from .executor import ExecutionResult, execute, profile_program
-from .integration import (
-    AnnotatedRunResult,
-    CompileAndRunResult,
-    compile_and_run,
-    run_annotated_program,
-)
-from .ir import Branch, Exit, IRBlock, Jump, Program
-from .processor import DEFAULT_COSTS, CoreModel
-from .task import Action, Compute, ExecuteSI, Label, MultiTaskSimulator, ScriptedTask
-from .trace import Event, EventKind, Trace
+from ..exports import lazy_exports
 
-__all__ = [
-    "Action",
-    "AnnotatedRunResult",
-    "Branch",
-    "CompileAndRunResult",
-    "Compute",
-    "CoreModel",
-    "DEFAULT_COSTS",
-    "Event",
-    "EventKind",
-    "ExecuteSI",
-    "ExecutionResult",
-    "Exit",
-    "Forecast",
-    "ForecastEnd",
-    "IRBlock",
-    "Jump",
-    "Label",
-    "MultiTaskSimulator",
-    "Program",
-    "ScriptedTask",
-    "Trace",
-    "compile_and_run",
-    "execute",
-    "profile_program",
-    "run_annotated_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "executor": "execute ExecutionResult profile_program",
+    "integration": "AnnotatedRunResult compile_and_run CompileAndRunResult run_annotated_program",
+    "ir": "Branch Exit IRBlock Jump Program",
+    "processor": "CoreModel DEFAULT_COSTS",
+    "task": "Action Compute ExecuteSI Forecast ForecastEnd Label MultiTaskSimulator ScriptedTask",
+    "trace": "Event EventKind Trace",
+})

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..commands import Forecast
+from ..commands import Forecast, query
 from .task import Action, Compute, ExecuteSI, MultiTaskSimulator, ScriptedTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,11 +50,11 @@ class SuiteRun:
 def suite_library(name: str) -> "SILibrary":
     """The shipped SI library behind one suite."""
     if name == "aes":
-        from ..apps.aes import build_aes_library
+        from ..apps.aes.blocks import build_aes_library
 
         return build_aes_library()
     if name == "h264":
-        from ..apps.h264 import build_h264_library
+        from ..apps.h264.sis import build_h264_library
 
         return build_h264_library()
     if name == "synthetic":
@@ -88,7 +88,6 @@ def run_suite(
     if name == "aes":
         return _run_aes(**runtime_kwargs)
     from ..bench.suites import H264_MACROBLOCK_CALLS
-    from ..recovery import query
 
     library = suite_library(name)  # raises on an unknown suite
     containers, quick_rounds, full_rounds = _STREAMS[name]
@@ -160,7 +159,7 @@ def run_si_stream(
 
 
 def _run_aes(**runtime_kwargs: Any) -> SuiteRun:
-    from ..apps.aes import build_aes_program, default_aes_fdfs
+    from ..apps.aes.blocks import build_aes_program, default_aes_fdfs
     from .integration import compile_and_run
 
     def env_factory(i: int) -> dict[str, bytes]:

@@ -265,7 +265,7 @@ class TestExploreCommand:
         def broken(*args, **kwargs):
             raise ValueError("container 0 is rotating")
 
-        monkeypatch.setattr("repro.analysis.explore", broken)
+        monkeypatch.setattr("repro.analysis.explore.explore", broken)
         with pytest.raises(ValueError, match="rotating"):
             main(["explore", "--scope", "tiny"])
 

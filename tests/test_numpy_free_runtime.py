@@ -121,9 +121,6 @@ def test_pixel_models_still_import_from_the_package():
         "from repro.apps.h264 import build_h264_library; "
         "assert 'numpy' not in sys.modules; "
         "from repro.apps.h264 import encode_intra_frame, si_satd_4x4; "
-        "assert 'numpy' in sys.modules; "
-        "import repro.apps.h264 as h264; "
-        "assert set(h264.__all__) <= set(dir(h264)); "
-        "[getattr(h264, name) for name in h264.__all__]"
+        "assert 'numpy' in sys.modules"
     )
     subprocess.run([sys.executable, "-c", probe], check=True)

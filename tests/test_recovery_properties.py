@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import trace_signature
 from repro.bench.suites import build_synthetic_library
+from repro.commands import query
 from repro.recovery import (
     JOURNAL_NAME,
     RecoverableRuntime,
     list_snapshots,
-    query,
 )
 from repro.runtime import RisppRuntime
 

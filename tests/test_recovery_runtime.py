@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench.harness import trace_signature
 from repro.bench.suites import build_synthetic_library
+from repro.commands import query
 from repro.recovery import (
     JOURNAL_NAME,
     RecoverableRuntime,
@@ -22,7 +23,6 @@ from repro.recovery import (
     RecoveryPlan,
     SimulatedCrash,
     list_snapshots,
-    query,
     read_journal,
 )
 from repro.runtime import RisppRuntime
