@@ -197,11 +197,6 @@ class DiagnosticReport:
         ]
         return DiagnosticReport(kept)
 
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
     def exit_code(self) -> int:
         """Process exit status: 1 when any ERROR is present, else 0."""
         return 1 if self.errors() else 0

@@ -4,8 +4,8 @@ from ...exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "aes": (
-        "BLOCK_BYTES decrypt_block encrypt_block encrypt_ecb expand_key gf_mul inv_mix_columns "
-        "inv_shift_rows inv_sub_bytes KEY_BYTES mix_columns ROUNDS shift_rows sub_bytes xtime"
+        "BLOCK_BYTES encrypt_block expand_key gf_mul KEY_BYTES mix_columns ROUNDS shift_rows "
+        "sub_bytes xtime"
     ),
     "blocks": (
         "aes_forecast_report AES_SOFTWARE_CYCLES AESForecastReport build_aes_catalogue "

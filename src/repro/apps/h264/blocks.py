@@ -30,12 +30,6 @@ def split_into_4x4(block) -> list[list[np.ndarray]]:
     ]
 
 
-def assemble_from_4x4(grid: list[list[np.ndarray]]) -> np.ndarray:
-    """Inverse of :func:`split_into_4x4`."""
-    rows = [np.hstack(row) for row in grid]
-    return np.vstack(rows)
-
-
 def extract_block(frame: np.ndarray, top: int, left: int, size: int) -> np.ndarray:
     """Cut a ``size`` x ``size`` window out of a frame; bounds-checked."""
     h, w = frame.shape
@@ -44,14 +38,3 @@ def extract_block(frame: np.ndarray, top: int, left: int, size: int) -> np.ndarr
             f"block ({top},{left},{size}) out of frame bounds {frame.shape}"
         )
     return np.asarray(frame[top : top + size, left : left + size], dtype=np.int64)
-
-
-def macroblock_positions(height: int, width: int) -> list[tuple[int, int]]:
-    """Top-left corners of all full macroblocks in a frame."""
-    if height < MACROBLOCK_SIZE or width < MACROBLOCK_SIZE:
-        raise ValueError("frame smaller than one macroblock")
-    return [
-        (top, left)
-        for top in range(0, height - MACROBLOCK_SIZE + 1, MACROBLOCK_SIZE)
-        for left in range(0, width - MACROBLOCK_SIZE + 1, MACROBLOCK_SIZE)
-    ]

@@ -184,16 +184,6 @@ class EncoderPipeline:
             luma_levels=level_grid,
         )
 
-    # -- cycle accounting ------------------------------------------------------
-
-    def si_invocations_per_macroblock(self) -> dict[str, int]:
-        """Static SI call counts of one macroblock under this pipeline."""
-        counts = dict(LUMA_SI_COUNTS)
-        if self.include_chroma:
-            for name, n in CHROMA_SI_COUNTS.items():
-                counts[name] = counts.get(name, 0) + n
-        return counts
-
 
 def macroblock_cycles(
     si_cycles: dict[str, int],

@@ -1,10 +1,11 @@
-"""Entropy-coding substrate: zigzag scan, Exp-Golomb codes, run-level coding.
+"""Entropy-coding costs: zigzag scan, Exp-Golomb lengths, run-level bits.
 
 Completes the rate side of the encoder model: after TQ, quantized levels
-are zigzag-scanned and entropy-coded.  This is a compact, bit-exact
-run-level coder built on H.264's Exp-Golomb codes (the standard's CAVLC
-is table-heavier but rate-equivalent to first order); it gives the
-rate-distortion experiments *real bits* instead of non-zero counts.
+are zigzag-scanned and run-level coded with H.264's Exp-Golomb codes
+(the standard's CAVLC is table-heavier but rate-equivalent to first
+order).  The encoder needs only the length of that code, so this module
+counts its bits without writing them; it gives the rate-distortion
+experiments *real bits* instead of non-zero counts.
 """
 
 from __future__ import annotations
@@ -20,85 +21,7 @@ ZIGZAG_4x4: tuple[tuple[int, int], ...] = (
 )
 
 
-class BitWriter:
-    """Append-only bit buffer."""
-
-    def __init__(self) -> None:
-        self.bits: list[int] = []
-
-    def write_bit(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValueError("a bit is 0 or 1")
-        self.bits.append(bit)
-
-    def write_bits(self, value: int, width: int) -> None:
-        if width < 0 or value < 0 or value >= (1 << width):
-            raise ValueError(f"value {value} does not fit {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self.bits.append((value >> shift) & 1)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-class BitReader:
-    """Sequential reader over a bit list."""
-
-    def __init__(self, bits: list[int]) -> None:
-        self.bits = list(bits)
-        self.position = 0
-
-    def read_bit(self) -> int:
-        if self.position >= len(self.bits):
-            raise ValueError("bitstream exhausted")
-        bit = self.bits[self.position]
-        self.position += 1
-        return bit
-
-    def read_bits(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
-
-    def exhausted(self) -> bool:
-        return self.position >= len(self.bits)
-
-
 # -- Exp-Golomb codes ----------------------------------------------------------
-
-
-def write_ue(writer: BitWriter, value: int) -> None:
-    """Unsigned Exp-Golomb: ``value`` >= 0 as [zeros][1][info]."""
-    if value < 0:
-        raise ValueError("ue(v) encodes non-negative integers")
-    code = value + 1
-    width = code.bit_length()
-    for _ in range(width - 1):
-        writer.write_bit(0)
-    writer.write_bits(code, width)
-
-
-def read_ue(reader: BitReader) -> int:
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-        if zeros > 64:
-            raise ValueError("malformed Exp-Golomb code")
-    info = reader.read_bits(zeros)
-    return (1 << zeros) - 1 + info
-
-
-def write_se(writer: BitWriter, value: int) -> None:
-    """Signed Exp-Golomb via the standard's zigzag mapping."""
-    mapped = 2 * value - 1 if value > 0 else -2 * value
-    write_ue(writer, mapped)
-
-
-def read_se(reader: BitReader) -> int:
-    mapped = read_ue(reader)
-    magnitude = (mapped + 1) // 2
-    return magnitude if mapped % 2 == 1 else -magnitude
 
 
 def ue_bits(value: int) -> int:
@@ -113,7 +36,7 @@ def se_bits(value: int) -> int:
     return ue_bits(mapped)
 
 
-# -- run-level block coding --------------------------------------------------------
+# -- run-level block costs ---------------------------------------------------------
 
 
 def zigzag_scan(block) -> list[int]:
@@ -121,49 +44,6 @@ def zigzag_scan(block) -> list[int]:
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 block, got {arr.shape}")
     return [int(arr[i, j]) for i, j in ZIGZAG_4x4]
-
-
-def inverse_zigzag(values: list[int]) -> np.ndarray:
-    if len(values) != 16:
-        raise ValueError("a 4x4 scan has 16 values")
-    out = np.zeros((4, 4), dtype=np.int64)
-    for value, (i, j) in zip(values, ZIGZAG_4x4):
-        out[i, j] = value
-    return out
-
-
-def encode_block(block, writer: BitWriter | None = None) -> BitWriter:
-    """Run-level code one quantized 4x4 block.
-
-    Format: ue(number of non-zero levels), then per non-zero coefficient
-    in scan order: ue(run of preceding zeros), se(level).
-    """
-    writer = writer if writer is not None else BitWriter()
-    scan = zigzag_scan(block)
-    nonzero = [(i, v) for i, v in enumerate(scan) if v != 0]
-    write_ue(writer, len(nonzero))
-    previous = -1
-    for index, value in nonzero:
-        write_ue(writer, index - previous - 1)
-        write_se(writer, value)
-        previous = index
-    return writer
-
-
-def decode_block(reader: BitReader) -> np.ndarray:
-    """Inverse of :func:`encode_block`."""
-    count = read_ue(reader)
-    if count > 16:
-        raise ValueError("a 4x4 block has at most 16 coefficients")
-    scan = [0] * 16
-    position = -1
-    for _ in range(count):
-        run = read_ue(reader)
-        position += run + 1
-        if position >= 16:
-            raise ValueError("run-level data overruns the block")
-        scan[position] = read_se(reader)
-    return inverse_zigzag(scan)
 
 
 def block_bits(block) -> int:

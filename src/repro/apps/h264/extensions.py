@@ -6,8 +6,8 @@ consider additional SIs focusing on different hot spots in future work."
 This module implements that future work behaviourally: the two remaining
 H.264 hot-spot groups from Fig. 1 — Motion Compensation (half-pel
 interpolation, the standard's 6-tap filter) and the deblocking Loop
-Filter — as functional kernels, new Atoms, and SIs with molecule
-catalogues generated automatically by :mod:`repro.core.molgen`.
+Filter — as new Atoms and SIs with molecule catalogues generated
+automatically by :mod:`repro.core.molgen`.
 
 The extended cycle model carves the MC/LF work out of Fig. 12's non-SI
 core overhead (keeping the published totals intact when the new SIs run
@@ -16,114 +16,12 @@ in software) so the bench can show the Amdahl ceiling lifting.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ...core.atom import AtomCatalogue, AtomKind
 from ...core.library import SILibrary
-
 from ...core.molgen import generate_si
 from ...core.schedule import layered_dataflow
 from ...core.si import SpecialInstruction
 from .sis import CORE_OVERHEAD_CYCLES, SOFTWARE_CYCLES, TABLE2, _impls, build_h264_catalogue
-
-if TYPE_CHECKING:  # the pixel kernels import numpy when they run
-    import numpy as np
-
-# ---------------------------------------------------------------------------
-# Functional kernels
-# ---------------------------------------------------------------------------
-
-#: The H.264 half-pel 6-tap filter taps (applied then >> 5 with rounding).
-SIXTAP = (1, -5, 20, 20, -5, 1)
-
-
-def clip_pixel(value: int) -> int:
-    """Saturate to the 8-bit pixel range (the Clip atom's function)."""
-    return max(0, min(255, int(value)))
-
-
-def sixtap_half_pel(samples) -> int:
-    """One half-pel sample from six integer-pel neighbours (H.264 §8.4.2.2).
-
-    ``b = (E - 5F + 20G + 20H - 5I + J + 16) >> 5``, clipped to 0..255.
-    """
-    import numpy as np
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.shape != (6,):
-        raise ValueError("the 6-tap filter needs exactly six samples")
-    acc = int(np.dot(arr, SIXTAP))
-    return clip_pixel((acc + 16) >> 5)
-
-
-def interpolate_half_pel_row(row) -> np.ndarray:
-    """Half-pel samples between the integer pixels of one padded row.
-
-    ``row`` has ``n + 5`` integer pixels; the result has ``n`` half-pel
-    samples, one between each central pixel pair.
-    """
-    import numpy as np
-    arr = np.asarray(row, dtype=np.int64)
-    if arr.size < 6:
-        raise ValueError("need at least six samples for one half-pel value")
-    return np.array(
-        [sixtap_half_pel(arr[i : i + 6]) for i in range(arr.size - 5)],
-        dtype=np.int64,
-    )
-
-
-def mc_half_pel_block(padded_block) -> np.ndarray:
-    """Half-pel horizontal interpolation of a 4-row block.
-
-    ``padded_block`` is 4 x (w + 5) integer pixels; returns 4 x w half-pel
-    samples — one MC_HPEL SI call covers one such block (Fig. 1's MC hot
-    spot operates per prediction block).
-    """
-    import numpy as np
-    arr = np.asarray(padded_block, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != 4 or arr.shape[1] < 6:
-        raise ValueError("expected a 4 x (w+5) padded block")
-    return np.vstack([interpolate_half_pel_row(r) for r in arr])
-
-
-def deblock_edge(p, q, *, alpha: int = 40, beta: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Filter one 4+4-pixel edge (simplified H.264 in-loop deblocking).
-
-    ``p = (p3, p2, p1, p0)`` and ``q = (q0, q1, q2, q3)`` straddle the
-    block edge.  When the gradients are below the (alpha, beta)
-    thresholds the boundary samples are smoothed with the standard's
-    bs<4 filter shape; otherwise the edge is a real feature and is left
-    untouched.
-    """
-    import numpy as np
-    p = np.asarray(p, dtype=np.int64).copy()
-    q = np.asarray(q, dtype=np.int64).copy()
-    if p.shape != (4,) or q.shape != (4,):
-        raise ValueError("an edge is four pixels on each side")
-    if alpha < 1 or beta < 1:
-        raise ValueError("thresholds must be positive")
-    p3, p2, p1, p0 = p
-    q0, q1, q2, q3 = q
-    if abs(p0 - q0) >= alpha or abs(p1 - p0) >= beta or abs(q1 - q0) >= beta:
-        return p, q
-    delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3
-    delta = max(-6, min(6, delta))
-    p[3] = clip_pixel(p0 + delta)
-    q[0] = clip_pixel(q0 - delta)
-    p[2] = clip_pixel(p1 + ((p2 + ((p0 + q0 + 1) >> 1) - 2 * p1) >> 1))
-    q[1] = clip_pixel(q1 + ((q2 + ((p0 + q0 + 1) >> 1) - 2 * q1) >> 1))
-    return p, q
-
-
-def deblock_block_edge(p_cols, q_cols, **thresholds):
-    """Deblock the four pixel rows crossing one 4x4-block edge."""
-    import numpy as np
-    p_cols = np.asarray(p_cols, dtype=np.int64)
-    q_cols = np.asarray(q_cols, dtype=np.int64)
-    if p_cols.shape != (4, 4) or q_cols.shape != (4, 4):
-        raise ValueError("expected 4x4 pixel arrays on both edge sides")
-    outs = [deblock_edge(p_cols[i], q_cols[i], **thresholds) for i in range(4)]
-    return np.vstack([o[0] for o in outs]), np.vstack([o[1] for o in outs])
-
 
 # ---------------------------------------------------------------------------
 # Extended atom catalogue and SI library

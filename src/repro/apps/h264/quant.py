@@ -114,10 +114,3 @@ def reconstruct_4x4(coefficients, qp: int, *, intra: bool = True) -> np.ndarray:
     """The full TQ round trip: quantize, rescale, inverse-transform."""
     levels = quantize_4x4(coefficients, qp, intra=intra)
     return inverse_dct_4x4(dequantize_4x4(levels, qp))
-
-
-def quantization_step(qp: int) -> float:
-    """The effective quantizer step size Qstep(qp) = 0.625 * 2^(qp/6)."""
-    _check_qp(qp)
-    base = (0.625, 0.6875, 0.8125, 0.875, 1.0, 1.125)[qp % 6]
-    return base * (1 << (qp // 6))

@@ -1,14 +1,15 @@
 """Reference H.264 transform kernels (golden models).
 
-Pure-numpy implementations of the three transforms the paper's Atoms
-accelerate (§6, Fig. 9: "There are three different transforms used in
-ITU-T H.264 ... 2x2 Hadamard Transform, 4x4 Integer Transform, and 4x4
-Hadamard Transform. The addition and subtraction flow is identical in
-all three transforms"), plus the SATD and SAD cost functions of motion
+The paper's Atoms accelerate three transforms (§6, Fig. 9: "There are
+three different transforms used in ITU-T H.264 ... 2x2 Hadamard
+Transform, 4x4 Integer Transform, and 4x4 Hadamard Transform. The
+addition and subtraction flow is identical in all three transforms").
+This module holds the pure-numpy kernels the encoder model runs: the
+4x4 integer transform, the residual and the SATD cost of motion
 estimation.
 
 These are the *optimised software molecules*' functional reference; the
-Atom-composed implementations in :mod:`repro.apps.h264.sis` must be
+Atom-composed implementations in :mod:`repro.apps.h264.atoms` must be
 bit-exact against them.
 """
 
@@ -38,9 +39,6 @@ H4 = np.array(
     dtype=np.int64,
 )
 
-#: 2x2 Hadamard matrix (chroma-DC transform).
-H2 = np.array([[1, 1], [1, -1]], dtype=np.int64)
-
 
 def _as_block(block, size: int) -> np.ndarray:
     arr = np.asarray(block, dtype=np.int64)
@@ -55,23 +53,6 @@ def dct_4x4(block) -> np.ndarray:
     return CF4 @ x @ CF4.T
 
 
-def hadamard_4x4(block) -> np.ndarray:
-    """H.264 luma-DC Hadamard transform ``(H . X . H^T) / 2``.
-
-    The division by two (with rounding towards minus infinity, matching
-    an arithmetic right shift — the ``>> 1`` elements in the Transform
-    Atom's HT mode, Fig. 9) keeps the DC coefficients in 16-bit range.
-    """
-    x = _as_block(block, 4)
-    return (H4 @ x @ H4.T) >> 1
-
-
-def hadamard_2x2(block) -> np.ndarray:
-    """H.264 chroma-DC 2x2 Hadamard transform ``H . X . H^T``."""
-    x = _as_block(block, 2)
-    return H2 @ x @ H2.T
-
-
 def residual(original, prediction) -> np.ndarray:
     """Element-wise difference block (the QuadSub Atom's function)."""
     a = np.asarray(original, dtype=np.int64)
@@ -79,11 +60,6 @@ def residual(original, prediction) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return a - b
-
-
-def sad_4x4(original, prediction) -> int:
-    """Sum of Absolute Differences over a 4x4 block (integer-pel ME cost)."""
-    return int(np.abs(residual(_as_block(original, 4), _as_block(prediction, 4))).sum())
 
 
 def satd_4x4(original, prediction) -> int:

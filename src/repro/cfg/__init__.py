@@ -8,11 +8,9 @@ from ..exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "distance": "expected_distance max_distance min_distance",
-    "dominators": (
-        "common_dominator dominates dominators_of forecast_covers_usage immediate_dominators"
-    ),
+    "dominators": "immediate_dominators",
     "graph": "BasicBlock ControlFlowGraph Edge",
     "probability": "reach_probability_markov reach_probability_scc",
-    "profile": "collect_si_stats expected_si_executions profile_from_trace SIStats",
+    "profile": "collect_si_stats expected_si_executions SIStats",
     "scc": "Condensation condense SCCNode strongly_connected_components",
 })

@@ -4,8 +4,8 @@ A block ``d`` dominates ``b`` when every path from the entry to ``b``
 passes through ``d``.  Dominators give the forecast pipeline a structural
 guarantee the probabilistic candidates lack: a Forecast point placed in a
 dominator of an SI's usage blocks fires on *every* execution path that
-can reach the SI — useful both to validate placements and to hoist a
-cluster's FC to the lowest common dominator.
+can reach the SI.  Lint rule FC006 (:mod:`repro.analysis.forecastcheck`)
+checks placements against these dominator chains.
 
 Implemented with the classic iterative dataflow algorithm (Cooper,
 Harvey & Kennedy's "A Simple, Fast Dominance Algorithm") in reverse
@@ -75,56 +75,3 @@ def immediate_dominators(cfg: ControlFlowGraph) -> dict[str, str]:
                 idom[block] = new
                 changed = True
     return idom
-
-
-def dominators_of(cfg: ControlFlowGraph, block: str) -> list[str]:
-    """All dominators of ``block``, from the block itself up to the entry."""
-    idom = immediate_dominators(cfg)
-    if block not in idom:
-        raise ValueError(f"block {block!r} is unreachable from the entry")
-    chain = [block]
-    while chain[-1] != cfg.entry:
-        chain.append(idom[chain[-1]])
-    return chain
-
-
-def dominates(cfg: ControlFlowGraph, dominator: str, block: str) -> bool:
-    """True iff every entry→``block`` path passes through ``dominator``."""
-    return dominator in dominators_of(cfg, block)
-
-
-def common_dominator(cfg: ControlFlowGraph, blocks: list[str]) -> str:
-    """The lowest block dominating *all* of ``blocks``.
-
-    This is where a single Forecast point covers every path into an SI's
-    whole usage cluster.
-    """
-    if not blocks:
-        raise ValueError("need at least one block")
-    chains = [dominators_of(cfg, b) for b in blocks]
-    common = set(chains[0])
-    for chain in chains[1:]:
-        common &= set(chain)
-    # The lowest common dominator appears earliest in any chain.
-    for candidate in chains[0]:
-        if candidate in common:
-            return candidate
-    raise AssertionError("entry dominates everything")  # pragma: no cover
-
-
-def forecast_covers_usage(
-    cfg: ControlFlowGraph, forecast_block: str, si_name: str
-) -> bool:
-    """Does an FC in ``forecast_block`` fire before *every* use of the SI?
-
-    True when the forecast block dominates every block using ``si_name``
-    — the structural soundness check for a placement.
-    """
-    usages = cfg.blocks_using(si_name)
-    if not usages:
-        raise ValueError(f"no block uses SI {si_name!r}")
-    idom = immediate_dominators(cfg)
-    return all(
-        usage in idom and forecast_block in dominators_of(cfg, usage)
-        for usage in usages
-    )

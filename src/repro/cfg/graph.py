@@ -212,32 +212,6 @@ class ControlFlowGraph:
         t.entry = exits[0] if exits else self.entry
         return t
 
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph``.
-
-        Node attributes: ``cycles``, ``exec_count``, ``si_usages``;
-        edge attributes: ``count`` and ``probability``.  Lets users run
-        arbitrary graph algorithms on the profiled CFG.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for block in self._blocks.values():
-            g.add_node(
-                block.block_id,
-                cycles=block.cycles,
-                exec_count=block.exec_count,
-                si_usages=dict(block.si_usages),
-            )
-        for edge in self._edges.values():
-            g.add_edge(
-                edge.src,
-                edge.dst,
-                count=edge.count,
-                probability=self.edge_probability(edge.src, edge.dst),
-            )
-        return g
-
     def to_dot(self, *, highlight: Iterable[str] = (), si_marks: bool = True) -> str:
         """Graphviz DOT rendering (the Fig. 3 visualisation).
 

@@ -18,19 +18,6 @@ from .graph import ControlFlowGraph
 from .probability import eye, reach_probability_scc, solve
 
 
-def profile_from_trace(cfg: ControlFlowGraph, block_trace: list[str]) -> None:
-    """Install block and edge execution counts from an executed block sequence."""
-    block_counts: dict[str, int] = {}
-    edge_counts: dict[tuple[str, str], int] = {}
-    for block_id in block_trace:
-        if block_id not in cfg:
-            raise ValueError(f"trace mentions unknown block {block_id!r}")
-        block_counts[block_id] = block_counts.get(block_id, 0) + 1
-    for src, dst in zip(block_trace, block_trace[1:]):
-        edge_counts[(src, dst)] = edge_counts.get((src, dst), 0) + 1
-    cfg.set_profile(block_counts, edge_counts)
-
-
 def expected_si_executions(cfg: ControlFlowGraph, si_name: str) -> dict[str, float]:
     """Expected future executions of ``si_name`` from each block (inclusive).
 

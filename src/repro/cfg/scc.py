@@ -96,11 +96,6 @@ class Condensation:
     scc_of: dict[str, int]
     entry: int | None
 
-    def topological_order(self) -> list[int]:
-        """SCC ids in topological order (sources first)."""
-        # Tarjan emits reverse topological order; our nodes kept that order.
-        return [node.scc_id for node in reversed(self.nodes)]
-
     def loops(self) -> list[SCCNode]:
         return [n for n in self.nodes if n.is_loop]
 

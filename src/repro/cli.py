@@ -332,7 +332,7 @@ def _verify(argv: list[str]) -> int:
         verify_golden_result,
         write_golden,
     )
-    from .sim.suites import SUITES
+    from .scenario import SUITES
 
     def add_args(parser: argparse.ArgumentParser) -> None:
         source = parser.add_mutually_exclusive_group()
@@ -480,8 +480,7 @@ def _chaos(argv: list[str]) -> int:
     from .recovery.journal import JOURNAL_NAME, RecoveryError
     from .recovery.runtime import RecoveryPlan, SimulatedCrash
     from .recovery.snapshot import latest_snapshot, load_snapshot
-    from .scenario import Scenario, ScenarioError
-    from .sim.suites import SUITES
+    from .scenario import SUITES, Scenario, ScenarioError
 
     # The scenario knobs besides --suite/--quick: (key, metavar, help).
     knobs = (
@@ -685,7 +684,7 @@ def _chaos(argv: list[str]) -> int:
 def _metrics(argv: list[str]) -> int:
     from .obs.exporters import to_jsonl, to_prometheus
     from .obs.suites import run_metrics_suite
-    from .sim.suites import SUITES
+    from .scenario import SUITES
 
     parser = argparse.ArgumentParser(
         prog="repro metrics",

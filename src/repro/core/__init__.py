@@ -20,6 +20,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "AtomOp Dataflow estimate_cycles layered_dataflow list_schedule Schedule ScheduledOp"
     ),
     "selection": "ForecastedSI select_exhaustive select_greedy SelectionResult upgrade_path",
-    "serialize": "library_from_dict library_to_dict load_library save_library",
     "si": "MoleculeImpl SpecialInstruction",
 })

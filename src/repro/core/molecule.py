@@ -216,10 +216,6 @@ class Molecule:
         """True iff ``other <= self`` (self offers at least other's atoms)."""
         return other <= self
 
-    def fits_within(self, available: "Molecule") -> bool:
-        """True iff ``self <= available``: implementable without loading."""
-        return self <= available
-
     def restricted_to(self, kinds: Iterable[str]) -> "Molecule":
         """Zero out every component not in ``kinds`` (projection)."""
         keep = set(kinds)

@@ -127,14 +127,6 @@ class Schedule:
     makespan: int
     placements: list[ScheduledOp] = field(default_factory=list)
 
-    def by_instance(self) -> dict[tuple[str, int], list[ScheduledOp]]:
-        lanes: dict[tuple[str, int], list[ScheduledOp]] = {}
-        for p in self.placements:
-            lanes.setdefault((p.kind, p.instance), []).append(p)
-        for lane in lanes.values():
-            lane.sort(key=lambda p: p.start)
-        return lanes
-
 
 def list_schedule(
     dataflow: Dataflow,

@@ -56,16 +56,6 @@ class AtomHardwareSpec:
             raise ValueError("configuration rate must be positive")
         return self.bitstream_bytes / bytes_per_us
 
-    def rotation_time_cycles(
-        self,
-        core_mhz: float,
-        bytes_per_us: float = SELECTMAP_BYTES_PER_US,
-    ) -> int:
-        """Rotation latency in core cycles at ``core_mhz`` MHz."""
-        if core_mhz <= 0:
-            raise ValueError("core frequency must be positive")
-        return round(self.rotation_time_us(bytes_per_us) * core_mhz)
-
 
 #: Table 1, verbatim.  Pack's bitstream (and hence rotation time) is
 #: significantly bigger because its container covers an embedded BlockRAM

@@ -221,14 +221,6 @@ class AtomContainer:
         self.last_used = now
         self.generation += 1
 
-    def touch(self, now: int) -> None:
-        """Record a use of the loaded Atom (replacement-policy input)."""
-        if not self.is_available():
-            raise ValueError(
-                f"container {self.container_id} holds no usable atom"
-            )
-        self.last_used = now
-
     def evict(self) -> str | None:
         """Drop the loaded Atom, returning its kind (None if empty)."""
         if self.state is ContainerState.LOADING:

@@ -79,20 +79,6 @@ class EnergyModel:
             raise ValueError("slices and cycles cannot be negative")
         return active_slices * cycles * self.dynamic_pj_per_slice_cycle / 1000.0
 
-    def rotation_energy_cycles_equivalent(
-        self, spec: AtomHardwareSpec, *, core_power_nw: float = 50_000.0
-    ) -> float:
-        """Rotation energy expressed in core-cycle-equivalents.
-
-        This is the ``E_rot`` the FDF offset consumes: energies divided by
-        the core's per-cycle energy so the break-even compares directly
-        with the per-execution cycle saving.
-        """
-        if core_power_nw <= 0:
-            raise ValueError("core power must be positive")
-        core_nj_per_cycle = core_power_nw / (self.core_mhz * 1e6) * 1e9 / 1e9
-        return self.rotation_energy_nj(spec) / core_nj_per_cycle
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:

@@ -167,24 +167,7 @@ class Fabric:
                 counts[c.atom] = counts.get(c.atom, 0) + 1
         return self.space.molecule(counts)
 
-    def eventual_atoms(self) -> Molecule:
-        """Atoms available once all in-flight rotations finish."""
-        return self.available_atoms() + self.in_flight()
-
     # -- container queries ------------------------------------------------------
-
-    def empty_containers(self) -> list[AtomContainer]:
-        return [
-            c
-            for c in self.containers
-            if c.state is ContainerState.EMPTY
-            and not c.failed
-            and not c.quarantined
-        ]
-
-    def healthy_containers(self) -> list[AtomContainer]:
-        """Containers still in service."""
-        return [c for c in self.containers if not c.failed]
 
     def fail_container(self, container_id: int) -> str | None:
         """Take a container out of service (fabric defect injection).
@@ -202,12 +185,6 @@ class Fabric:
         if not container.failed:
             self._m_failures.inc()
         return container.mark_failed()
-
-    def loaded_containers(self) -> list[AtomContainer]:
-        return [c for c in self.containers if c.is_available()]
-
-    def busy_containers(self) -> list[AtomContainer]:
-        return [c for c in self.containers if c.is_busy()]
 
     def containers_holding(self, atom: str) -> list[AtomContainer]:
         return [

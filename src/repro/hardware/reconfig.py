@@ -331,7 +331,3 @@ class ReconfigurationPort:
 
     def total_rotations(self) -> int:
         return len(self.jobs)
-
-    def total_busy_cycles(self) -> int:
-        """Cycles the port spent writing bitstreams so far."""
-        return sum(j.duration for j in self.jobs)

@@ -195,11 +195,6 @@ class RecoverableRuntime:
         return self._store
 
     @property
-    def in_handoff(self) -> bool:
-        """Still re-verifying the driver against the journal?"""
-        return self._handoff_idx < len(self._handoff)
-
-    @property
     def journal_records(self) -> int:
         """Total journaled commands (replayed + handed off + live)."""
         return self._journal.next_seq - 1

@@ -71,9 +71,6 @@ class RuntimeStats:
             return 0.0
         return self.hw_executions / self.si_executions
 
-    def total_energy_nj(self) -> float:
-        return self.rotation_energy_nj + self.execution_energy_nj
-
 
 @dataclass
 class _ActiveForecast:

@@ -44,22 +44,6 @@ class SIForecastStats:
     #: Windows in which the forecasted SI actually executed at least once.
     hit_windows: int = 0
 
-    def absolute_error(self) -> float:
-        if not self.windows:
-            return 0.0
-        return abs(self.total_predicted - self.total_observed) / self.windows
-
-    def hit_probability(self) -> float:
-        """Realized probability that a fired forecast saw an execution.
-
-        The run-time counterpart of the compile-time reach probability —
-        "our forecast updating scheme maximizes the expectation /
-        probability of the prediction" (§2).
-        """
-        if not self.windows:
-            return 1.0
-        return self.hit_windows / self.windows
-
 
 class ForecastMonitor:
     """Observes SI executions and fine-tunes forecast expectations."""

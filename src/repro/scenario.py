@@ -5,9 +5,9 @@ a ``--resume`` store keeps in its ``run.json`` and what ``POST /scenario``
 carries.  Its field defaults are the campaign defaults (also the
 ``run_chaos_suite`` keyword defaults), and :meth:`Scenario.from_payload`
 is the one validator: a closed field set, a shipped suite, exact JSON
-types and ranges.  The module imports nothing of the simulator (the
-suite table is read on call), so ``repro.cli`` and ``repro.serve`` stay
-light to import.
+types and ranges.  The suite table :data:`SUITES` lives here, so
+validating a scenario imports nothing of the simulator and ``repro.cli``
+and ``repro.serve`` stay light to import.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from typing import Any
+
+
+#: The shipped suites (run by :mod:`repro.sim.suites`): the ``--suite``
+#: choices of chaos, verify and metrics, and the ``suite`` values a
+#: scenario accepts.
+SUITES = ("aes", "h264", "synthetic")
 
 
 class ScenarioError(ValueError):
@@ -59,8 +65,6 @@ class Scenario:
         ``fault_rate`` an ``int`` or ``float`` (stored as ``float``) and
         ``quick`` only a ``bool``; raise :class:`ScenarioError` on junk.
         """
-        from .sim.suites import SUITES
-
         if not isinstance(payload, Mapping):
             raise ScenarioError("scenario must be a JSON object")
         known = sorted(f.name for f in fields(cls))

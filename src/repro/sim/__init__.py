@@ -1,4 +1,4 @@
-"""Simulation substrate: program IR, interpreter, core model, tasks, trace."""
+"""Simulation substrate: program IR, interpreter, tasks, trace."""
 
 from ..exports import lazy_exports
 
@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "executor": "execute ExecutionResult profile_program",
     "integration": "AnnotatedRunResult compile_and_run CompileAndRunResult run_annotated_program",
     "ir": "Branch Exit IRBlock Jump Program",
-    "processor": "CoreModel DEFAULT_COSTS",
     "task": "Action Compute ExecuteSI Forecast ForecastEnd Label MultiTaskSimulator ScriptedTask",
     "trace": "Event EventKind Trace",
 })

@@ -18,9 +18,6 @@ class ExecutionResult:
     cycles: int
     si_executions: dict[str, int] = field(default_factory=dict)
 
-    def block_count(self, name: str) -> int:
-        return sum(1 for b in self.block_trace if b == name)
-
 
 def execute(
     program: Program,

@@ -62,11 +62,6 @@ class AnnotatedRunResult:
     forecasts_fired: int = 0
     si_executions: dict[str, int] = field(default_factory=dict)
 
-    def si_share(self) -> float:
-        if not self.total_cycles:
-            return 0.0
-        return self.si_cycles / self.total_cycles
-
 
 def run_annotated_program(
     program: Program,

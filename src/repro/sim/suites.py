@@ -9,8 +9,9 @@ predicting that round's call count exactly, and close every window at
 the last traced cycle.  A stream is a one-task script
 (:func:`si_stream`), and :func:`run_si_stream` is the one loop that
 drives a script against a fresh runtime.  Heavy imports sit inside the
-functions, so importing :data:`SUITES` loads no application or
-benchmark code.
+functions, so importing this module loads no application or benchmark
+code.  The suite names, :data:`SUITES`, are declared in
+:mod:`repro.scenario`.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..commands import Forecast, query
+from ..scenario import SUITES
 from .task import Action, Compute, ExecuteSI, MultiTaskSimulator, ScriptedTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.library import SILibrary
     from ..runtime.manager import RisppRuntime
-
-#: The shipped suites: the ``--suite`` choices of chaos, verify and metrics.
-SUITES = ("aes", "h264", "synthetic")
 
 #: Stream suites: ``(containers, quick rounds, full rounds)``.
 _STREAMS = {"h264": (6, 3, 8), "synthetic": (5, 6, 20)}

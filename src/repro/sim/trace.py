@@ -356,12 +356,6 @@ class Trace(Sequence[Event]):
         values = {kind._value_ for kind in kinds}
         return list(map(self._event, self._where(lambda entry: entry[0] in values)))
 
-    def for_task(self, task: str) -> list[Event]:
-        return list(map(self._event, self._where(lambda entry: entry[1] == task)))
-
-    def for_si(self, si: str) -> list[Event]:
-        return list(map(self._event, self._where(lambda entry: entry[2] == si)))
-
     def first(self, kind: EventKind, **detail_filter: Any) -> Event | None:
         """Earliest event of ``kind`` whose detail matches the filter.
 

@@ -72,7 +72,6 @@ class TestDiagnostics:
         report.append(Diagnostic("LIB001", Severity.ERROR, "e"))
         assert not report.ok()
         assert report.exit_code() == 1
-        assert report.max_severity() is Severity.ERROR
         assert report.rule_ids() == ["LIB003", "LIB001"]
         assert len(report.by_rule("LIB001")) == 1
 

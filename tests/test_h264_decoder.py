@@ -1,16 +1,19 @@
-"""Tests for the intra-frame bitstream decoder (true codec round trip)."""
+"""The encoder's reconstruction against a decoder that sees only the bits."""
 
 import numpy as np
 import pytest
 
 from repro.apps.h264 import synthetic_frame
-from repro.apps.h264.decoder import (
+from repro.apps.h264.intra import encode_intra_frame
+from tests.h264_codec import (
+    BitWriter,
     decode_intra_frame_bitstream,
+    decode_sequence,
     roundtrip_intra_frame,
     serialize_intra_frame,
+    serialize_sequence,
+    write_ue,
 )
-from repro.apps.h264.entropy import BitWriter, write_ue
-from repro.apps.h264.intra import encode_intra_frame
 
 
 class TestCodecRoundTrip:
@@ -52,8 +55,6 @@ class TestSequenceCodec:
         return [synthetic_frame(64, 64, seed=3, shift=s) for s in range(3)]
 
     def test_sequence_roundtrip_bit_exact(self, frames):
-        from repro.apps.h264.decoder import decode_sequence, serialize_sequence
-
         bits, recons = serialize_sequence(frames, qp=20)
         decoded, qp = decode_sequence(bits.bits)
         assert qp == 20
@@ -62,8 +63,6 @@ class TestSequenceCodec:
             assert (encoder_view == decoder_view).all()
 
     def test_decoded_sequence_quality(self, frames):
-        from repro.apps.h264.decoder import decode_sequence, serialize_sequence
-
         bits, _recons = serialize_sequence(frames, qp=12)
         decoded, _qp = decode_sequence(bits.bits)
         # Compare the encoded macroblock region of the last frame.
@@ -71,14 +70,10 @@ class TestSequenceCodec:
         assert diff.mean() < 6
 
     def test_sequence_bits_scale_with_qp(self, frames):
-        from repro.apps.h264.decoder import serialize_sequence
-
         sizes = [len(serialize_sequence(frames, qp)[0]) for qp in (8, 24, 40)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_sequence_validation(self, frames):
-        from repro.apps.h264.decoder import decode_sequence, serialize_sequence
-
         with pytest.raises(ValueError):
             serialize_sequence([], qp=20)
         with pytest.raises(ValueError):

@@ -7,21 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.apps.h264.entropy import (
-    BitReader,
-    BitWriter,
     ZIGZAG_4x4,
     block_bits,
+    macroblock_bits,
+    se_bits,
+    ue_bits,
+    zigzag_scan,
+)
+from tests.h264_codec import (
+    BitReader,
+    BitWriter,
     decode_block,
     encode_block,
     inverse_zigzag,
-    macroblock_bits,
     read_se,
     read_ue,
-    se_bits,
-    ue_bits,
     write_se,
     write_ue,
-    zigzag_scan,
 )
 
 level_blocks = arrays(np.int64, (4, 4), elements=st.integers(-200, 200))

@@ -1,11 +1,5 @@
 """Tests for the future-work MC/LF extension SIs."""
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-
 from repro.apps.h264 import SOFTWARE_CYCLES
 from repro.apps.h264.extensions import (
     EXTENSION_SI_COUNTS,
@@ -14,110 +8,8 @@ from repro.apps.h264.extensions import (
     RESIDUAL_CORE_OVERHEAD,
     build_extended_catalogue,
     build_extended_library,
-    clip_pixel,
-    deblock_block_edge,
-    deblock_edge,
     extended_macroblock_cycles,
-    interpolate_half_pel_row,
-    mc_half_pel_block,
-    sixtap_half_pel,
 )
-
-pixels = st.integers(0, 255)
-
-
-class TestSixTap:
-    def test_flat_region_is_preserved(self):
-        assert sixtap_half_pel([80] * 6) == 80
-
-    def test_linear_ramp_interpolates_midpoint(self):
-        # On linear data the 6-tap filter returns the exact midpoint.
-        assert sixtap_half_pel([0, 10, 20, 30, 40, 50]) == 25
-
-    def test_clipping(self):
-        assert sixtap_half_pel([255] * 6) == 255
-        assert sixtap_half_pel([0, 255, 0, 0, 255, 0]) >= 0
-
-    @given(arrays(np.int64, (6,), elements=pixels))
-    def test_output_in_pixel_range(self, samples):
-        assert 0 <= sixtap_half_pel(samples) <= 255
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ValueError):
-            sixtap_half_pel([1, 2, 3])
-
-    def test_row_interpolation_length(self):
-        row = np.arange(13)
-        assert interpolate_half_pel_row(row).shape == (8,)
-        with pytest.raises(ValueError):
-            interpolate_half_pel_row([1, 2, 3])
-
-    def test_block_interpolation(self):
-        block = np.tile(np.arange(9) * 20, (4, 1))
-        out = mc_half_pel_block(block)
-        assert out.shape == (4, 4)
-        assert (out == out[0]).all()  # identical rows stay identical
-        with pytest.raises(ValueError):
-            mc_half_pel_block(np.zeros((3, 9)))
-
-
-class TestDeblocking:
-    def test_smooths_small_step(self):
-        p, q = deblock_edge([100, 100, 100, 100], [120, 120, 120, 120])
-        # Boundary samples move towards each other.
-        assert p[3] > 100 and q[0] < 120
-        assert abs(int(p[3]) - int(q[0])) < 20
-
-    def test_real_edges_untouched(self):
-        p, q = deblock_edge([0, 0, 0, 0], [255, 255, 255, 255])
-        assert (p == 0).all() and (q == 255).all()
-
-    def test_flat_region_unchanged(self):
-        p, q = deblock_edge([90] * 4, [90] * 4)
-        assert (p == 90).all() and (q == 90).all()
-
-    @given(
-        arrays(np.int64, (4,), elements=pixels),
-        arrays(np.int64, (4,), elements=pixels),
-    )
-    @settings(max_examples=60)
-    def test_output_stays_in_pixel_range(self, p, q):
-        fp, fq = deblock_edge(p, q)
-        assert fp.min() >= 0 and fp.max() <= 255
-        assert fq.min() >= 0 and fq.max() <= 255
-
-    @given(
-        arrays(np.int64, (4,), elements=pixels),
-        arrays(np.int64, (4,), elements=pixels),
-    )
-    @settings(max_examples=60)
-    def test_boundary_step_change_is_bounded(self, p, q):
-        # The delta term is clamped to +-6, so the boundary step can move
-        # by at most 12 (both samples shift by delta); large steps (real
-        # edges) are rejected before filtering and never move at all.
-        fp, fq = deblock_edge(p, q)
-        before = abs(int(p[3]) - int(q[0]))
-        after = abs(int(fp[3]) - int(fq[0]))
-        assert after <= before + 12
-        if before >= 40:  # alpha threshold: a real edge stays untouched
-            assert after == before
-
-    def test_block_edge_filters_rowwise(self):
-        p = np.full((4, 4), 100)
-        q = np.full((4, 4), 118)
-        fp, fq = deblock_block_edge(p, q)
-        assert (fp[:, 3] > 100).all()
-        with pytest.raises(ValueError):
-            deblock_block_edge(np.zeros((2, 4)), q)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            deblock_edge([0] * 4, [0] * 4, alpha=0)
-
-    def test_clip_pixel(self):
-        assert clip_pixel(-5) == 0
-        assert clip_pixel(260) == 255
-        assert clip_pixel(128) == 128
 
 
 class TestExtendedLibrary:

@@ -12,7 +12,6 @@ from repro.apps.h264.quant import (
     dequantize_4x4,
     inverse_dct_4x4,
     position_class,
-    quantization_step,
     quantize_4x4,
     reconstruct_4x4,
 )
@@ -73,13 +72,6 @@ class TestQuantization:
         # The intra offset rounds more aggressively upward.
         assert (intra >= inter).all()
 
-    def test_quantization_step_doubles_every_six(self):
-        for qp in range(0, MAX_QP - 5):
-            assert quantization_step(qp + 6) == pytest.approx(
-                2 * quantization_step(qp)
-            )
-        assert quantization_step(0) == pytest.approx(0.625)
-
 
 class TestReconstruction:
     @given(pixel_blocks)
@@ -93,7 +85,8 @@ class TestReconstruction:
     def test_error_bounded_by_quant_step(self, x, qp):
         rec = reconstruct_4x4(dct_4x4(x), qp)
         # Worst-case spatial error stays within ~2 quantizer steps.
-        bound = 2 * quantization_step(qp) + 1
+        qstep = (0.625, 0.6875, 0.8125, 0.875, 1.0, 1.125)[qp % 6] * (1 << (qp // 6))
+        bound = 2 * qstep + 1
         assert np.abs(rec - x).max() <= bound
 
     def test_error_grows_monotonically_with_qp(self):

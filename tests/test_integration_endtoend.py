@@ -88,9 +88,6 @@ class TestRunAnnotatedProgram:
         runtime = RisppRuntime(mini_library, 6)
         result = run_annotated_program(program, ForecastAnnotation(), runtime)
         assert result.total_cycles == result.core_cycles + result.si_cycles
-        assert result.si_share() == pytest.approx(
-            result.si_cycles / result.total_cycles
-        )
 
 
 class TestCompileAndRun:

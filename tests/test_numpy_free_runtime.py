@@ -1,31 +1,38 @@
-"""The runtime paths of all three suites never load numpy.
+"""The runtime paths of all three suites never load numpy or networkx.
 
 Importing numpy adds ~13.5 MB of resident memory to a process (CPython
 3.11 on x86-64 Linux), and neither the runtime (selection, rotation,
 dispatch, trace, verification, chaos, checkpoints), the Table 2 library
 nor the AES flow's CFG solvers (a pure-Python elimination in
-``repro.cfg.probability``) needs it: only the h264 pixel models,
-exhaustive enumeration and Pareto masks do.  Each probe runs in a fresh
-interpreter with numpy made unimportable
+``repro.cfg.probability``) needs it: only the h264 pixel models (atoms,
+transforms, quantization, intra prediction, the encoder and its
+entropy costs), exhaustive enumeration and Pareto masks do.  networkx
+is a test dependency only: the tests cross-check ``repro.cfg`` against
+it, and nothing under ``src/`` imports it.  Each probe runs in a fresh
+interpreter with numpy and networkx made unimportable
 (``sys.modules["numpy"] = None``) and must render the same bytes as the
-same probe run with numpy present.
+same probe run with both present.
 """
 
 import json
 import subprocess
 import sys
 
-# The import lines of the benchmark's runtime workloads, then a macroblock
-# stream with replans, the extended library's phase rotation, quick chaos
-# on all three suites, the quick AES verify golden and a checkpointed crash
-# resumed under a RecoveryPlan.
+# The package and the CLI, the import lines of the benchmark's runtime
+# workloads, then a macroblock stream with replans, the extended library's
+# phase rotation, quick chaos on all three suites, the quick AES verify
+# golden, a checkpointed crash resumed under a RecoveryPlan, and quick
+# `repro chaos` and `repro lint` through the CLI.
 RUNTIME_PROBE = r"""
-import json, sys, tempfile
+import contextlib, io, json, sys, tempfile
 from pathlib import Path
 
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
+    sys.modules["networkx"] = None
 
+import repro
+import repro.cli
 from repro.apps.h264 import build_extended_library, build_h264_library
 from repro.apps.h264.phases import run_phase_rotation
 from repro.bench.suites import H264_MACROBLOCK_CALLS, build_synthetic_library
@@ -87,7 +94,15 @@ with tempfile.TemporaryDirectory() as tmp:
         recovery=RecoveryPlan(store, checkpoint_every=64, resume=True),
     ))
 
+for command in (["chaos", "--suite", "h264", "--quick", "--format", "json"],
+                ["lint", "--format", "json"]):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = repro.cli.main(command)
+    out[command[0]] = (code, stdout.getvalue())
+
 out["numpy_loaded"] = sys.modules.get("numpy") is not None
+out["networkx_loaded"] = sys.modules.get("networkx") is not None
 print(json.dumps(out))
 """
 
@@ -103,15 +118,18 @@ def run_probe(mode):
 def test_runtime_paths_run_without_numpy_byte_identically():
     blocked = run_probe("blocked")
     present = run_probe("present")
-    assert blocked.pop("numpy_loaded") is False
-    # With numpy importable, nothing on these paths imports it either.
-    assert present.pop("numpy_loaded") is False
+    for module in ("numpy", "networkx"):
+        assert blocked.pop(f"{module}_loaded") is False
+        # With it importable, nothing on these paths imports it either.
+        assert present.pop(f"{module}_loaded") is False
     assert blocked["replans"] >= 4
     assert blocked["verified"] is True
     assert blocked["aes_verified"] is True
     assert "MC_HPEL" in blocked["extended"]
     assert blocked["crashed"] is True
     assert blocked["resumed"] == blocked["synthetic"]
+    assert blocked["chaos"][0] == 0 and json.loads(blocked["chaos"][1])
+    assert blocked["lint"][0] == 0 and json.loads(blocked["lint"][1])
     assert blocked == present
 
 

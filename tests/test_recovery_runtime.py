@@ -98,10 +98,11 @@ class TestCrashAtEveryBoundary:
                 fresh_runtime(library), crashed, checkpoint_every=5, resume=True
             )
             assert resumed.resumed
-            assert resumed.in_handoff == (k > 0)
+            # the handoff: journal records the resumed run has yet to re-check
+            assert (resumed._handoff_idx < len(resumed._handoff)) == (k > 0)
             assert resumed.replayed_records == k % 5 if k else True
             assert drive(resumed) == ref_end
-            assert not resumed.in_handoff
+            assert resumed._handoff_idx == len(resumed._handoff)
             assert trace_signature(resumed.trace) == ref_sig
             assert resumed.journal_records == total
             resumed.close()

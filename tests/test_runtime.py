@@ -62,7 +62,7 @@ class TestForecastMonitor:
         stats = m.stats("A", "S")
         assert stats.windows == 1
         assert stats.total_observed == 6
-        assert stats.absolute_error() == pytest.approx(4.0)
+        assert stats.total_predicted == pytest.approx(10.0)
 
     def test_invalid_smoothing(self):
         with pytest.raises(ValueError):
@@ -103,8 +103,8 @@ class TestReplacement:
 
     def test_lru_vs_mru(self, mini_catalogue):
         fabric, port = self.loaded_fabric(mini_catalogue)
-        fabric.container(1).touch(100)
-        fabric.container(2).touch(50)
+        fabric.container(1).last_used = 100
+        fabric.container(2).last_used = 50
         keep = fabric.space.zero()
         lru_pick = LRUPolicy().select(
             [fabric.container(1), fabric.container(2)], now=200

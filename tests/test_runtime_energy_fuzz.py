@@ -15,7 +15,8 @@ class TestRuntimeEnergyAccounting:
         rt = RisppRuntime(mini_library, 4)
         rt.forecast("HT", 0, expected=10)
         rt.execute_si("HT", 0)
-        assert rt.stats.total_energy_nj() == 0.0
+        assert rt.stats.rotation_energy_nj == 0.0
+        assert rt.stats.execution_energy_nj == 0.0
 
     def test_rotation_energy_accumulates(self, mini_library):
         model = EnergyModel()

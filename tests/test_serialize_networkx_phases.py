@@ -1,9 +1,8 @@
-"""Tests for library serialisation, networkx export, and phase rotation."""
+"""Tests for the networkx cross-check of SCCs, and for phase rotation."""
 
 import networkx as nx
 import pytest
 
-from repro.apps.h264 import build_h264_library
 from repro.apps.h264.phases import (
     FRAME_CYCLES,
     PHASES,
@@ -11,54 +10,7 @@ from repro.apps.h264.phases import (
     run_phase_rotation,
 )
 from repro.cfg import ControlFlowGraph, strongly_connected_components
-from repro.core.serialize import (
-    library_from_dict,
-    library_to_dict,
-    load_library,
-    save_library,
-)
-
-
-class TestSerialization:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        original = build_h264_library(include_sad=True)
-        path = save_library(original, tmp_path / "h264.json")
-        loaded = load_library(path)
-        assert loaded.names() == original.names()
-        assert loaded.space == original.space
-        for name in original.names():
-            a, b = original.get(name), loaded.get(name)
-            assert a.software_cycles == b.software_cycles
-            assert a.description == b.description
-            assert [(i.molecule.counts, i.cycles, i.label) for i in a.implementations] == [
-                (i.molecule.counts, i.cycles, i.label) for i in b.implementations
-            ]
-        for kind in original.catalogue:
-            other = loaded.catalogue.get(kind.name)
-            assert other == kind
-
-    def test_loaded_library_is_functional(self, tmp_path):
-        path = save_library(build_h264_library(), tmp_path / "lib.json")
-        library = load_library(path)
-        # Same Fig. 11 behaviour after the round trip.
-        from repro.apps.h264 import available_atoms_for_config
-
-        avail = available_atoms_for_config(library, "4 Atoms")
-        assert library.get("SATD_4x4").cycles_with(avail) == 24
-
-    def test_version_checked(self):
-        data = library_to_dict(build_h264_library())
-        data["format"] = 99
-        with pytest.raises(ValueError):
-            library_from_dict(data)
-
-    def test_malformed_data_rejected(self):
-        data = library_to_dict(build_h264_library())
-        del data["sis"][0]["software_cycles"]
-        with pytest.raises(ValueError):
-            library_from_dict(data)
-        with pytest.raises(ValueError):
-            library_from_dict({"format": 1, "catalogue": {"kinds": [{}]}, "sis": []})
+from tests.oracles import to_networkx
 
 
 class TestNetworkxExport:
@@ -74,7 +26,7 @@ class TestNetworkxExport:
         return cfg
 
     def test_structure_and_attributes(self):
-        g = self.sample().to_networkx()
+        g = to_networkx(self.sample())
         assert set(g.nodes) == {"a", "b", "c"}
         assert g.nodes["b"]["si_usages"] == {"S": 1}
         assert g.edges["a", "b"]["count"] == 30
@@ -85,7 +37,7 @@ class TestNetworkxExport:
         ours = {frozenset(c) for c in strongly_connected_components(cfg)}
         theirs = {
             frozenset(c)
-            for c in nx.strongly_connected_components(cfg.to_networkx())
+            for c in nx.strongly_connected_components(to_networkx(cfg))
         }
         assert ours == theirs
 
@@ -106,7 +58,7 @@ class TestNetworkxExport:
         ours = {frozenset(c) for c in strongly_connected_components(cfg)}
         theirs = {
             frozenset(c)
-            for c in nx.strongly_connected_components(cfg.to_networkx())
+            for c in nx.strongly_connected_components(to_networkx(cfg))
         }
         assert ours == theirs
 

@@ -103,7 +103,8 @@ class TestImportWeight:
 
     def test_answering_loads_no_runtime_in_the_daemon(self):
         # The workers run and judge each scenario, so the daemon's process
-        # never imports the runtime, not even to count the first response.
+        # never imports the runtime, not even to count the first response,
+        # and validating a request loads no simulator module.
         probe = (
             "import sys\n"
             "from repro.obs import MetricRegistry, parse_prometheus, to_prometheus\n"
@@ -111,8 +112,9 @@ class TestImportWeight:
             "registry = MetricRegistry()\n"
             "with RuntimeFacade(workers=1, metrics=registry) as facade:\n"
             "    facade.run({'seed': 3})\n"
-            "loaded = [m for m in ('repro.faults', 'repro.runtime', 'repro.analysis')\n"
-            "          if m in sys.modules]\n"
+            "forbidden = ('repro.faults', 'repro.runtime', 'repro.analysis', 'repro.sim',\n"
+            "             'repro.commands')\n"
+            "loaded = [m for m in forbidden if m in sys.modules]\n"
             "assert not loaded, loaded\n"
             "samples = parse_prometheus(to_prometheus(registry))[\n"
             "    'rispp_serve_scenarios_total']['samples']\n"

@@ -1,11 +1,10 @@
-"""Tests for the simulation substrate: IR, executor, core model, tasks, trace."""
+"""Tests for the simulation substrate: IR, executor, tasks, trace."""
 
 import pytest
 
 from repro.sim import (
     Branch,
     Compute,
-    CoreModel,
     EventKind,
     ExecuteSI,
     Forecast,
@@ -85,7 +84,7 @@ class TestIR:
 class TestExecutor:
     def test_loop_executes_n_times(self):
         result = execute(counting_loop(4))
-        assert result.block_count("loop") == 4
+        assert result.block_trace.count("loop") == 4
         assert result.env["i"] == 4
         assert result.si_executions == {"S": 8}
         assert result.cycles == 5 + 4 * 10 + 1
@@ -114,29 +113,6 @@ class TestExecutor:
             profile_program(counting_loop(1), runs=0)
 
 
-class TestCoreModel:
-    def test_block_cycles_from_mix(self):
-        core = CoreModel()
-        assert core.block_cycles({"alu": 4, "load": 2, "branch": 1}) == 10
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            CoreModel().instruction_cycles("fma")
-
-    def test_unit_conversions_roundtrip(self):
-        core = CoreModel(frequency_mhz=100.0)
-        assert core.us_to_cycles(857.63) == 85763
-        assert core.cycles_to_us(85763) == pytest.approx(857.63)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CoreModel(frequency_mhz=0)
-        with pytest.raises(ValueError):
-            CoreModel(costs={"alu": 0})
-        with pytest.raises(ValueError):
-            CoreModel().block_cycles({"alu": -1})
-
-
 class TestTrace:
     def test_record_and_filter(self):
         t = Trace()
@@ -144,8 +120,8 @@ class TestTrace:
         t.record(9, EventKind.SI_EXECUTED, task="B", si="S", mode="SW")
         assert len(t) == 2
         assert len(t.of_kind(EventKind.FORECAST)) == 1
-        assert len(t.for_task("B")) == 1
-        assert len(t.for_si("S")) == 2
+        assert [e.task for e in t] == ["A", "B"]
+        assert [e.si for e in t] == ["S", "S"]
 
     def test_first_with_detail_filter(self):
         t = Trace()

@@ -149,8 +149,6 @@ class TestTraceContract:
                 i, EventKind.ROTATION_REQUESTED, factory(100 + i), task="t"
             )
         assert len(trace.of_kind(EventKind.SI_EXECUTED)) == 20
-        assert len(trace.for_task("t")) == 40
-        assert len(trace.for_si("HT")) == 20
         found = trace.first(EventKind.ROTATION_REQUESTED)
         assert found is not None and found.cycle == 0
         assert trace.first(EventKind.CONTAINER_FAILED) is None
