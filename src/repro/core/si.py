@@ -33,7 +33,9 @@ class MoleculeImpl:
     cycles:
         Latency of one SI execution with this molecule, in core cycles.
     label:
-        Optional human-readable tag (e.g. ``"L2 P1 T1 S1"``).
+        Optional human-readable tag (e.g. ``"L2 P1 T1 S1"``).  The trace
+        records it as the execution's mode, so ``"SW"`` — the software
+        fallback's mode — is reserved.
     """
 
     molecule: Molecule
@@ -45,6 +47,10 @@ class MoleculeImpl:
             raise ValueError("molecule latency must be at least one cycle")
         if self.molecule.is_zero():
             raise ValueError("a hardware molecule must use at least one atom")
+        if self.label == "SW":
+            raise ValueError(
+                'label "SW" is reserved for the software fallback\'s mode'
+            )
 
     def atoms(self) -> int:
         """Total Atom instances of this implementation (the determinant)."""

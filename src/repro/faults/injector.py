@@ -45,7 +45,6 @@ from .stats import ResilienceStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.si import SpecialInstruction
     from ..hardware.reconfig import RotationJob
-    from ..obs.registry import MetricRegistry
     from ..runtime.manager import RisppRuntime
 
 
@@ -87,11 +86,7 @@ class FaultInjector:
         # Degraded-time integral and tallies: reports read them, recovery does not.
         "_last_mark": counter(int),
         "stats": counter(ResilienceStats),
-        **wiring(
-            "schedule", "scrub_period", "max_retries", "backoff_cycles",
-            "_runtime", "_obs_on", "_m_injected", "_m_repair_cycles", "_m_quarantine",
-            "_m_degraded",
-        ),
+        **wiring("schedule", "scrub_period", "max_retries", "backoff_cycles", "_runtime"),
     }
 
     def __init__(
@@ -127,7 +122,6 @@ class FaultInjector:
         self._repair_of: dict[int, "RotationJob"] = {}
         self._last_mark = 0
         self._runtime: "RisppRuntime | None" = None
-        self._bind_metrics(None)
 
     # -- wiring -----------------------------------------------------------
 
@@ -145,21 +139,20 @@ class FaultInjector:
                     f"but the fabric has {len(runtime.fabric)} containers"
                 )
         self._runtime = runtime
-        self._bind_metrics(runtime.metrics)
+        self._bind_metrics(runtime)
 
-    def _bind_metrics(self, metrics: "MetricRegistry | None") -> None:
-        """Adopt the attached runtime's registry (DISABLED before attach)."""
-        from ..obs.registry import DISABLED
-
-        obs = metrics if metrics is not None else DISABLED
-        self._obs_on = obs.enabled
-        injected = obs.counter("faults_injected_total")
-        self._m_injected = {
-            kind: injected.labels(kind=kind.value) for kind in FaultKind
-        }
-        self._m_repair_cycles = obs.histogram("repair_cycles")
-        self._m_quarantine = obs.gauge("quarantine_depth")
-        self._m_degraded = obs.counter("degraded_cycles_total")
+    def _bind_metrics(self, runtime: "RisppRuntime") -> None:
+        """Register the fault telemetry, all read at collection time: from
+        the runtime's trace and from the injector's own state."""
+        obs = runtime.metrics
+        if not obs.enabled:
+            return
+        runtime._bind_traced(obs.counter("faults_injected_total"))
+        runtime._bind_traced(obs.histogram("repair_cycles"))
+        obs.gauge("quarantine_depth").set_callback(lambda: len(self._quarantined))
+        obs.counter("degraded_cycles_total").set_callback(
+            lambda: self.stats.degraded_cycles
+        )
 
     def schedule_fault(self, event: FaultEvent) -> None:
         """Append a fault event at run time (model-checking drivers).
@@ -235,8 +228,6 @@ class FaultInjector:
 
     def _inject(self, runtime: "RisppRuntime", event: FaultEvent, t: int) -> None:
         self.stats.faults_injected += 1
-        if self._obs_on:
-            self._m_injected[event.kind].inc()
         if event.kind is FaultKind.TRANSIENT:
             self.stats.transients += 1
             self._inject_transient(runtime, event.container, t)
@@ -392,8 +383,6 @@ class FaultInjector:
         )
         lost = container.quarantine()
         self.stats.containers_quarantined += 1
-        if self._obs_on:
-            self._m_quarantine.inc()
         runtime.publish(
             events.ContainerQuarantined(t, container=container_id, atom=lost)
         )
@@ -472,9 +461,6 @@ class FaultInjector:
             self.stats.containers_repaired += 1
             self.stats.mttr_cycles_total += mttr
             self.stats.mttr_cycles_max = max(self.stats.mttr_cycles_max, mttr)
-            if self._obs_on:
-                self._m_repair_cycles.observe(mttr)
-                self._m_quarantine.dec()
             runtime.publish(
                 events.ContainerRepaired(
                     job.finish_at,
@@ -490,8 +476,7 @@ class FaultInjector:
         """A container was retired: close any open episode bookkeeping."""
         self._mark(now)
         self._corrupted.pop(container_id, None)
-        if self._quarantined.pop(container_id, None) is not None and self._obs_on:
-            self._m_quarantine.dec()
+        self._quarantined.pop(container_id, None)
         self._repair_of.pop(container_id, None)
         self._attempts = {
             key: n for key, n in self._attempts.items() if key[0] != container_id
@@ -525,8 +510,6 @@ class FaultInjector:
         if t > self._last_mark:
             if self._corrupted or self._quarantined:
                 self.stats.degraded_cycles += t - self._last_mark
-                if self._obs_on:
-                    self._m_degraded.inc(t - self._last_mark)
             self._last_mark = t
 
     def open_episodes(self) -> int:

@@ -8,14 +8,13 @@ hard-wired next to the core data path (``Load``/``Add``/``Store`` in the
 case study) — are always available in effectively unlimited multiplicity,
 which we model with a configurable count.
 
-The derived molecule views (:meth:`available_atoms`,
-:meth:`loaded_reconfigurable`, :meth:`in_flight`) are memoized against a
-**state generation** — the sum of the per-container mutation counters.
+The derived molecule view :meth:`available_atoms` is memoized against
+a **state generation** — the sum of the per-container mutation counters.
 Between rotations the fabric is immutable, yet the run-time manager asks
 "what is loaded?" on *every* SI execution; the generation check turns
-those queries into a dict lookup instead of a molecule construction.
-The uncached ``_compute_*`` builders stay callable, so tests can check
-that a cached view always equals a fresh recomputation.
+that query into a dict lookup instead of a molecule construction.  The
+uncached ``_compute_available`` builder stays callable, so tests can
+check that the cached view always equals a fresh recomputation.
 """
 
 from __future__ import annotations
@@ -38,10 +37,7 @@ class Fabric:
     STATE_ROLES = {
         "containers": state(list[AtomContainer]),
         "_available_cache": cache(None),
-        "_loaded_cache": cache(None),
-        **wiring(
-            "catalogue", "space", "static_multiplicity", "_static", "_reconfigurable", "_m_failures"
-        ),
+        **wiring("catalogue", "space", "static_multiplicity", "_static", "_reconfigurable"),
     }
 
     def __init__(
@@ -70,31 +66,29 @@ class Fabric:
             if baseline:
                 self._static[name] = baseline
         self._reconfigurable = set(catalogue.reconfigurable_names())
-        #: generation -> memoized view; one entry each, replaced on miss.
+        #: generation -> memoized view; one entry, replaced on miss.
         self._available_cache: tuple[int, Molecule] | None = None
-        self._loaded_cache: tuple[int, Molecule] | None = None
         self._bind_metrics(metrics)
 
     def _bind_metrics(self, metrics: "MetricRegistry | None") -> None:
         """Register the fabric's telemetry (callback gauges + counters).
 
-        Occupancy and churn are *sampled* at collection time instead of
-        updated per mutation — the state already lives in the container
-        fields, so the fabric's hot paths carry zero telemetry cost.
+        Occupancy, churn and failures are *sampled* at collection time
+        instead of updated per mutation — the state already lives in the
+        container fields, so the fabric's hot paths carry no telemetry.
         """
-        from ..obs.registry import DISABLED
-
-        obs = metrics if metrics is not None else DISABLED
-        self._m_failures = obs.counter("container_failures_total")
-        if not obs.enabled:
+        if metrics is None or not metrics.enabled:
             return
-        states = obs.gauge("containers_state")
+        metrics.counter("container_failures_total").set_callback(
+            lambda: self._count_state("failed")
+        )
+        states = metrics.gauge("containers_state")
         for state in ("loaded", "loading", "empty", "failed", "quarantined"):
             states.labels(state=state).set_callback(
                 lambda s=state: self._count_state(s)
             )
-        obs.gauge("fabric_utilisation_ratio").set_callback(self.utilisation)
-        obs.counter("container_churn_total").set_callback(
+        metrics.gauge("fabric_utilisation_ratio").set_callback(self.utilisation)
+        metrics.counter("container_churn_total").set_callback(
             lambda: float(sum(c.rotations + c.evictions for c in self.containers))
         )
 
@@ -142,31 +136,6 @@ class Fabric:
                 counts[c.atom] = counts.get(c.atom, 0) + 1
         return self.space.molecule(counts)
 
-    def loaded_reconfigurable(self) -> Molecule:
-        """Only the Atoms sitting in (loaded) containers."""
-        gen = self.generation
-        cached = self._loaded_cache
-        if cached is not None and cached[0] == gen:
-            return cached[1]
-        molecule = self._compute_loaded()
-        self._loaded_cache = (gen, molecule)
-        return molecule
-
-    def _compute_loaded(self) -> Molecule:
-        counts: dict[str, int] = {}
-        for c in self.containers:
-            if c.is_available() and c.atom is not None:
-                counts[c.atom] = counts.get(c.atom, 0) + 1
-        return self.space.molecule(counts)
-
-    def in_flight(self) -> Molecule:
-        """Atoms currently being rotated in (not yet usable)."""
-        counts: dict[str, int] = {}
-        for c in self.containers:
-            if c.is_busy() and c.atom is not None:
-                counts[c.atom] = counts.get(c.atom, 0) + 1
-        return self.space.molecule(counts)
-
     # -- container queries ------------------------------------------------------
 
     def fail_container(self, container_id: int) -> str | None:
@@ -181,15 +150,7 @@ class Fabric:
                 f"container id {container_id} out of range "
                 f"(fabric has {len(self.containers)} containers)"
             )
-        container = self.containers[container_id]
-        if not container.failed:
-            self._m_failures.inc()
-        return container.mark_failed()
-
-    def containers_holding(self, atom: str) -> list[AtomContainer]:
-        return [
-            c for c in self.containers if c.is_available() and c.atom == atom
-        ]
+        return self.containers[container_id].mark_failed()
 
     # -- validation ----------------------------------------------------------------
 
@@ -203,8 +164,7 @@ class Fabric:
     def touch_atoms(self, molecule: Molecule, now: int) -> None:
         """Mark containers backing ``molecule``'s reconfigurable atoms as used.
 
-        One pass over the containers (id order, matching the original
-        per-kind ``containers_holding`` walk) instead of one scan per
+        One pass over the containers in id order instead of one scan per
         atom kind — this sits on the SI-execution hot path.
         """
         needed: dict[str, int] = {}

@@ -12,10 +12,11 @@ exposition format and schema-stable JSONL snapshots.
 
 Telemetry is off by default: every instrumented constructor takes
 ``metrics: MetricRegistry | None = None`` and falls back to the shared
-:data:`DISABLED` registry, whose instruments are no-op singletons; the
-per-event disabled cost is one boolean guard (bounded < 3% of one
-``execute_si`` by ``tests/test_obs_runtime.py``).  Pass
-``MetricRegistry()`` to turn the lights on — traces and simulation
+:data:`DISABLED` registry, whose instruments are no-op singletons.
+Families the run already keeps the state of — the trace's events, the
+runtime and fault statistics, the container flags — are read at
+collection time, so ``execute_si`` makes no instrument call either way.
+Pass ``MetricRegistry()`` to turn the lights on — traces and simulation
 results are bit-identical either way (metrics never feed back into
 decisions).
 

@@ -2,13 +2,15 @@
 
 Design constraints, in order:
 
-1. **Near-zero cost when disabled.**  A disabled registry hands out one
-   shared :data:`NULL` instrument whose every method is a no-op ``pass``;
-   additionally the hot seams (``execute_si``, the port's per-event
-   paths) guard their whole instrumentation block behind a single
-   pre-resolved boolean, so the disabled path costs one attribute truth
-   test per event — bounded below 3% of one ``execute_si`` by
-   ``tests/test_obs_runtime.py``.
+1. **No telemetry work per SI execution.**  A family whose value the
+   run already keeps — the trace's events, ``RuntimeStats``, the fault
+   injector's tallies, the container flags — is a callback instrument
+   (``set_callback``), read at collection time, so ``execute_si`` makes
+   no instrument call even with an enabled registry
+   (``tests/test_obs_runtime.py`` counts them).  A disabled registry
+   hands out one shared :data:`NULL` instrument whose every method is a
+   no-op ``pass``; the remaining live sites (the port, the forecast
+   monitor) guard their instrumentation behind one pre-resolved boolean.
 2. **Deterministic exports.**  All counters/gauges/cycle histograms take
    simulated-cycle or count values, so a seeded run produces a
    byte-identical snapshot; wall-clock span timers are declared
@@ -27,6 +29,8 @@ hot paths resolve children once at construction time, not per event.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Mapping
+from itertools import accumulate
 from typing import Any, Callable, Iterator
 
 from .catalogue import COUNTER, GAUGE, HISTOGRAM, MetricSpec, spec_of
@@ -220,7 +224,9 @@ class Gauge(Instrument):
 
 
 class Histogram(Instrument):
-    """Cumulative-bucket histogram (Prometheus semantics) + span timer."""
+    """Cumulative-bucket histogram (Prometheus semantics) + span timer;
+    optionally computed by a callback that maps each observed value to
+    its number of observations."""
 
     def __init__(self, spec: MetricSpec, label_values: tuple[str, ...] = ()):
         if spec.buckets is None:  # pragma: no cover - catalogue enforces
@@ -228,16 +234,45 @@ class Histogram(Instrument):
         self.bounds: tuple[float, ...] = tuple(spec.buckets)
         #: Per-bound counts (non-cumulative; exporters accumulate), the
         #: last slot is the +Inf overflow.
-        self.counts: list[int] = [0] * (len(self.bounds) + 1)
-        self.sum: float = 0.0
-        self.count: int = 0
+        self._counts: list[int] = [0] * (len(self.bounds) + 1)
+        self._sum: float = 0.0
+        self._count: int = 0
+        self.callback: Callable[[], Mapping[float, int]] | None = None
         super().__init__(spec, label_values)
 
     def observe(self, value: float) -> None:
         self._require_bound()
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+        self._counts[bisect.bisect_left(self.bounds, value)] += 1
+        self._sum += value
+        self._count += 1
+
+    def set_callback(self, fn: Callable[[], Mapping[float, int]]) -> None:
+        """Resolve the histogram at collection time from ``fn()``."""
+        self._require_bound()
+        self.callback = fn
+
+    def load(self, counts: list[int], total: float, count: int) -> None:
+        """Overwrite the observed state (snapshot restore)."""
+        self._counts, self._sum, self._count = counts, total, count
+
+    def current(self) -> tuple[list[int], float, int]:
+        """Per-bound counts (+Inf last), sum and count of the observations."""
+        if self.callback is None:
+            return self._counts, self._sum, self._count
+        counts = [0] * (len(self.bounds) + 1)
+        total: float = 0
+        for value, n in self.callback().items():
+            counts[bisect.bisect_left(self.bounds, value)] += n
+            total += value * n
+        return counts, float(total), sum(counts)
+
+    @property
+    def sum(self) -> float:
+        return self.current()[1]
+
+    @property
+    def count(self) -> int:
+        return self.current()[2]
 
     def time(self) -> _Span:
         """Span timer: ``with histogram.time(): ...`` records seconds."""
@@ -246,13 +281,8 @@ class Histogram(Instrument):
 
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, +Inf last."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.bounds, self.counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + self.counts[-1]))
-        return out
+        running = list(accumulate(self.current()[0]))
+        return [*zip(self.bounds, running), (float("inf"), running[-1])]
 
 
 _TYPES: dict[str, type[Instrument]] = {

@@ -242,22 +242,19 @@ def _restore_metrics(runtime: RisppRuntime, data: dict[str, Any] | None) -> None
         for sample in family["samples"]:
             labels = {str(k): str(v) for k, v in sample["labels"].items()}
             leaf = instrument.labels(**labels) if labels else instrument
+            if leaf.callback is not None:
+                # Callback-driven samples recompute from restored state.
+                continue
             if spec.type == "histogram":
                 buckets = sample["buckets"]
                 if len(buckets) != len(leaf.bounds) + 1:
                     raise RecoveryError(
                         f"metric {full_name!r} bucket layout changed"
                     )
-                counts: list[int] = []
-                previous = 0
-                for _bound, cumulative in buckets:
-                    counts.append(int(cumulative) - previous)
-                    previous = int(cumulative)
-                leaf.counts = counts
-                leaf.sum = float(sample["sum"])
-                leaf.count = int(sample["count"])
-            elif leaf.callback is None:
-                # Callback-driven samples recompute from restored state.
+                running = [int(cumulative) for _bound, cumulative in buckets]
+                counts = [b - a for a, b in zip([0, *running], running)]
+                leaf.load(counts, float(sample["sum"]), int(sample["count"]))
+            else:
                 leaf.value = float(sample["value"])
 
 

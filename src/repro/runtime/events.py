@@ -79,15 +79,14 @@ class ForecastEnded:
 
 @dataclass(frozen=True, slots=True)
 class SIExecuted:
-    """One SI executed (§5): ``mode`` is ``"SW"`` or a molecule label."""
+    """One SI executed (§5): ``mode`` is ``"SW"`` (the software
+    fallback) or the serving molecule's label, ``"HW"`` when it has none."""
 
     cycle: int
     task: str
     si: str
     mode: str
     cycles: int
-    #: True when a hardware molecule served the execution.
-    hw: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,11 +251,6 @@ def _trace_forecast(rt: "RisppRuntime", ev: ForecastFired) -> None:
     )
 
 
-def _metrics_forecast(rt: "RisppRuntime", ev: ForecastFired) -> None:
-    if rt._obs_on:
-        rt._m_fc_fired.inc()
-
-
 def _replan_forecast(rt: "RisppRuntime", ev: ForecastFired) -> None:
     if rt.forecasting:
         rt.publish(ReplanRequested(ev.cycle, task=ev.task, reason="forecast"))
@@ -268,11 +262,6 @@ def _trace_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
 
 def _monitor_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
     rt.monitor.forecast_ended(ev.task, ev.si, ev.cycle)
-
-
-def _metrics_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
-    if rt._obs_on:
-        rt._m_fc_ended.inc()
 
 
 def _replan_forecast_end(rt: "RisppRuntime", ev: ForecastEnded) -> None:
@@ -301,19 +290,8 @@ def _monitor_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
     rt.monitor.si_executed(ev.task, ev.si)
 
 
-def _metrics_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
-    if rt._obs_on:
-        if ev.hw:
-            rt._m_exec_hw.inc()
-            rt._m_cycles_hw.inc(ev.cycles)
-        else:
-            rt._m_exec_sw.inc()
-            rt._m_cycles_sw.inc(ev.cycles)
-        rt._m_si_latency.observe(ev.cycles)
-
-
 def _faults_si_executed(rt: "RisppRuntime", ev: SIExecuted) -> None:
-    if not ev.hw and rt._faults is not None:
+    if ev.mode == "SW" and rt._faults is not None:
         rt._faults.note_execution(rt, rt.library.get(ev.si), ev.cycle)
 
 
@@ -327,11 +305,6 @@ def _trace_mode_switch(rt: "RisppRuntime", ev: SIModeSwitched) -> None:
         to_mode=ev.to_mode,
         cycles=ev.cycles,
     )
-
-
-def _metrics_mode_switch(rt: "RisppRuntime", ev: SIModeSwitched) -> None:
-    if rt._obs_on:
-        rt._m_mode_switches.inc()
 
 
 def _trace_rotation_requested(rt: "RisppRuntime", ev: RotationRequested) -> None:
@@ -360,11 +333,6 @@ def _stats_rotation_requested(rt: "RisppRuntime", ev: RotationRequested) -> None
         rt.stats.rotation_energy_nj += (
             kind.bitstream_bytes * rt.energy_model.rotation_nj_per_byte
         )
-
-
-def _metrics_rotation_requested(rt: "RisppRuntime", ev: RotationRequested) -> None:
-    if rt._obs_on:
-        (rt._m_rot_repair if ev.repair else rt._m_rot_planned).inc()
 
 
 def _trace_rotation_completed(rt: "RisppRuntime", ev: RotationCompleted) -> None:
@@ -489,25 +457,11 @@ def _replan_requested(rt: "RisppRuntime", ev: ReplanRequested) -> None:
 #: The §5 loop's reactions per event type, in dispatch order.  A traced
 #: event's ``_trace_*`` recorder always comes first (determinism rule 2).
 HANDLERS: dict[type, tuple[Handler, ...]] = {
-    ForecastFired: (_trace_forecast, _metrics_forecast, _replan_forecast),
-    ForecastEnded: (
-        _trace_forecast_end,
-        _monitor_forecast_end,
-        _metrics_forecast_end,
-        _replan_forecast_end,
-    ),
-    SIExecuted: (
-        _trace_si_executed,
-        _monitor_si_executed,
-        _metrics_si_executed,
-        _faults_si_executed,
-    ),
-    SIModeSwitched: (_trace_mode_switch, _metrics_mode_switch),
-    RotationRequested: (
-        _trace_rotation_requested,
-        _stats_rotation_requested,
-        _metrics_rotation_requested,
-    ),
+    ForecastFired: (_trace_forecast, _replan_forecast),
+    ForecastEnded: (_trace_forecast_end, _monitor_forecast_end, _replan_forecast_end),
+    SIExecuted: (_trace_si_executed, _monitor_si_executed, _faults_si_executed),
+    SIModeSwitched: (_trace_mode_switch,),
+    RotationRequested: (_trace_rotation_requested, _stats_rotation_requested),
     RotationCompleted: (
         _trace_rotation_completed,
         _faults_rotation_completed,

@@ -26,8 +26,9 @@ the forecast ablation bench.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..core.library import SILibrary
 from ..core.molecule import Molecule
@@ -35,7 +36,7 @@ from ..core.selection import ForecastedSI, select_greedy
 from ..core.si import MoleculeImpl
 from ..hardware.fabric import Fabric
 from ..hardware.reconfig import ReconfigurationPort, RotationJob
-from ..sim.trace import Trace
+from ..sim.trace import EventKind, Trace
 from ..state import Component, Section, cache, counter, state, wiring
 from . import events
 from .events import BUS
@@ -102,11 +103,12 @@ class RisppRuntime:
         "_plan_key": counter(tuple[tuple[tuple[str, float], ...], tuple[int, ...]] | None),
         "_impl_cache": cache(dict),
         "_impl_cache_gen": cache(-1),
+        # The trace tally behind the event-derived metrics; a restore
+        # reloads the trace, so it is counted afresh.
+        "_counted": cache(None),
         **wiring(
             "library", "metrics", "policy", "forecasting", "selection", "energy_model",
-            "_obs_on", "_m_exec_sw", "_m_exec_hw", "_m_cycles_sw", "_m_cycles_hw",
-            "_m_si_latency", "_m_replans_planned", "_m_replans_skipped", "_m_replan_time",
-            "_m_rot_planned", "_m_rot_repair", "_m_mode_switches", "_m_fc_fired", "_m_fc_ended",
+            "_m_replan_time",
         ),
     }
 
@@ -180,6 +182,8 @@ class RisppRuntime:
         #: replan that issued nothing; an identical signature makes the
         #: next replan a guaranteed no-op, so it is skipped.
         self._plan_key: tuple | None = None
+        #: Events tallied so far and their counts (:meth:`_event_counts`).
+        self._counted: tuple[int, defaultdict[str, Counter]] | None = None
         #: Optional :class:`repro.faults.FaultInjector`; when set,
         #: :meth:`advance` interleaves its scheduled fault and scrub
         #: events chronologically with rotation completions.
@@ -188,33 +192,65 @@ class RisppRuntime:
             faults.attach(self)
 
     def _bind_metrics(self) -> None:
-        """Pre-resolve instrument children for the hot paths.
-
-        Each handle is bound once here so ``execute_si`` pays one boolean
-        guard plus direct method calls — no per-event name or label
-        lookups.  With telemetry disabled every handle is the shared
-        no-op :data:`repro.obs.NULL` and the guard skips the block.
-        """
+        """Register the runtime's telemetry: all but the replan span timer
+        is read at collection time, from the trace (:meth:`_event_counts`)
+        and :class:`RuntimeStats`, so no run path makes an instrument call."""
         obs = self.metrics
-        self._obs_on = obs.enabled
-        execs = obs.counter("si_executions_total")
-        cycles = obs.counter("si_cycles_total")
-        self._m_exec_sw = execs.labels(mode="sw")
-        self._m_exec_hw = execs.labels(mode="hw")
-        self._m_cycles_sw = cycles.labels(mode="sw")
-        self._m_cycles_hw = cycles.labels(mode="hw")
-        self._m_si_latency = obs.histogram("si_latency_cycles")
-        replans = obs.counter("replans_total")
-        self._m_replans_planned = replans.labels(outcome="planned")
-        self._m_replans_skipped = replans.labels(outcome="skipped")
         self._m_replan_time = obs.histogram("replan_duration_seconds")
-        rotations = obs.counter("rotations_requested_total")
-        self._m_rot_planned = rotations.labels(kind="planned")
-        self._m_rot_repair = rotations.labels(kind="repair")
-        self._m_mode_switches = obs.counter("mode_switches_total")
-        forecasts = obs.counter("forecast_events_total")
-        self._m_fc_fired = forecasts.labels(event="fired")
-        self._m_fc_ended = forecasts.labels(event="ended")
+        if not obs.enabled:
+            return
+        self._bind_traced(obs.counter("si_executions_total"))
+        self._bind_traced(obs.counter("si_cycles_total"))
+        self._bind_traced(obs.histogram("si_latency_cycles"))
+        self._bind_traced(obs.counter("rotations_requested_total"))
+        self._bind_traced(obs.counter("mode_switches_total"))
+        self._bind_traced(obs.counter("forecast_events_total"))
+        replans = obs.counter("replans_total")
+        replans.labels(outcome="planned").set_callback(lambda: self.stats.replans)
+        replans.labels(outcome="skipped").set_callback(lambda: self.stats.replans_skipped)
+
+    def _bind_traced(self, family: Any) -> None:
+        """Read ``family`` from :meth:`_event_counts` at collection time."""
+        spec = family.spec
+        if spec.buckets is not None:
+            family.set_callback(lambda: self._event_counts()[spec.name])
+        elif not spec.labels:
+            family.set_callback(lambda: self._event_counts()[spec.name][""])
+        else:
+            (label,) = spec.labels
+            for value in spec.label_values[label]:
+                family.labels(**{label: value}).set_callback(
+                    lambda v=value: self._event_counts()[spec.name][v]
+                )
+
+    def _event_counts(self) -> defaultdict[str, Counter]:
+        """The event-derived families: label value (a histogram's observed
+        value) -> count, by family name.  Each call tallies only the events
+        recorded since the last: the trace only grows, and the restore that
+        reloads it resets this cache."""
+        counted, counts = self._counted or (0, defaultdict(Counter))
+        for kind, items, n in self.trace.tally(counted):
+            if kind is EventKind.SI_EXECUTED:
+                detail = dict(items)
+                mode, cycles = "sw" if detail["mode"] == "SW" else "hw", detail["cycles"]
+                counts["si_executions_total"][mode] += n
+                counts["si_cycles_total"][mode] += n * cycles
+                counts["si_latency_cycles"][cycles] += n
+            elif kind is EventKind.ROTATION_REQUESTED:
+                repair = ("repair", True) in items
+                counts["rotations_requested_total"]["repair" if repair else "planned"] += n
+            elif kind is EventKind.SI_MODE_SWITCH:
+                counts["mode_switches_total"][""] += n
+            elif kind is EventKind.FORECAST:
+                counts["forecast_events_total"]["fired"] += n
+            elif kind is EventKind.FORECAST_END:
+                counts["forecast_events_total"]["ended"] += n
+            elif kind is EventKind.FAULT_INJECTED:
+                counts["faults_injected_total"][dict(items)["fault"]] += n
+            elif kind is EventKind.CONTAINER_REPAIRED:
+                counts["repair_cycles"][dict(items)["mttr"]] += n
+        self._counted = (len(self.trace), counts)
+        return counts
 
     # -- events ----------------------------------------------------------
 
@@ -372,7 +408,6 @@ class RisppRuntime:
                 si=si_name,
                 mode=mode,
                 cycles=cycles,
-                hw=impl is not None,
             )
         )
         return cycles
@@ -481,12 +516,8 @@ class RisppRuntime:
             # selection and planning are deterministic in (weights,
             # future population), so this round is a guaranteed no-op.
             self.stats.replans_skipped += 1
-            if self._obs_on:
-                self._m_replans_skipped.inc()
             return
         self.stats.replans += 1
-        if self._obs_on:
-            self._m_replans_planned.inc()
         requests = [
             ForecastedSI(self.library.get(name), weight)
             for name, weight in sorted(weights.items())

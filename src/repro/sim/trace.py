@@ -30,13 +30,15 @@ Reading one event (indexing, iteration, the queries) builds an
 it: editing its detail changes that :class:`Event` object only, never the
 trace or a later read of the same event.  Whole-trace readers read
 columns instead: a slice of a trace is a :class:`Trace` (column slices,
-no :class:`Event`), and :meth:`Trace.rows` yields plain tuples.
+no :class:`Event`), :meth:`Trace.rows` yields plain tuples, and
+:meth:`Trace.tally` counts the events of each shape.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from struct import Struct
@@ -234,6 +236,20 @@ class Trace(Sequence[Event]):
                 si,
                 own_detail(index) if items is None else dict(items),
             )
+
+    def tally(self, start: int = 0) -> Iterator[tuple[EventKind, tuple, int]]:
+        """``(kind, detail items, count)`` of the events from ``start`` on:
+        one row per shape, counted in one pass over the shape column, and
+        one per own-detail event.  Builds no :class:`Event`."""
+        table = self._table
+        for shape, count in Counter(self._shapes[start:]).items():
+            kind, _task, _si, items, _types = table[shape]
+            if items is not None:
+                yield _KINDS[kind], items, count
+        for index in self._own:
+            if index >= start:
+                kind = table[self._shapes[index]][0]
+                yield _KINDS[kind], tuple(self._own_detail(index).items()), 1
 
     def _add(self, cycle: int, kind: EventKind, task: str, si: str, detail: Any) -> None:
         if cycle < 0:

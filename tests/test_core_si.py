@@ -91,6 +91,13 @@ class TestMoleculeImpl:
         with pytest.raises(ValueError):
             MoleculeImpl(space.unit("Pack"), 0)
 
+    def test_sw_label_is_reserved(self, space):
+        """The trace records a label as the execution's mode, so a
+        hardware molecule labelled "SW" would pass for the fallback."""
+        with pytest.raises(ValueError, match="reserved"):
+            MoleculeImpl(space.unit("Pack"), 10, label="SW")
+        assert MoleculeImpl(space.unit("Pack"), 10, label="sw").label == "sw"
+
 
 class TestSpecialInstruction:
     def test_minimal_and_fastest(self, space):

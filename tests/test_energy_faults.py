@@ -135,7 +135,9 @@ class TestContainerFailure:
         assert rt.execute_si("HT_4x4", finish + 1) < 298  # hardware
 
         # Kill the container holding the (single) Pack atom.
-        victim = rt.fabric.containers_holding("Pack")[0]
+        victim = next(
+            c for c in rt.fabric.containers if c.is_available() and c.atom == "Pack"
+        )
         rt.fail_container(victim.container_id, finish + 10)
         events = rt.trace.of_kind(EventKind.CONTAINER_FAILED)
         assert events and events[0].detail["lost_atom"] == "Pack"

@@ -115,7 +115,7 @@ class TestFabric:
         fabric.container(0).complete_rotation(10)
         fabric.container(1).begin_rotation("Pack", ready_at=20)
         assert fabric.available_atoms().count("Pack") == 1
-        assert fabric.in_flight().count("Pack") == 1
+        assert [c.atom for c in fabric.containers if c.is_busy()] == ["Pack"]
 
     def test_container_buckets(self, mini_catalogue):
         fabric = Fabric(mini_catalogue, 3)
@@ -125,7 +125,11 @@ class TestFabric:
         assert [c.state for c in fabric.containers] == [
             ContainerState.LOADED, ContainerState.LOADING, ContainerState.EMPTY
         ]
-        assert fabric.containers_holding("SATD")[0].container_id == 0
+        assert [
+            c.container_id
+            for c in fabric.containers
+            if c.is_available() and c.atom == "SATD"
+        ] == [0]
 
     def test_check_rotatable(self, mini_catalogue):
         fabric = Fabric(mini_catalogue, 2)

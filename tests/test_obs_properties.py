@@ -1,9 +1,13 @@
-"""Property: telemetry counts equal trace-event counts for *any*
-interleaving of forecast / execute_si / fail_container operations."""
+"""Property: telemetry counts equal trace-event counts, and the
+reference machine's replay accounting, for *any* interleaving of
+forecast / execute_si / forecast_end / fail_container / wait operations."""
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.machine import ReferenceMachine
 from repro.bench.suites import build_synthetic_library
 from repro.obs import MetricRegistry
 from repro.runtime import RisppRuntime
@@ -13,21 +17,29 @@ CONTAINERS = 4
 SIS = 3
 
 #: One operation: (kind, subject index).  Indices wrap over the SIs
-#: (or containers for "fail"), so every drawn pair is valid.
+#: (or containers for "fail"), so every drawn pair is valid; "wait"
+#: lets ``index + 1`` rotation times (~60k cycles each) pass, so
+#: rotations land and executions upgrade to hardware.
 _OP = st.tuples(
-    st.sampled_from(["forecast", "execute", "end", "fail"]),
+    st.sampled_from(["forecast", "execute", "end", "fail", "wait"]),
     st.integers(min_value=0, max_value=max(SIS, CONTAINERS) - 1),
 )
+
+
+def _library():
+    """The synthetic library with its smallest molecules labelled: an
+    execution's mode is then ``"SW"``, a label or ``"HW"`` (unlabelled)."""
+    library = build_synthetic_library(kinds=5, sis=SIS)
+    for si in library:
+        base, *rest = si.implementations
+        si.implementations = (replace(base, label=f"{si.name}-base"), *rest)
+    return library
 
 
 def _drive(ops):
     """Apply an op sequence; return the registry and the runtime."""
     registry = MetricRegistry()
-    runtime = RisppRuntime(
-        build_synthetic_library(kinds=5, sis=SIS),
-        CONTAINERS,
-        metrics=registry,
-    )
+    runtime = RisppRuntime(_library(), CONTAINERS, metrics=registry)
     now = 0
     for kind, index in ops:
         if kind == "forecast":
@@ -36,6 +48,8 @@ def _drive(ops):
             now += runtime.execute_si(f"SI{index % SIS}", now)
         elif kind == "end":
             runtime.forecast_end(f"SI{index % SIS}", now)
+        elif kind == "wait":
+            now += 60_000 * (index + 1)
         else:
             runtime.fail_container(index % CONTAINERS, now)
         now += 100
@@ -80,6 +94,38 @@ def test_counters_equal_stats_and_trace(ops):
         rotations.labels(kind="planned").current()
         + rotations.labels(kind="repair").current()
     ) == _events(runtime, EventKind.ROTATION_REQUESTED)
+
+
+@given(ops=st.lists(_OP, max_size=30))
+@example(ops=[("forecast", 0), ("wait", 3), ("execute", 0), ("wait", 3), ("execute", 0)])
+@settings(max_examples=40, deadline=None)
+def test_projection_equals_reference_replay_accounting(ops):
+    """The trace-derived families equal the accounting of an independent
+    replay: the reference machine re-derives each execution's mode and
+    cycles from the events, not from the runtime's counters."""
+    registry, runtime = _drive(ops)
+    machine = ReferenceMachine(runtime.library, CONTAINERS)
+    machine.replay(runtime.trace)
+    accounting = machine.accounting()
+    execs = registry.counter("si_executions_total")
+    assert execs.labels(mode="sw").current() == accounting["sw_executions"]
+    assert execs.labels(mode="hw").current() == accounting["hw_executions"]
+    cycles = registry.counter("si_cycles_total")
+    assert (
+        cycles.labels(mode="sw").current() + cycles.labels(mode="hw").current()
+        == accounting["si_cycles"]
+    )
+    assert registry.histogram("si_latency_cycles").sum == accounting["si_cycles"]
+    rotations = registry.counter("rotations_requested_total")
+    assert (
+        rotations.labels(kind="planned").current()
+        + rotations.labels(kind="repair").current()
+        == accounting["rotations_requested"]
+    )
+    assert (
+        registry.counter("mode_switches_total").current()
+        == accounting["mode_switches"]
+    )
 
 
 @given(ops=st.lists(_OP, max_size=20))

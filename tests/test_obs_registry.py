@@ -11,7 +11,7 @@ from repro.obs import (
     NULL,
     MetricRegistry,
 )
-from repro.obs.catalogue import COUNTER, GAUGE, HISTOGRAM, spec_of
+from repro.obs.catalogue import COUNTER, HISTOGRAM, spec_of
 
 
 class TestCatalogue:
@@ -159,6 +159,22 @@ class TestInstruments:
         assert cumulative[4.0] == 1
         assert cumulative[16.0] == 2
         assert cumulative[math.inf] == 3
+
+    def test_histogram_callback_matches_observing_the_same_values(self):
+        """A callback histogram maps each value to its multiplicity; it
+        exports exactly what observing every value once would."""
+        observed = MetricRegistry().histogram("si_latency_cycles")
+        for value in (1, 5, 5, 5, 10**9):
+            observed.observe(value)
+        values = {1: 1, 5: 3}
+        computed = MetricRegistry().histogram("si_latency_cycles")
+        computed.observe(7)  # a callback overrides observations
+        computed.set_callback(lambda: values)
+        values[10**9] = 1  # resolved at collection, not at binding
+        assert computed.cumulative() == observed.cumulative()
+        assert computed.count == observed.count == 5
+        assert computed.sum == observed.sum
+        assert type(computed.sum) is float
 
     def test_histogram_cumulative_is_monotone(self):
         h = MetricRegistry().histogram("rotation_latency_cycles")

@@ -16,6 +16,8 @@ import pytest
 from repro.bench.harness import trace_signature
 from repro.bench.suites import build_synthetic_library
 from repro.commands import query
+from repro.faults import FaultInjector, FaultSchedule
+from repro.obs import MetricRegistry, snapshot
 from repro.recovery import (
     JOURNAL_NAME,
     RecoverableRuntime,
@@ -33,8 +35,19 @@ def library():
     return build_synthetic_library()
 
 
-def fresh_runtime(library):
-    return RisppRuntime(library, 5, core_mhz=100.0)
+def fresh_runtime(library, **kwargs):
+    return RisppRuntime(library, 5, core_mhz=100.0, **kwargs)
+
+
+def telemetry_runtime(library):
+    """A metrics-enabled runtime whose faults reach the fault families:
+    permanent defects, aborted writes and their retries."""
+    schedule = FaultSchedule.generate(seed=3, horizon=60_000, containers=5, rate=100.0)
+    return fresh_runtime(
+        library,
+        metrics=MetricRegistry(),
+        faults=FaultInjector(schedule, backoff_cycles=500),
+    )
 
 
 def drive(rt):
@@ -60,8 +73,8 @@ def drive(rt):
     return (query(rt, "last_cycle"), idle, episodes)
 
 
-def run_to_store(library, store, **kwargs):
-    rec = RecoverableRuntime(fresh_runtime(library), store, **kwargs)
+def run_to_store(library, store, *, build=fresh_runtime, **kwargs):
+    rec = RecoverableRuntime(build(library), store, **kwargs)
     end = drive(rec)
     rec.close()
     return rec, end
@@ -105,6 +118,30 @@ class TestCrashAtEveryBoundary:
             assert resumed._handoff_idx == len(resumed._handoff)
             assert trace_signature(resumed.trace) == ref_sig
             assert resumed.journal_records == total
+            resumed.close()
+
+    def test_resume_reproduces_the_uninterrupted_metrics(self, library, tmp_path):
+        """With telemetry on, every resumed runtime exports the
+        uninterrupted run's deterministic metrics, byte for byte."""
+        reference = telemetry_runtime(library)
+        ref_end = drive(reference)
+        ref_metrics = snapshot(reference.metrics, deterministic_only=True)
+        injected = reference._faults.stats
+        assert injected.permanents and injected.rotation_retries
+
+        full = tmp_path / "full"
+        rec, end = run_to_store(
+            library, full, build=telemetry_runtime, checkpoint_every=5
+        )
+        assert end == ref_end
+        for k in range(rec.journal_records + 1):
+            crashed = tmp_path / f"crash-{k}"
+            crash_after(full, crashed, k)
+            resumed = RecoverableRuntime(
+                telemetry_runtime(library), crashed, checkpoint_every=5, resume=True
+            )
+            assert drive(resumed) == ref_end
+            assert snapshot(resumed.metrics, deterministic_only=True) == ref_metrics
             resumed.close()
 
     def test_double_crash_still_converges(self, library, tmp_path):

@@ -346,6 +346,31 @@ class TestSlices:
             _mixed_trace()[::-1]
 
 
+class TestTally:
+    @pytest.mark.parametrize("start", range(10))
+    def test_tally_counts_the_rows_from_start(self, start):
+        """Shared shapes are counted by id, own details one by one, and
+        only the events from ``start`` on."""
+        from collections import Counter
+
+        trace = _mixed_trace()
+        expected = Counter(
+            (kind, repr(tuple(detail.items())))
+            for _cycle, kind, _task, _si, detail in list(trace.rows())[start:]
+        )
+        tallied = Counter()
+        for kind, items, count in trace.tally(start):
+            tallied[kind, repr(items)] += count
+        assert tallied == expected
+
+    def test_tally_builds_no_event(self, monkeypatch):
+        trace = _mixed_trace()
+        monkeypatch.setattr(
+            Trace, "_event", lambda self, index: pytest.fail("built an Event")
+        )
+        assert sum(count for _kind, _items, count in trace.tally()) == len(trace)
+
+
 def _exact(value):
     """A value's identity for "unchanged": its type, and a float's bits."""
     if type(value) is float:
