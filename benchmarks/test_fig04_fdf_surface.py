@@ -7,8 +7,6 @@ flat valley up to 10 rotation times, rise beyond, everything scaled up at
 lower probability).
 """
 
-import math
-
 from repro.forecast import ForecastDecisionFunction
 from repro.reporting import render_surface
 

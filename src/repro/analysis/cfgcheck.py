@@ -1,25 +1,27 @@
-"""CFG profile well-formedness checks (rules CFG001..CFG004, CFG006, CFG007).
+"""CFG profile well-formedness checks (rules CFG001, CFG004, CFG007).
 
 The §4 forecast pipeline consumes a profiled BB graph; its probability
 and distance solvers assume a stochastically well-formed profile.  These
-checks verify that shape statically:
+checks verify what a graph built through the public API can still get
+wrong:
 
 * CFG001 — the graph names an entry block that exists;
-* CFG002 — per block, out-edge probabilities sum to 1 (the branch
-  distribution the reach-probability Markov solvers integrate);
-* CFG003 — every edge probability lies in [0, 1];
 * CFG004 — blocks unreachable from the entry (their forecast stats are
   vacuous: probability 0, distance ∞);
-* CFG006 — profile counts (block executions, edge traversals) are
-  non-negative;
 * CFG007 — flow conservation of a profiled graph: a non-entry block's
   execution count matches its incoming traversals, a non-exit block's
   its outgoing ones (trace-derived profiles always satisfy this; a
   violation means the counts were edited or merged inconsistently).
 
+The rest holds by construction.  ``BasicBlock``, ``Edge`` and
+``ControlFlowGraph.set_profile`` refuse negative counts, and the blocks
+and edges are frozen, so ``set_profile`` is their only writer.  Branch
+probabilities are ``count / total`` over non-negative counts (uniform
+when unprofiled), so they lie in [0, 1] and sum to 1; a property test
+in ``tests/test_analysis_properties.py`` checks it on random graphs.
 That the SCC condensation partitions the block set is a property of
 :func:`repro.cfg.scc.condense` itself, proven on random graphs by
-``tests/test_cfg_properties.py``, so it is not re-checked here.
+``tests/test_cfg_properties.py``, so it is not re-checked here either.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Iterator
 
 from ..cfg.graph import ControlFlowGraph
 from .diagnostics import Diagnostic
-from .rules import TOLERANCE, diag
+from .rules import diag
 
 
 def reachable_from_entry(cfg: ControlFlowGraph) -> set[str]:
@@ -63,49 +65,6 @@ def check_cfg(cfg: ControlFlowGraph, subject: str) -> Iterator[Diagnostic]:
                     subject=subject, location=f"block {block_id}",
                     block=block_id,
                 )
-
-    for block in cfg.blocks():
-        if block.exec_count < 0:
-            yield diag(
-                "CFG006",
-                f"block {block.block_id!r} has a negative execution count "
-                f"({block.exec_count})",
-                subject=subject, location=f"block {block.block_id}",
-                block=block.block_id, count=block.exec_count,
-            )
-    for edge in cfg.edges():
-        if edge.count < 0:
-            yield diag(
-                "CFG006",
-                f"edge {edge.src!r}->{edge.dst!r} has a negative traversal "
-                f"count ({edge.count})",
-                subject=subject, location=f"edge {edge.src}->{edge.dst}",
-                src=edge.src, dst=edge.dst, count=edge.count,
-            )
-
-    for block_id in cfg.block_ids():
-        successors = cfg.successors(block_id)
-        if not successors:
-            continue
-        probabilities = [cfg.edge_probability(block_id, s) for s in successors]
-        for succ, p in zip(successors, probabilities):
-            if p < -TOLERANCE or p > 1 + TOLERANCE:
-                yield diag(
-                    "CFG003",
-                    f"edge {block_id!r}->{succ!r} has probability {p!r}, "
-                    "outside [0, 1]",
-                    subject=subject, location=f"edge {block_id}->{succ}",
-                    src=block_id, dst=succ, probability=p,
-                )
-        total = sum(probabilities)
-        if abs(total - 1.0) > TOLERANCE:
-            yield diag(
-                "CFG002",
-                f"out-edge probabilities of block {block_id!r} sum to "
-                f"{total!r}, not 1",
-                subject=subject, location=f"block {block_id}",
-                block=block_id, total=total,
-            )
 
     yield from _check_flow_conservation(cfg, subject)
 

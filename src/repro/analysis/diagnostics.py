@@ -129,9 +129,6 @@ class DiagnosticReport:
     def append(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)
 
-    def extend(self, diagnostics: Iterable[Diagnostic]) -> None:
-        self.diagnostics.extend(diagnostics)
-
     def merge(self, other: "DiagnosticReport") -> "DiagnosticReport":
         """Append another report's findings (returns ``self`` for chaining)."""
         self.diagnostics.extend(other.diagnostics)

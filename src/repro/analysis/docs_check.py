@@ -102,8 +102,8 @@ def _surfaces(root: Path) -> tuple[Surface, ...]:
         Surface(
             "rule ID", "repro.analysis.rules.RULES", "docs/analysis.md",
             frozenset(RULES), frozenset(RULES),
-            # The retired EVT and ROT families are matched too, so a
-            # stale mention of them is flagged.
+            # The retired EVT, LAT and ROT families are matched too, so
+            # a stale mention of them is flagged.
             re.compile(
                 r"\b((?:LAT|LIB|CFG|FC|SCH|ROT|TRC|FEA|MC|AUD|EVT)\d{3})\b"
             ),

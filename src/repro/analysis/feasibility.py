@@ -1,4 +1,4 @@
-"""Static worst-case rotation-latency prover (rules FEA001..FEA005).
+"""Static worst-case rotation-latency prover (rules FEA001, FEA002, FEA004, FEA005).
 
 From a molecule library, an Atom Container budget and (optionally) a
 Forecast placement alone — *no simulation* — the prover derives:
@@ -14,10 +14,9 @@ Forecast placement alone — *no simulation* — the prover derives:
   than the *cheapest* hardware upgrade — even an idle port cannot write
   the minimal molecule in time, so the FDF's break-even assumption can
   never hold for it;
-* **dead molecules / atoms** (FEA002/FEA003): molecules whose container
-  demand exceeds the platform or that need an atom kind without a
-  bitstream can never be loaded by any reachable schedule, and atom
-  kinds used only by such molecules never reach a container at all.
+* **dead molecules** (FEA002): molecules whose container demand exceeds
+  the platform or that need an atom kind without a bitstream (named in
+  the finding) can never be loaded by any reachable schedule.
 
 FEA004 is informational: it publishes the proven bounds (the verify
 drivers cross-check them against observed rotation latencies).
@@ -256,26 +255,6 @@ def prove_feasibility(
             location=f"SI {si.name}",
             **bound.to_dict(),
         ))
-
-    # Dead atoms: kinds demanded beyond the baseline only by molecules
-    # that can never be loaded never reach a container.
-    users: dict[str, list[MoleculeFeasibility]] = {}
-    for verdict in molecules:
-        for kind in verdict.demand:
-            users.setdefault(kind, []).append(verdict)
-    for kind in sorted(users):
-        if all(not m.loadable for m in users[kind]):
-            dead_sis = sorted({m.si_name for m in users[kind]})
-            report.append(diag(
-                "FEA003",
-                f"atom kind {kind!r} is demanded only by unloadable "
-                f"molecules (of SIs {dead_sis}); no reachable schedule "
-                "ever rotates it in",
-                subject=subject,
-                location=f"atom {kind}",
-                atom=kind,
-                sis=dead_sis,
-            ))
 
     # Upgrade starvation: the FDF assumed the rotation amortises before
     # the hot spot, but even an idle port cannot make it in time.

@@ -1,26 +1,27 @@
-"""Library coherence checks (rules LIB001..LIB008).
+"""Library coherence checks (rules LIB003, LIB004, LIB006, LIB008).
 
 An :class:`~repro.core.library.SILibrary` is the contract between the
 compile-time forecast pipeline and the run-time manager; these checks
 verify that contract without running a simulation:
 
-* LIB001 — every SI has a usable software molecule (the plain-ISA
-  fallback the gradual SW→HW upgrade path relies on);
-* LIB002 — all SIs share the library's :class:`AtomSpace`;
 * LIB003 — Pareto-dominated hardware molecules (dead catalogue weight:
   the run-time's ``best_available`` will never pick them);
 * LIB004 — the SI's *minimal* molecule must fit the configured Atom
   Container count, else the SI can never leave software;
-* LIB005 — individual molecules beyond the container count (reachable
-  only on a larger platform);
 * LIB006 — hardware molecules not faster than software can never
   amortise a rotation (the FDF's ``T_sw > T_hw`` precondition);
-* LIB007 — an SI without hardware molecules (post-construction mutation);
 * LIB008 — catalogue atom kinds no SI uses (dead fabric area).
 
-Capacity rules (LIB004/LIB005) only run when the caller passes a
-container count — a library is not wrong per se on a smaller
-platform, merely unusable there.
+What a library cannot get wrong is refused where it is built and never
+re-checked here: :class:`~repro.core.si.SpecialInstruction` refuses a
+software molecule under one cycle, an SI without hardware molecules and
+a molecule outside the SI's atom space, :class:`SILibrary` an SI over
+another atom space, and both are immutable after construction.
+
+The capacity rule (LIB004) only runs when the caller passes a container
+count — a library is not wrong per se on a smaller platform, merely
+unusable there.  Individual molecules beyond the count are the static
+prover's FEA002 (:mod:`.feasibility`).
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ def _dominating_impl(si: SpecialInstruction, idx: int) -> int | None:
     for j, other in enumerate(si.implementations):
         if j == idx:
             continue
-        if other.molecule.space != impl.molecule.space:
-            continue
         if (
             other.molecule <= impl.molecule
             and other.cycles <= impl.cycles
@@ -60,32 +59,6 @@ def check_library(
 ) -> Iterator[Diagnostic]:
     for si in library:
         loc = f"SI {si.name}"
-        if si.space != library.space:
-            yield diag(
-                "LIB002",
-                f"SI {si.name!r} was built over atom space {si.space!r}, "
-                f"not the library's {library.space!r}",
-                subject=subject, location=loc, si=si.name,
-            )
-            continue  # the remaining checks assume a shared space
-
-        if si.software_cycles < 1:
-            yield diag(
-                "LIB001",
-                f"SI {si.name!r} has software_cycles={si.software_cycles}; "
-                "the software molecule must cost at least one cycle",
-                subject=subject, location=loc, si=si.name,
-                software_cycles=si.software_cycles,
-            )
-
-        if not si.implementations:
-            yield diag(
-                "LIB007",
-                f"SI {si.name!r} offers no hardware molecule",
-                subject=subject, location=loc, si=si.name,
-            )
-            continue
-
         for idx, impl in enumerate(si.implementations):
             impl_loc = f"{loc} / molecule {idx}"
             dominator = _dominating_impl(si, idx)
@@ -100,7 +73,7 @@ def check_library(
                     molecule=idx, dominated_by=dominator,
                     atoms=abs(impl.molecule), cycles=impl.cycles,
                 )
-            if impl.cycles >= si.software_cycles > 0:
+            if impl.cycles >= si.software_cycles:
                 yield diag(
                     "LIB006",
                     f"molecule {idx} of SI {si.name!r} needs {impl.cycles} "
@@ -125,25 +98,9 @@ def check_library(
                     subject=subject, location=loc, si=si.name,
                     minimal_demand=minimal_demand, containers=containers,
                 )
-            else:
-                for idx, impl in enumerate(si.implementations):
-                    demand = library.container_demand(impl.molecule)
-                    if demand > containers:
-                        yield diag(
-                            "LIB005",
-                            f"molecule {idx} of SI {si.name!r} occupies "
-                            f"{demand} containers, beyond the platform's "
-                            f"{containers}; it is unreachable here",
-                            subject=subject,
-                            location=f"{loc} / molecule {idx}",
-                            si=si.name, molecule=idx, demand=demand,
-                            containers=containers,
-                        )
 
     used_kinds: set[str] = set()
     for si in library:
-        if si.space != library.space:
-            continue
         for molecule in si.molecules():
             used_kinds.update(molecule.kinds_used())
     for kind in library.space.kinds:

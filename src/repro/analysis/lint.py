@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from .cfgcheck import check_cfg
 from .diagnostics import DiagnosticReport
 from .forecastcheck import check_forecast
-from .lattice import check_lattice
 from .library import check_library
 from .schedcheck import check_schedule
 
@@ -39,15 +38,12 @@ def lint_library(
     containers: int | None = None,
     subject: str = "",
 ) -> DiagnosticReport:
-    """Lattice + library checks over one SI library.
+    """Library checks over one SI library.
 
-    The capacity rules (LIB004/LIB005) only run when ``containers`` is
-    given.
+    The capacity rule (LIB004) only runs when ``containers`` is given.
     """
     subject = subject or f"library:{len(library)}-SIs"
-    report = DiagnosticReport(list(check_lattice(library, subject)))
-    report.extend(check_library(library, containers, subject))
-    return report
+    return DiagnosticReport(list(check_library(library, containers, subject)))
 
 
 def lint_cfg(cfg: "ControlFlowGraph", *, subject: str = "") -> DiagnosticReport:

@@ -1,6 +1,6 @@
 """The rule-ID catalogue: one source of truth for every declared invariant.
 
-rispp-lint (LAT/LIB/CFG/FC/SCH), rispp-verify (TRC/FEA) and
+rispp-lint (LIB/CFG/FC/SCH), rispp-verify (TRC/FEA) and
 rispp-explore (MC) all judge artifacts against rules declared *here* —
 one :class:`Rule` per invariant, with a stable ID, a default severity and
 the paper section it formalises.  The CLIs' ``--select``/``--ignore``
@@ -37,8 +37,7 @@ class Rule:
 
 RULES: dict[str, Rule] = {}
 
-#: Numeric tolerance of the lint checkers' probability sums and float
-#: comparisons.
+#: Numeric tolerance of the lint checkers' float comparisons.
 TOLERANCE = 1e-6
 
 
@@ -48,41 +47,21 @@ def _rule(rule_id: str, family: str, severity: Severity, title: str, paper_ref: 
     RULES[rule_id] = Rule(rule_id, family, severity, title, paper_ref)
 
 
-# -- lattice family (§3.1 / §3.2): the Molecule vector algebra --------------
-_rule("LAT003", "lattice", Severity.ERROR,
-      "Rep(S) outside its lattice bounds [inf(S), sup(S)]", "§3.2")
-_rule("LAT004", "lattice", Severity.ERROR,
-      "molecule lives outside its SI's atom space", "§3.1")
-
 # -- library family: SI/catalogue coherence ---------------------------------
-_rule("LIB001", "library", Severity.ERROR,
-      "SI has no usable software molecule", "§3.2")
-_rule("LIB002", "library", Severity.ERROR,
-      "SI built over a different atom space than its library", "§3.1")
 _rule("LIB003", "library", Severity.WARNING,
       "hardware molecule is Pareto-dominated", "Fig. 13")
 _rule("LIB004", "library", Severity.ERROR,
       "SI cannot fit the configured Atom Containers", "§3/§5")
-_rule("LIB005", "library", Severity.WARNING,
-      "hardware molecule exceeds the configured Atom Containers", "§3/§5")
 _rule("LIB006", "library", Severity.WARNING,
       "hardware molecule not faster than the software molecule", "§4.1")
-_rule("LIB007", "library", Severity.ERROR,
-      "SI offers no hardware molecule", "§3.2")
 _rule("LIB008", "library", Severity.WARNING,
       "atom kind unused by every SI of the library", "Fig. 2")
 
 # -- cfg family (§4): profile well-formedness -------------------------------
 _rule("CFG001", "cfg", Severity.ERROR,
       "entry block missing or unknown", "§4")
-_rule("CFG002", "cfg", Severity.ERROR,
-      "out-edge probabilities do not sum to 1", "§4.1")
-_rule("CFG003", "cfg", Severity.ERROR,
-      "edge probability outside [0, 1]", "§4.1")
 _rule("CFG004", "cfg", Severity.WARNING,
       "block unreachable from the entry", "§4")
-_rule("CFG006", "cfg", Severity.ERROR,
-      "negative profile count", "§4.1")
 _rule("CFG007", "cfg", Severity.WARNING,
       "profiled edge counts violate flow conservation", "§4.1")
 
@@ -153,8 +132,6 @@ _rule("FEA001", "feasibility", Severity.WARNING,
       "forecast can never be satisfied before its hot spot", "§4.1")
 _rule("FEA002", "feasibility", Severity.WARNING,
       "molecule can never be loaded on this platform", "§3/§5")
-_rule("FEA003", "feasibility", Severity.WARNING,
-      "atom kind only used by unloadable molecules", "§3")
 _rule("FEA004", "feasibility", Severity.INFO,
       "worst-case rotation latency bound", "§5")
 _rule("FEA005", "feasibility", Severity.WARNING,

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasicBlock:
     """One basic block with profile annotations.
+
+    Frozen: :meth:`ControlFlowGraph.set_profile` is the only writer of
+    ``exec_count`` once the block is built.
 
     Parameters
     ----------
@@ -47,6 +50,8 @@ class BasicBlock:
             raise ValueError("basic block needs a non-empty id")
         if self.cycles < 0:
             raise ValueError("block cycle cost cannot be negative")
+        if self.exec_count < 0:
+            raise ValueError("execution counts cannot be negative")
         for si, n in self.si_usages.items():
             if n < 1:
                 raise ValueError(f"SI usage count for {si!r} must be positive")
@@ -55,9 +60,10 @@ class BasicBlock:
         return si_name in self.si_usages
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
-    """A CFG edge with a profiled traversal count."""
+    """A CFG edge with a profiled traversal count (frozen, like
+    :class:`BasicBlock`: only ``set_profile`` rewrites ``count``)."""
 
     src: str
     dst: str
@@ -181,15 +187,18 @@ class ControlFlowGraph:
         block_counts: dict[str, int] | None = None,
         edge_counts: dict[tuple[str, str], int] | None = None,
     ) -> None:
-        """Install profiled execution/traversal counts."""
+        """Install profiled execution/traversal counts.
+
+        The one writer of the frozen ``exec_count``/``count`` fields.
+        """
         for block_id, count in (block_counts or {}).items():
             if count < 0:
                 raise ValueError("execution counts cannot be negative")
-            self._blocks[block_id].exec_count = count
+            object.__setattr__(self._blocks[block_id], "exec_count", count)
         for (src, dst), count in (edge_counts or {}).items():
             if count < 0:
                 raise ValueError("edge counts cannot be negative")
-            self._edges[(src, dst)].count = count
+            object.__setattr__(self._edges[(src, dst)], "count", count)
 
     # -- derived graphs -------------------------------------------------------------
 

@@ -202,7 +202,7 @@ EXPERIMENTS = {
 #: a family declared in the catalogue but reachable from no CLI (or vice
 #: versa) is a wiring bug, and tests/test_cli.py asserts it.
 TOOL_FAMILIES: dict[str, tuple[str, ...]] = {
-    "lint": ("lattice", "library", "cfg", "forecast", "schedule"),
+    "lint": ("library", "cfg", "forecast", "schedule"),
     "verify": ("trace", "feasibility"),
     "explore": ("explore",),
     "audit": ("audit",),

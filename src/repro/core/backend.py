@@ -395,7 +395,7 @@ class NumpyBackend(ComputeBackend):
         ``columns`` index its reconfigurable kinds (static kinds are zero
         in every projected row, so dropping them changes no sum),
         ``baseline`` is the static baseline over them, and ``rows`` maps
-        an SI name to ``(implementations, [(cycles, rc_row, impl), ...])``.
+        an SI to ``[(cycles, rc_row, impl), ...]``.
         """
         staged = self._staging.get(library)
         if staged is None:
@@ -411,19 +411,18 @@ class NumpyBackend(ComputeBackend):
     def _candidates(
         self, library: "SILibrary", si: "SpecialInstruction"
     ) -> list[tuple[int, tuple[int, ...], "MoleculeImpl"]]:
-        """``(cycles, rc_row, impl)`` per implementation, in scan order;
-        restaged when a caller swaps ``si.implementations``."""
+        """``(cycles, rc_row, impl)`` per implementation, in scan order
+        (staged once per SI: an SI is immutable)."""
         columns, _, staged = self._staged(library)
-        entry = staged.get(si.name)
-        if entry is None or entry[0] is not si.implementations:
-            rows = []
+        rows = staged.get(si)
+        if rows is None:
+            rows = staged[si] = []
             for impl in si.implementations:
                 counts = library.restricted_to_reconfigurable(
                     impl.molecule
                 ).counts
                 rows.append((impl.cycles, tuple(counts[i] for i in columns), impl))
-            entry = staged[si.name] = (si.implementations, rows)
-        return entry[1]
+        return rows
 
     def greedy_choose(
         self,

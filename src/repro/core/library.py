@@ -33,7 +33,8 @@ class SILibrary:
             if si.name in self._sis:
                 raise ValueError(f"duplicate SI {si.name!r}")
             self._sis[si.name] = si
-        # A library is immutable once built, so its reconfigurable kinds,
+        # Neither the SI table nor any SI can change after construction
+        # (SpecialInstruction is frozen), so the reconfigurable kinds,
         # static baseline and every implementation's reconfigurable
         # projection are computed here once instead of per replan.
         self._rc_kinds = frozenset(catalogue.reconfigurable_names())

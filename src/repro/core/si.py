@@ -57,8 +57,20 @@ class MoleculeImpl:
         return abs(self.molecule)
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SpecialInstruction:
-    """A Special Instruction with software fallback and hardware molecules."""
+    """A Special Instruction with software fallback and hardware molecules.
+
+    Immutable once built, like its molecules: the library's cached
+    projections and the selection kernel's staged rows rely on it.
+    Equality and hashing stay by identity.
+    """
+
+    name: str
+    space: AtomSpace
+    software_cycles: int
+    implementations: tuple[MoleculeImpl, ...]
+    description: str
 
     def __init__(
         self,
@@ -78,11 +90,14 @@ class SpecialInstruction:
                 )
         if not impls:
             raise ValueError(f"SI {name!r} needs at least one hardware molecule")
-        self.name = name
-        self.space = space
-        self.software_cycles = software_cycles
-        self.implementations = impls
-        self.description = description
+        for attr, value in (
+            ("name", name),
+            ("space", space),
+            ("software_cycles", software_cycles),
+            ("implementations", impls),
+            ("description", description),
+        ):
+            object.__setattr__(self, attr, value)
 
     # -- structural queries ------------------------------------------------
 

@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.registry import MetricRegistry
 
 
+def _execution_mode(impl: MoleculeImpl | None) -> str:
+    """The mode an execution with ``impl`` records: ``"SW"`` for the
+    software molecule, else the molecule's label, ``"HW"`` if it has none."""
+    return "SW" if impl is None else impl.label or "HW"
+
+
 @dataclass
 class RuntimeStats:
     """Aggregate counters of one run."""
@@ -360,12 +366,11 @@ class RisppRuntime:
                 events.ReplanRequested(now, task=task, reason="on_demand")
             )
         impl, reconfigurable = self._dispatch(si)
+        mode = _execution_mode(impl)
         if impl is None:
             cycles = si.software_cycles
-            mode = "SW"
         else:
             cycles = impl.cycles
-            mode = impl.label or "HW"
             self.fabric.touch_atoms(reconfigurable, now)
         previous = self._last_mode.get((task, si_name))
         if previous is not None and previous != mode:
@@ -462,10 +467,9 @@ class RisppRuntime:
         return si.software_cycles if impl is None else impl.cycles
 
     def si_mode(self, si_name: str, now: int) -> str:
-        """Current execution mode: a molecule label or ``"SW"``."""
+        """The mode an execution now would record (``execute_si``'s rule)."""
         self.advance(now)
-        impl = self._best_available(self.library.get(si_name))
-        return (impl.label or "HW") if impl is not None else "SW"
+        return _execution_mode(self._best_available(self.library.get(si_name)))
 
     # -- internals -----------------------------------------------------------------
 

@@ -252,17 +252,17 @@ class TestAUD008DeadRules:
         )
         assert set(result.report.rule_ids()) == {"AUD008"}
         flagged = {d.context["rule"] for d in result.report.by_rule("AUD008")}
-        assert "LAT003" in flagged
+        assert "LIB003" in flagged
 
     def test_referenced_rules_not_flagged(self, tmp_path):
         result = audit_tree(
             tmp_path,
             {
                 "analysis/rules.py": "RULES = {}\n",
-                "checker.py": "IDS = ['LAT003']\n",
+                "checker.py": "IDS = ['LIB003']\n",
             },
         )
-        assert "LAT003" not in {
+        assert "LIB003" not in {
             d.context["rule"] for d in result.report.by_rule("AUD008")
         }
 

@@ -1,10 +1,14 @@
 """Tests for rispp-lint: the diagnostic framework and all checker families.
 
 Two halves: the shipped artifacts must lint clean (zero ERRORs), and a
-seeded mutation of each invariant must trigger exactly its rule ID.
+seeded violation of each invariant, built through the public
+constructors, must trigger its rule ID.  Where a constructor now refuses
+the violation (the retired LAT004, LIB001, LIB002, LIB007 and CFG006),
+the test asserts that refusal instead.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -60,8 +64,8 @@ class TestDiagnostics:
         assert Severity.parse(int(Severity.INFO)) is Severity.INFO
 
     def test_render_contains_rule_and_location(self):
-        d = Diagnostic("LIB001", Severity.ERROR, "boom", subject="lib", location="SI X")
-        assert "LIB001" in d.render()
+        d = Diagnostic("LIB004", Severity.ERROR, "boom", subject="lib", location="SI X")
+        assert "LIB004" in d.render()
         assert "lib SI X" in d.render()
 
     def test_report_aggregation(self):
@@ -69,11 +73,11 @@ class TestDiagnostics:
         assert report.clean() and report.ok() and report.exit_code() == 0
         report.append(Diagnostic("LIB003", Severity.WARNING, "w"))
         assert report.ok() and report.exit_code() == 0 and not report.clean()
-        report.append(Diagnostic("LIB001", Severity.ERROR, "e"))
+        report.append(Diagnostic("LIB004", Severity.ERROR, "e"))
         assert not report.ok()
         assert report.exit_code() == 1
-        assert report.rule_ids() == ["LIB003", "LIB001"]
-        assert len(report.by_rule("LIB001")) == 1
+        assert report.rule_ids() == ["LIB003", "LIB004"]
+        assert len(report.by_rule("LIB004")) == 1
 
     def test_raise_on_error_is_a_value_error(self):
         report = DiagnosticReport([Diagnostic("CFG001", Severity.ERROR, "no entry")])
@@ -86,7 +90,7 @@ class TestDiagnostics:
     def test_json_round_trip(self):
         report = DiagnosticReport(
             [
-                Diagnostic("LAT003", Severity.ERROR, "a", subject="s",
+                Diagnostic("FC004", Severity.ERROR, "a", subject="s",
                            location="l", context={"pair": ["x", "y"]}),
                 Diagnostic("LIB008", Severity.WARNING, "b"),
             ]
@@ -107,7 +111,7 @@ class TestDiagnostics:
 class TestRuleCatalogue:
     def test_every_rule_has_family_and_severity(self):
         families = {
-            "lattice", "library", "cfg", "forecast", "schedule",
+            "library", "cfg", "forecast", "schedule",
             "trace", "feasibility", "explore", "audit",
         }
         for rule in RULES.values():
@@ -116,7 +120,7 @@ class TestRuleCatalogue:
             assert rule.title
 
     def test_all_four_checker_families_are_registered(self):
-        for family in ("lattice", "library", "cfg", "forecast", "schedule"):
+        for family in ("library", "cfg", "forecast", "schedule"):
             assert rules_of_family(family), family
 
     def test_diag_refuses_unregistered_rule_id(self):
@@ -183,47 +187,45 @@ def foreign_space():
     return AtomCatalogue.of([AtomKind("Alien"), AtomKind("Weird")]).space
 
 
+def rebuilt(library, name, **changes):
+    """``library`` with SI ``name`` rebuilt through its constructor."""
+    return SILibrary(library.catalogue, [
+        replace(si, **changes) if si.name == name else si for si in library
+    ])
+
+
 class TestLatticeViolations:
     def test_foreign_space_molecule_is_lat004(self, mini_library):
+        """LAT004 is retired: the SI constructor refuses its defect."""
         si = mini_library.get("HT")
-        si.implementations = (
-            *si.implementations,
-            MoleculeImpl(foreign_space().molecule({"Alien": 1}), 5),
-        )
-        report = lint_library(mini_library)
-        assert "LAT004" in error_ids(report)
-        assert report.exit_code() == 1
-
-    def test_broken_rep_override_is_lat003(self, mini_catalogue):
-        space = mini_catalogue.space
-
-        class BrokenRep(SpecialInstruction):
-            def rep(self):
-                return self.space.molecule({"Pack": 99, "Transform": 99})
-
-        si = BrokenRep(
-            "BROKEN", space, 100,
-            [MoleculeImpl(space.molecule({"Pack": 1}), 10)],
-        )
-        report = lint_library(SILibrary(mini_catalogue, [si]))
-        assert "LAT003" in error_ids(report)
+        with pytest.raises(ValueError, match="foreign atom space"):
+            SpecialInstruction(
+                "HT", si.space, si.software_cycles,
+                [*si.implementations,
+                 MoleculeImpl(foreign_space().molecule({"Alien": 1}), 5)],
+            )
 
 
 class TestLibraryViolations:
     def test_zero_software_cycles_is_lib001(self, mini_library):
-        mini_library.get("HT").software_cycles = 0
-        report = lint_library(mini_library)
-        assert "LIB001" in error_ids(report)
+        """LIB001 is retired: the SI constructor refuses its defect."""
+        si = mini_library.get("HT")
+        with pytest.raises(ValueError, match="at least one cycle"):
+            SpecialInstruction("HT", si.space, 0, si.implementations)
 
-    def test_foreign_si_space_is_lib002(self, mini_library):
-        mini_library.get("SATD").space = foreign_space()
-        report = lint_library(mini_library)
-        assert "LIB002" in error_ids(report)
+    def test_foreign_si_space_is_lib002(self, mini_catalogue):
+        """LIB002 is retired: the library constructor refuses its defect."""
+        alien = SpecialInstruction(
+            "SATD", foreign_space(), 544,
+            [MoleculeImpl(foreign_space().molecule({"Alien": 1}), 5)],
+        )
+        with pytest.raises(ValueError, match="different atom space"):
+            SILibrary(mini_catalogue, [alien])
 
     def test_no_hardware_molecules_is_lib007(self, mini_library):
-        mini_library.get("HT").implementations = ()
-        report = lint_library(mini_library)
-        assert "LIB007" in error_ids(report)
+        """LIB007 is retired: the SI constructor refuses its defect."""
+        with pytest.raises(ValueError, match="at least one hardware molecule"):
+            SpecialInstruction("HT", mini_library.space, 298, ())
 
     def test_undersized_platform_is_lib004(self, mini_library):
         # The smallest HT molecule needs 2 reconfigurable atoms (Pack +
@@ -234,8 +236,10 @@ class TestLibraryViolations:
     def test_dominated_molecule_is_lib003_warning(self, mini_library):
         si = mini_library.get("HT")
         dominated = MoleculeImpl(si.implementations[1].molecule, 30)
-        si.implementations = (*si.implementations, dominated)
-        report = lint_library(mini_library)
+        report = lint_library(rebuilt(
+            mini_library, "HT",
+            implementations=(*si.implementations, dominated),
+        ))
         assert "LIB003" in ids_of(report)
         assert report.ok()  # dead weight, not an invariant violation
 
@@ -252,42 +256,33 @@ class TestLibraryViolations:
         assert not lint_library(mini_library).by_rule("LIB006")
         # HT's molecule 0 takes 22 cycles: against a 22-cycle software
         # molecule it saves nothing, so a rotation towards it never pays.
-        mini_library.get("HT").software_cycles = 22
-        report = lint_library(mini_library)
+        report = lint_library(rebuilt(mini_library, "HT", software_cycles=22))
         assert [d.context["molecule"] for d in report.by_rule("LIB006")] == [0]
         assert report.ok()  # a wasted molecule, not an invariant violation
 
     def test_capacity_rules_skipped_without_containers(self, mini_library):
         report = lint_library(mini_library)  # no containers in context
         assert not report.by_rule("LIB004")
-        assert not report.by_rule("LIB005")
 
 
 class TestCfgViolations:
     def test_negative_edge_count_is_cfg006(self, hotspot_cfg):
-        hotspot_cfg.edge("loopA", "loopA").count = -5
-        report = lint_cfg(hotspot_cfg)
-        assert "CFG006" in error_ids(report)
+        """CFG006 is retired: every writer of a count refuses a negative one."""
+        with pytest.raises(ValueError, match="cannot be negative"):
+            hotspot_cfg.set_profile(edge_counts={("loopA", "loopA"): -5})
+        with pytest.raises(ValueError, match="cannot be negative"):
+            hotspot_cfg.set_profile({"loopA": -5})
+        hotspot_cfg.block("orphan")
+        with pytest.raises(ValueError, match="cannot be negative"):
+            hotspot_cfg.add_edge("orphan", "end", count=-5)
+        with pytest.raises(AttributeError):
+            hotspot_cfg.edge("loopA", "loopA").count = -5
 
     def test_missing_entry_is_cfg001(self):
         cfg = ControlFlowGraph("ghost")
         cfg.block("a")
-        cfg.entry = "ghost"  # add_block never saw a None entry
         report = lint_cfg(cfg)
         assert "CFG001" in error_ids(report)
-
-    def test_broken_probability_override_is_cfg002(self, hotspot_cfg):
-        class HalfTrue(ControlFlowGraph):
-            def edge_probability(self, src, dst):
-                return 0.4
-
-        broken = HalfTrue()
-        for block in hotspot_cfg.blocks():
-            broken.add_block(block)
-        for edge in hotspot_cfg.edges():
-            broken.add_edge(edge.src, edge.dst, edge.count)
-        report = lint_cfg(broken)
-        assert "CFG002" in error_ids(report)
 
     def test_unreachable_block_is_cfg004_warning(self, hotspot_cfg):
         hotspot_cfg.block("orphan", cycles=5)
@@ -296,7 +291,7 @@ class TestCfgViolations:
         assert report.ok()
 
     def test_edited_profile_breaks_flow_conservation(self, hotspot_cfg):
-        hotspot_cfg.get("loopA").exec_count = 170  # edges still say 100
+        hotspot_cfg.set_profile({"loopA": 170})  # edges still say 100
         report = lint_cfg(hotspot_cfg)
         assert "CFG007" in ids_of(report)
 
@@ -432,24 +427,20 @@ class TestScheduleViolations:
 
 
 def test_seeded_violations_cover_all_families(mini_library, hotspot_cfg):
-    mini_library.get("HT").software_cycles = 0  # LIB001
-    satd = mini_library.get("SATD")
-    satd.implementations = (  # LAT004
-        *satd.implementations,
-        MoleculeImpl(foreign_space().molecule({"Alien": 1}), 5),
-    )
-    hotspot_cfg.edge("loopA", "loopA").count = -5  # CFG006
-
-    report = lint_library(mini_library)
-    report.merge(lint_cfg(hotspot_cfg))
+    report = lint_library(mini_library, containers=1)  # LIB004
+    ghost = ControlFlowGraph("ghost")
+    ghost.block("a")
+    report.merge(lint_cfg(ghost))  # CFG001
     report.merge(
         lint_forecast(
             hotspot_cfg,
             [
                 ForecastPoint("ghost", "SATD", 1.0, 10.0, 100.0),  # FC001
+                ForecastPoint("init", "NOPE", 1.0, 10.0, 100.0),  # FC002
                 ForecastPoint("init", "SATD", 1.5, 10.0, 100.0),  # FC004
                 ForecastPoint("init", "SATD", 1.5, 10.0, 100.0),  # FC007
             ],
+            library=mini_library,
         )
     )
     dataflow = Dataflow([AtomOp("a", "Pack", (), 2)])
@@ -464,11 +455,11 @@ def test_seeded_violations_cover_all_families(mini_library, hotspot_cfg):
 
     triggered = error_ids(report)
     assert triggered >= {
-        "LIB001", "LAT004", "CFG006", "FC001", "FC004",
+        "LIB004", "CFG001", "FC001", "FC002", "FC004",
         "FC007", "SCH002", "SCH004",
     }
     families = {RULES[rid].family for rid in triggered}
-    assert families == {"lattice", "library", "cfg", "forecast", "schedule"}
+    assert families == {"library", "cfg", "forecast", "schedule"}
     assert report.exit_code() == 1
 
 
@@ -478,21 +469,33 @@ def test_seeded_violations_cover_all_families(mini_library, hotspot_cfg):
 
 
 class TestIntegrationWiring:
-    def test_compile_and_run_fails_fast_on_broken_library(self, mini_library):
+    @staticmethod
+    def plant_flow_error(monkeypatch):
+        """Make the flow gate report one ERROR.  The public constructors
+        refuse every library defect the gate could see without a container
+        count, so the report is planted at the gate's package seam."""
+        import repro.analysis
+
+        planted = DiagnosticReport([diag("LIB004", "planted", subject="flow")])
+        monkeypatch.setattr(repro.analysis, "lint_flow", lambda *a, **k: planted)
+
+    def test_compile_and_run_fails_fast_on_broken_library(
+        self, mini_library, monkeypatch
+    ):
         from repro.sim.integration import compile_and_run
         from tests.test_integration_endtoend import hotspot_program, ht_fdf
 
-        mini_library.get("HT").software_cycles = 0  # LIB001
-        with pytest.raises(LintError, match="LIB001"):
+        self.plant_flow_error(monkeypatch)
+        with pytest.raises(LintError, match="LIB004"):
             compile_and_run(
                 hotspot_program(), mini_library, {"HT": ht_fdf()}, containers=4
             )
 
-    def test_compile_and_run_lint_opt_out(self, mini_library):
+    def test_compile_and_run_lint_opt_out(self, mini_library, monkeypatch):
         from repro.sim.integration import compile_and_run
         from tests.test_integration_endtoend import hotspot_program, ht_fdf
 
-        mini_library.get("HT").software_cycles = 0
+        self.plant_flow_error(monkeypatch)
         outcome = compile_and_run(
             hotspot_program(), mini_library, {"HT": ht_fdf()},
             containers=4, lint=False,

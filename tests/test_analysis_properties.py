@@ -4,6 +4,7 @@ Any structurally valid random library or profiled CFG must lint with zero
 ERROR diagnostics, and each seeded mutation must trigger exactly its rule.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +20,8 @@ from repro.core import (
     ScheduledOp,
     SILibrary,
     SpecialInstruction,
+    infimum,
+    supremum,
 )
 
 KINDS = ("Pack", "Transform", "SATD")
@@ -95,13 +98,64 @@ class TestValidArtifactsLintClean:
         assert not report.by_rule("CFG007")
 
 
+@st.composite
+def random_cfgs(draw):
+    """Any graph the public API builds: random edges, arbitrary counts."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    cfg = ControlFlowGraph()
+    for i in range(n):
+        cfg.block(f"b{i}")
+    pairs = draw(st.sets(st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    )))
+    for src, dst in sorted(pairs):
+        cfg.add_edge(f"b{src}", f"b{dst}",
+                     count=draw(st.integers(min_value=0, max_value=10**6)))
+    return cfg
+
+
+class TestRetiredRulesHoldByConstruction:
+    """The invariants of retired rules that no constructed input can break."""
+
+    @given(st.lists(
+        st.fixed_dictionaries(
+            {kind: st.integers(min_value=0, max_value=20)
+             for kind in ("Load", *KINDS)}
+        ).filter(lambda counts: any(counts.values())),
+        min_size=1, max_size=8,
+    ))
+    def test_rep_lies_between_inf_and_sup(self, molecule_list):
+        # LAT003's invariant: Rep(S) = ceil(avg) is within [inf(S), sup(S)].
+        space = make_catalogue().space
+        si = SpecialInstruction(
+            "SI0", space, 1000,
+            [MoleculeImpl(space.molecule(c), 10) for c in molecule_list],
+        )
+        molecules = si.molecules()
+        assert infimum(molecules) <= si.rep() <= supremum(molecules)
+
+    @given(random_cfgs())
+    def test_edge_probabilities_form_a_distribution(self, cfg):
+        # CFG002's and CFG003's invariants: out-edge probabilities lie in
+        # [0, 1] and sum to 1 for every block with successors.
+        for block_id in cfg.block_ids():
+            successors = cfg.successors(block_id)
+            if not successors:
+                continue
+            ps = [cfg.edge_probability(block_id, s) for s in successors]
+            assert all(0.0 <= p <= 1.0 for p in ps)
+            assert abs(sum(ps) - 1.0) <= 1e-9
+
+
 class TestSeededMutationsTriggerTheirRule:
     @given(profiled_cfgs(), st.integers(min_value=-100, max_value=-1))
     def test_negative_count_triggers_cfg006(self, cfg, bad_count):
+        """CFG006 is retired: ``set_profile`` refuses a negative count."""
         edge = cfg.edges()[0]
-        edge.count = bad_count
-        report = lint_cfg(cfg)
-        assert "CFG006" in {d.rule_id for d in report.errors()}
+        with pytest.raises(ValueError, match="cannot be negative"):
+            cfg.set_profile(edge_counts={(edge.src, edge.dst): bad_count})
+        assert edge.count >= 0
 
     @given(
         molecule_counts,

@@ -67,6 +67,22 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             BasicBlock("b", si_usages={"X": 0})
 
+    def test_negative_execution_count_is_refused(self):
+        cfg = ControlFlowGraph()
+        with pytest.raises(ValueError, match="cannot be negative"):
+            cfg.add_block(BasicBlock("b", exec_count=-3))
+        assert "b" not in cfg
+
+    def test_profile_counts_change_only_through_set_profile(self):
+        cfg = diamond()
+        block, edge = cfg.get("left"), cfg.edge("entry", "left")
+        with pytest.raises(AttributeError):
+            block.exec_count = 5
+        with pytest.raises(AttributeError):
+            edge.count = 5
+        cfg.set_profile({"left": 5}, {("entry", "left"): 6})
+        assert (block.exec_count, edge.count) == (5, 6)
+
     def test_edge_probability_profiled(self):
         cfg = diamond()
         assert cfg.edge_probability("entry", "left") == pytest.approx(0.3)

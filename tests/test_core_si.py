@@ -155,6 +155,25 @@ class TestSpecialInstruction:
                 "bad", space, 100, [MoleculeImpl(foreign.unit("X"), 5)]
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        ["name", "space", "software_cycles", "implementations", "description"],
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, space, field):
+        si = make_si(space)
+        before = getattr(si, field)
+        with pytest.raises(AttributeError):
+            setattr(si, field, None)
+        with pytest.raises(AttributeError):
+            delattr(si, field)
+        assert getattr(si, field) is before
+
+    def test_equality_and_hash_are_by_identity(self, space):
+        first, second = make_si(space), make_si(space)
+        assert first == first and first != second
+        assert len({first: 1, second: 2}) == 2
+        assert hash(first) == object.__hash__(first)
+
 
 class TestSILibrary:
     def test_lookup_and_iteration(self, catalogue, space):

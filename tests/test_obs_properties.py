@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.machine import ReferenceMachine
 from repro.bench.suites import build_synthetic_library
+from repro.core import SILibrary
 from repro.obs import MetricRegistry
 from repro.runtime import RisppRuntime
 from repro.sim import EventKind
@@ -30,10 +31,12 @@ def _library():
     """The synthetic library with its smallest molecules labelled: an
     execution's mode is then ``"SW"``, a label or ``"HW"`` (unlabelled)."""
     library = build_synthetic_library(kinds=5, sis=SIS)
+    sis = []
     for si in library:
         base, *rest = si.implementations
-        si.implementations = (replace(base, label=f"{si.name}-base"), *rest)
-    return library
+        labelled = replace(base, label=f"{si.name}-base")
+        sis.append(replace(si, implementations=(labelled, *rest)))
+    return SILibrary(library.catalogue, sis)
 
 
 def _drive(ops):

@@ -13,6 +13,7 @@ from repro.runtime import (
     plan_rotations,
     victim_candidates,
 )
+from repro.core import MoleculeImpl, SILibrary, SpecialInstruction
 from repro.hardware import Fabric, ReconfigurationPort
 from repro.sim import EventKind
 
@@ -201,6 +202,26 @@ class TestRisppRuntime:
         assert cycles == 298
         assert rt.stats.sw_executions == 1
         assert rt.si_mode("HT", 0) == "SW"
+
+    @pytest.mark.parametrize(
+        "containers, expected", [(0, "SW"), (2, "small"), (12, "HW")]
+    )
+    def test_si_mode_is_the_mode_execute_si_records(
+        self, mini_catalogue, containers, expected
+    ):
+        space = mini_catalogue.space
+        ht = SpecialInstruction("HT", space, 298, [
+            MoleculeImpl(space.molecule({"Load": 1, "Pack": 1, "Transform": 1}),
+                         22, label="small"),
+            MoleculeImpl(space.molecule({"Load": 4, "Pack": 4, "Transform": 4}), 8),
+        ])
+        rt = RisppRuntime(SILibrary(mini_catalogue, [ht]), containers, core_mhz=100.0)
+        rt.forecast("HT", 0, expected=1000.0)
+        now = 10_000_000  # every rotation has landed
+        mode = rt.si_mode("HT", now)
+        rt.execute_si("HT", now)
+        recorded = [e.detail["mode"] for e in rt.trace.of_kind(EventKind.SI_EXECUTED)]
+        assert recorded == [mode] == [expected]
 
     def test_forecast_triggers_rotations(self, mini_library):
         rt = self.make_runtime(mini_library)
