@@ -34,14 +34,6 @@ class Severity(enum.IntEnum):
     def __str__(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def parse(cls, value: "str | int | Severity") -> "Severity":
-        if isinstance(value, Severity):
-            return value
-        if isinstance(value, int):
-            return cls(value)
-        return cls[value.upper()]
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -80,17 +72,6 @@ class Diagnostic:
             "location": self.location,
             "context": dict(self.context),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Diagnostic":
-        return cls(
-            rule_id=str(data["rule_id"]),
-            severity=Severity.parse(data["severity"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            subject=str(data.get("subject", "")),
-            location=str(data.get("location", "")),
-            context=dict(data.get("context", {})),  # type: ignore[arg-type]
-        )
 
     def render(self) -> str:
         """One-line text rendering: ``severity RULE [subject] location: msg``."""
@@ -219,7 +200,7 @@ class DiagnosticReport:
         return "\n".join(lines)
 
     def to_json(self, *, indent: int | None = 2) -> str:
-        """JSON rendering; round-trips through :meth:`from_json`."""
+        """JSON rendering."""
         payload = {
             "findings": [d.to_dict() for d in self.diagnostics],
             "summary": {
@@ -231,8 +212,3 @@ class DiagnosticReport:
             },
         }
         return json.dumps(payload, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiagnosticReport":
-        data = json.loads(text)
-        return cls([Diagnostic.from_dict(d) for d in data["findings"]])

@@ -18,17 +18,17 @@ static prover (:mod:`.feasibility`) to the rest of the repository:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from collections.abc import Sequence
 from functools import partial
 from typing import TYPE_CHECKING
 
 from ..core.library import SILibrary
 from ..hardware.energy import EnergyModel
-from ..sim.trace import Event, EventKind
+from ..sim.trace import EventKind
 from .diagnostics import DiagnosticReport
 from .feasibility import FeasibilityResult, prove_feasibility
-from .machine import ReferenceMachine
+from .machine import ReferenceMachine, Row
 
 if TYPE_CHECKING:
     from ..runtime.manager import RisppRuntime
@@ -56,7 +56,7 @@ def build_library(name: str) -> SILibrary:
 
 
 def verify_trace(
-    events: "Sequence[Event]",
+    rows: "Iterable[Row]",
     library: SILibrary,
     *,
     containers: int,
@@ -67,7 +67,8 @@ def verify_trace(
     energy_model: EnergyModel | None = None,
     subject: str = "trace",
 ) -> DiagnosticReport:
-    """Replay ``events`` against the reference machine; return findings.
+    """Replay ``(cycle, kind, task, si, detail)`` rows against the
+    reference machine; return findings.
 
     ``totals`` unlocks the TRC007 accounting rules (pass the runtime's
     ``RuntimeStats`` as a dict); ``energy_model`` additionally checks the
@@ -83,15 +84,19 @@ def verify_trace(
         energy_model=energy_model,
         subject=subject,
     )
-    return DiagnosticReport(list(machine.verify(events)))
+    return DiagnosticReport(list(machine.verify(rows)))
 
 
 def verify_runtime(
     runtime: "RisppRuntime", *, subject: str = "runtime"
 ) -> DiagnosticReport:
-    """Verify a live runtime's trace, totals and energy accounting."""
+    """Verify a live runtime's trace, totals and energy accounting.
+
+    The trace's rows stream into the replay: no
+    :class:`~repro.sim.trace.Event` is built.
+    """
     return verify_trace(
-        runtime.trace.events,
+        runtime.trace.rows(),
         runtime.library,
         containers=len(runtime.fabric),
         core_mhz=runtime.port.core_mhz,
@@ -108,11 +113,11 @@ def verify_runtime(
 
 @dataclass
 class GoldenTrace:
-    """A deserialised golden-trace file: its events plus the replay inputs."""
+    """A deserialised golden-trace file: its rows plus the replay inputs."""
 
     suite: str
     library_name: str
-    events: list[Event]
+    rows: list[Row]
     library: SILibrary
     containers: int
     core_mhz: float
@@ -177,13 +182,13 @@ def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
     raw_events = data.get("events")
     if not isinstance(raw_events, list):
         raise ValueError("golden-trace file carries no event list")
-    events = [
-        Event(
+    rows = [
+        (
             int(e["cycle"]),
             EventKind(e["kind"]),
             str(e.get("task", "")),
             str(e.get("si", "")),
-            dict(e["detail"]) if e.get("detail") else None,
+            dict(e["detail"]) if e.get("detail") else {},
         )
         for e in raw_events
     ]
@@ -191,7 +196,7 @@ def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
     return GoldenTrace(
         suite=str(data.get("suite", library_name)),
         library_name=library_name,
-        events=events,
+        rows=rows,
         library=library,
         containers=int(data["containers"]),  # type: ignore[call-overload]
         core_mhz=float(data.get("core_mhz", 100.0)),  # type: ignore[arg-type]
@@ -209,7 +214,7 @@ def golden_from_dict(data: "dict[str, object]") -> GoldenTrace:
 
 def verify_golden(golden: GoldenTrace) -> DiagnosticReport:
     return verify_trace(
-        golden.events,
+        golden.rows,
         golden.library,
         containers=golden.containers,
         core_mhz=golden.core_mhz,
@@ -332,5 +337,5 @@ def verify_golden_result(
         suite=golden.suite,
         report=report,
         feasibility=feasibility,
-        trace_events=len(golden.events),
+        trace_events=len(golden.rows),
     )

@@ -189,16 +189,26 @@ class ControlFlowGraph:
     ) -> None:
         """Install profiled execution/traversal counts.
 
-        The one writer of the frozen ``exec_count``/``count`` fields.
+        The one writer of the frozen ``exec_count``/``count`` fields.  It
+        checks every id and count before writing any, so a refused call
+        (``ValueError``) leaves the graph unchanged.
         """
-        for block_id, count in (block_counts or {}).items():
+        blocks = block_counts or {}
+        edges = edge_counts or {}
+        for block_id, count in blocks.items():
+            if block_id not in self._blocks:
+                raise ValueError(f"unknown block {block_id!r}")
             if count < 0:
                 raise ValueError("execution counts cannot be negative")
-            object.__setattr__(self._blocks[block_id], "exec_count", count)
-        for (src, dst), count in (edge_counts or {}).items():
+        for key, count in edges.items():
+            if key not in self._edges:
+                raise ValueError(f"unknown edge {key!r}")
             if count < 0:
                 raise ValueError("edge counts cannot be negative")
-            object.__setattr__(self._edges[(src, dst)], "count", count)
+        for block_id, count in blocks.items():
+            object.__setattr__(self._blocks[block_id], "exec_count", count)
+        for key, count in edges.items():
+            object.__setattr__(self._edges[key], "count", count)
 
     # -- derived graphs -------------------------------------------------------------
 

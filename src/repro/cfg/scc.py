@@ -96,9 +96,6 @@ class Condensation:
     scc_of: dict[str, int]
     entry: int | None
 
-    def loops(self) -> list[SCCNode]:
-        return [n for n in self.nodes if n.is_loop]
-
 
 def condense(cfg: ControlFlowGraph) -> Condensation:
     """Build the condensation DAG; SCCs with >1 member or a self edge are loops."""

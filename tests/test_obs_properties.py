@@ -108,7 +108,7 @@ def test_projection_equals_reference_replay_accounting(ops):
     cycles from the events, not from the runtime's counters."""
     registry, runtime = _drive(ops)
     machine = ReferenceMachine(runtime.library, CONTAINERS)
-    machine.replay(runtime.trace)
+    machine.replay(runtime.trace.rows())
     accounting = machine.accounting()
     execs = registry.counter("si_executions_total")
     assert execs.labels(mode="sw").current() == accounting["sw_executions"]
